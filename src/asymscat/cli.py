@@ -239,8 +239,28 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+_BOOLEAN_WORDS = {"true": True, "yes": True, "on": True, "1": True,
+                  "false": False, "no": False, "off": False, "0": False}
+
+
+def _config_value(action: argparse.Action, key: str, value: str):
+    """Convert one config value the way the command line would."""
+    if action.nargs == 0:
+        # on/off flags: the value is the flag's state, not a string
+        try:
+            return _BOOLEAN_WORDS[value.lower()]
+        except KeyError:
+            raise KernelFormatError(
+                f"config key {key!r} takes true or false, got {value!r}") from None
+    return action.type(value) if action.type else value
+
+
 def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
-    """--config FILE holds key=value lines that become parser defaults."""
+    """--config FILE holds key=value lines that become parser defaults.
+
+    Keys are option names of any subcommand (dashes or underscores);
+    unknown keys and non-boolean values for on/off flags are input errors.
+    """
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
@@ -257,12 +277,17 @@ def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list
             raise KernelFormatError(f"bad config line {line!r}; expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
         overrides[key.replace("-", "_")] = value
+    known: dict[str, list] = {}
     for sub in parser._subparsers._group_actions[0].choices.values():
-        known = {a.dest: a for a in sub._actions}
-        for key, value in overrides.items():
-            if key in known:
-                action = known[key]
-                sub.set_defaults(**{key: action.type(value) if action.type else value})
+        for action in sub._actions:
+            if action.dest != "help":
+                known.setdefault(action.dest, []).append((sub, action))
+    unknown = sorted(set(overrides) - set(known))
+    if unknown:
+        raise KernelFormatError(f"unknown config key(s): {', '.join(unknown)}")
+    for key, value in overrides.items():
+        for sub, action in known[key]:
+            sub.set_defaults(**{key: _config_value(action, key, value)})
     return argv[:idx] + argv[idx + 2:]
 
 

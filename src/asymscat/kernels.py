@@ -200,9 +200,21 @@ class PolynomialKernel:
         out = np.where((np.abs(x) > self.d) | (np.abs(y) > self.d), 0.0, val)
         return complex(out) if out.ndim == 0 else out
 
+    def factors(self, x_nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact separable factors on the nodes: V(x_i, x_j) = (PC @ Q.T)[i, j].
+
+        ``PC = vander(x, imax + 1) @ coeffs`` is n x (jmax + 1) and
+        ``Q = vander(x, jmax + 1)`` is n x (jmax + 1), so the kernel has
+        rank r = jmax + 1 <= 6 on any grid.
+        """
+        x = np.asarray(x_nodes, dtype=float)
+        pc = np.polynomial.polynomial.polyvander(x, self.imax) @ self.coeffs
+        return pc, np.polynomial.polynomial.polyvander(x, self.jmax)
+
     def sample_matrix(self, x_nodes: np.ndarray, y_nodes: np.ndarray) -> np.ndarray:
-        X, Y = np.meshgrid(x_nodes, y_nodes, indexing="ij")
-        return np.polynomial.polynomial.polyval2d(X, Y, self.coeffs)
+        pc, _ = self.factors(x_nodes)
+        _, q = self.factors(y_nodes)
+        return pc @ q.T
 
     def to_sampled(self, n: int = 401) -> SampledKernel:
         g = np.linspace(-self.d, self.d, n)

@@ -14,6 +14,34 @@ from the post-form integrals
 and mirrored expressions for right incidence, under the plane-wave
 normalization <x|p> = e^{ipx} / sqrt(2 pi).
 
+Every entry point (``scatter``, ``scatter_all`` with or without the
+adjoint, ``k_sweep``) goes through one solve core, which takes one of two
+paths chosen by the kernel type alone:
+
+* **Separable path.** Kernels exposing exact factors V = PC Q^T on the
+  grid (``PolynomialKernel.factors``, rank r = jmax + 1 <= 6) never form
+  an n x n matrix.  With u = Q^T W psi the system (I - Omega V W) psi =
+  phi becomes the r x r capacitance system
+
+      (I_r - Q^T W Omega PC) u = Q^T W phi,
+
+  the post-form source is V W psi = PC u, and psi = phi + (Omega PC) u.
+  Omega PC is applied in O(n r) without forming Omega: G0 has rank one on
+  each triangle x' <= x and x' >= x, so the product is a forward and a
+  reverse running sum, plus the three-term Simpson kink band on odd
+  rows.  A solve costs O(n r) time and memory instead of the dense
+  O(n^3) LU and O(n^2) storage.
+* **Dense path.** Sampled nonlocal kernels and local kernels assemble
+  I - Omega V W (local: I - Omega diag(V)) and LU-factor it.
+
+Both paths estimate the reciprocal condition number (LAPACK zgecon) of
+the matrix they factor and raise SingularSystemError below the same
+threshold.  On the separable path that is the r x r capacitance matrix,
+so ``SingularSystemError.rcond`` describes it rather than the n x n
+system; by Sylvester's determinant identity, det(I_n - Omega PC Q^T W)
+= det(I_r - Q^T W Omega PC), so one is singular exactly when the other
+is and exceptional points are still reported.
+
 An independent finite-difference oracle solves the differential form of
 the same problem with Robin (radiation) closures at +-d and exists purely
 to cross-check the Nystrom path.
@@ -168,20 +196,46 @@ def _simpson_kink_weights(k: float, h: float) -> np.ndarray:
     return out
 
 
+def _simpson_kink_delta(k: float, h: float) -> np.ndarray:
+    """Correction to the three Omega entries around the diagonal on the odd
+    (panel-midpoint) rows of a uniform Simpson grid."""
+    naive = (h / 3.0) * np.array([1.0, 4.0, 1.0])
+    g_row = np.exp(1j * k * np.array([h, 0.0, h])) / (1j * k)
+    return _simpson_kink_weights(k, h) - naive * g_row
+
+
 def _green_operator(x: np.ndarray, w: np.ndarray, k: float, quadrature: str) -> np.ndarray:
     """Matrix Omega with Omega @ f ~= int G0(x_i, x') f(x') dx'."""
     diff = np.abs(x[:, None] - x[None, :])
     G = np.exp(1j * k * diff) / (1j * k)
     omega = G * w[None, :]
     if quadrature == "simpson":
-        h = x[1] - x[0]
-        corr = _simpson_kink_weights(k, h)
-        naive = (h / 3.0) * np.array([1.0, 4.0, 1.0])
-        g_row = np.exp(1j * k * np.array([h, 0.0, h])) / (1j * k)
-        delta = corr - naive * g_row
+        delta = _simpson_kink_delta(k, x[1] - x[0])
         for i in range(1, x.size - 1, 2):
             omega[i, i - 1 : i + 2] += delta
     return omega
+
+
+def _apply_green(x: np.ndarray, w: np.ndarray, k: float, quadrature: str,
+                 M: np.ndarray) -> np.ndarray:
+    """Omega @ M in O(n * cols), without forming Omega.
+
+    G0 has rank one on each triangle: for x' <= x it is
+    e^{ikx} e^{-ikx'} / (ik), for x' >= x it is e^{-ikx} e^{ikx'} / (ik).
+    The product is therefore a forward and a reverse running sum; both
+    count the diagonal, so it is subtracted once.  On a Simpson grid the
+    kink correction adds a three-term band on the odd rows.
+    """
+    e_plus = np.exp(1j * k * x)[:, None]
+    e_minus = np.conj(e_plus)
+    wm = w[:, None] * M
+    lower = np.cumsum(e_minus * wm, axis=0)
+    upper = np.cumsum((e_plus * wm)[::-1], axis=0)[::-1]
+    out = (e_plus * lower + e_minus * upper - wm) / (1j * k)
+    if quadrature == "simpson":
+        delta = _simpson_kink_delta(k, x[1] - x[0])
+        out[1:-1:2] += delta[0] * M[:-2:2] + delta[1] * M[1:-1:2] + delta[2] * M[2::2]
+    return out
 
 
 def _sample(kernel, x: np.ndarray):
@@ -209,48 +263,51 @@ def _amplitudes_from_source(source: np.ndarray, x, w, k, side: str):
     return 1.0 + plus, minus
 
 
+def _solve(kernel, k: float, config: SolverConfig, sides: tuple[str, ...]):
+    """The one Nystrom solve behind every entry point.
+
+    Solves (I - Omega V W) psi = phi for the incident wave of each side,
+    on the separable path when the kernel exposes ``factors`` and on the
+    dense path otherwise (see the module docstring).  Returns
+    ([(T, R) per side], psi with one column per side, nodes).
+    """
+    if k <= 0:
+        raise ValueError("incident wavenumber k must be positive")
+    x, w = grid_and_weights(config, kernel.d)
+    quadrature = config.quadrature if config.nodes is None else "trapezoid"
+    phi = np.stack([np.exp((1j if side == "left" else -1j) * k * x) for side in sides], axis=1)
+    factors = getattr(kernel, "factors", None)
+    if factors is not None:
+        pc, q = factors(x)
+        omega_pc = _apply_green(x, w, k, quadrature, pc)
+        qw = q.T * w[None, :]
+        capacitance = np.eye(q.shape[1], dtype=complex) - qw @ omega_pc
+        u = _solve_system(capacitance, qw @ phi, k, config.tolerance)
+        psi = phi + omega_pc @ u
+        source = pc @ u
+    else:
+        omega = _green_operator(x, w, k, quadrature)
+        V = _sample(kernel, x)
+        if kernel.is_local:
+            A = np.eye(x.size, dtype=complex) - omega * V[None, :]
+        else:
+            A = np.eye(x.size, dtype=complex) - omega @ (V * w[None, :])
+        psi = _solve_system(A, phi, k, config.tolerance)
+        source = V[:, None] * psi if kernel.is_local else V @ (w[:, None] * psi)
+    amps = [_amplitudes_from_source(source[:, c], x, w, k, side) for c, side in enumerate(sides)]
+    return amps, psi, x
+
+
 def scatter(kernel, k: float, side: str = "left", config: SolverConfig | None = None) -> ScatterResult:
     """Solve one scattering problem and return (T, R, psi-on-grid).
 
     Raises SingularSystemError at exceptional configurations instead of
     returning garbage, and ValueError for k <= 0.
     """
-    if k <= 0:
-        raise ValueError("incident wavenumber k must be positive")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    config = config or SolverConfig()
-    x, w = grid_and_weights(config, kernel.d)
-    omega = _green_operator(x, w, k, config.quadrature if config.nodes is None else "trapezoid")
-    V = _sample(kernel, x)
-    if kernel.is_local:
-        A = np.eye(x.size, dtype=complex) - omega * V[None, :]
-    else:
-        A = np.eye(x.size, dtype=complex) - omega @ (V * w[None, :])
-    phi = np.exp(1j * k * x) if side == "left" else np.exp(-1j * k * x)
-    psi = _solve_system(A, phi, k, config.tolerance)
-    source = V * psi if kernel.is_local else V @ (w * psi)
-    T, R = _amplitudes_from_source(source, x, w, k, side)
-    return ScatterResult(T, R, psi, x)
-
-
-def _both_sides(kernel, k: float, config: SolverConfig) -> tuple[complex, complex, complex, complex]:
-    x, w = grid_and_weights(config, kernel.d)
-    omega = _green_operator(x, w, k, config.quadrature if config.nodes is None else "trapezoid")
-    V = _sample(kernel, x)
-    if kernel.is_local:
-        A = np.eye(x.size, dtype=complex) - omega * V[None, :]
-    else:
-        A = np.eye(x.size, dtype=complex) - omega @ (V * w[None, :])
-    phi = np.stack([np.exp(1j * k * x), np.exp(-1j * k * x)], axis=1)
-    psi = _solve_system(A, phi, k, config.tolerance)
-    if kernel.is_local:
-        src_l, src_r = V * psi[:, 0], V * psi[:, 1]
-    else:
-        src_l, src_r = V @ (w * psi[:, 0]), V @ (w * psi[:, 1])
-    Tl, Rl = _amplitudes_from_source(src_l, x, w, k, "left")
-    Tr, Rr = _amplitudes_from_source(src_r, x, w, k, "right")
-    return Tl, Tr, Rl, Rr
+    [(T, R)], psi, x = _solve(kernel, k, config or SolverConfig(), (side,))
+    return ScatterResult(T, R, psi[:, 0], x)
 
 
 def scatter_all(kernel, k: float, config: SolverConfig | None = None,
@@ -261,14 +318,17 @@ def scatter_all(kernel, k: float, config: SolverConfig | None = None,
     adjoint kernel V(y, x)*, not from the algebraic inversion of the
     generalized-unitarity relations.
     """
-    if k <= 0:
-        raise ValueError("incident wavenumber k must be positive")
     config = config or SolverConfig()
-    Tl, Tr, Rl, Rr = _both_sides(kernel, k, config)
+    Tl, Tr, Rl, Rr = _quadruple(kernel, k, config)
     hatted = None
     if include_adjoint:
-        hatted = Hatted(*_both_sides(kernel_adjoint(kernel), k, config))
+        hatted = Hatted(*_quadruple(kernel_adjoint(kernel), k, config))
     return ScatteringAmplitudes(k, Tl, Tr, Rl, Rr, hatted)
+
+
+def _quadruple(kernel, k: float, config: SolverConfig) -> tuple[complex, complex, complex, complex]:
+    [(Tl, Rl), (Tr, Rr)], _, _ = _solve(kernel, k, config, ("left", "right"))
+    return Tl, Tr, Rl, Rr
 
 
 def _oracle_once(kernel, k: float, n: int) -> tuple[complex, complex, complex, complex]:

@@ -1,7 +1,26 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from asymscat.kernels import PolynomialKernel, SampledKernel
+
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+def cli_env():
+    """Environment for ``python -m asymscat`` subprocesses.
+
+    The subprocesses run in temporary directories, so a relative
+    ``PYTHONPATH=src`` no longer points at the package; put the absolute
+    source path first.
+    """
+    env = dict(os.environ)
+    paths = [str(SRC_DIR)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env["PYTHONPATH"] = os.pathsep.join(paths)
+    return env
 
 
 def random_poly_surface(rng, n=401, d=1.0, degree=4, scale=1.0):

@@ -28,7 +28,7 @@ from asymscat.solver import (
     scatter_oracle_all,
 )
 from asymscat.symmetry import equivalence_table_check, symmetrize
-from conftest import random_poly_surface, square_well_analytic
+from conftest import cli_env, random_poly_surface, square_well_analytic
 
 TRAP = SolverConfig(n_grid=401, quadrature="trapezoid")
 FAST = SolverConfig(n_grid=201, quadrature="trapezoid")
@@ -303,7 +303,7 @@ def test_criterion_12_cli_determinism(tmp_path):
         blobs = []
         for _ in range(2):
             res = subprocess.run([sys.executable, "-m", "asymscat", *args],
-                                 capture_output=True, cwd=tmp_path)
+                                 capture_output=True, cwd=tmp_path, env=cli_env())
             assert res.returncode == 0, (name, res.stderr)
             blobs.append((res.stdout, [(tmp_path / f).read_bytes() for f in outputs]))
         identical = blobs[0] == blobs[1]

@@ -8,13 +8,13 @@ import pytest
 from asymscat.kernel_io import load_kernel, save_kernel
 from asymscat.kernels import SampledKernel
 from asymscat.symmetry import symmetrize
-from conftest import random_poly_surface
+from conftest import cli_env, random_poly_surface
 
 
 def run_cli(args, cwd):
     return subprocess.run(
         [sys.executable, "-m", "asymscat", *args],
-        capture_output=True, cwd=cwd, text=False,
+        capture_output=True, cwd=cwd, text=False, env=cli_env(),
     )
 
 
@@ -148,6 +148,38 @@ class TestConfigFile:
         res = run_cli(["solve", "--kernel", str(zero_kernel_file), "--k", "1.0",
                        "--config", str(cfg)], tmp_path)
         assert res.returncode == 1
+
+    def test_false_flag_stays_off(self, tmp_path, zero_kernel_file):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("adjoint=false\n", encoding="utf-8")
+        res = run_cli(["solve", "--kernel", str(zero_kernel_file), "--k", "1.0",
+                       "--config", str(cfg)], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert "hatted" not in json.loads(res.stdout)
+
+    def test_true_flag_turns_on(self, tmp_path, zero_kernel_file):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("adjoint=true\n", encoding="utf-8")
+        res = run_cli(["solve", "--kernel", str(zero_kernel_file), "--k", "1.0",
+                       "--config", str(cfg)], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert "hatted" in json.loads(res.stdout)
+
+    def test_non_boolean_flag_value_is_input_error(self, tmp_path, zero_kernel_file):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("adjoint=maybe\n", encoding="utf-8")
+        res = run_cli(["solve", "--kernel", str(zero_kernel_file), "--k", "1.0",
+                       "--config", str(cfg)], tmp_path)
+        assert res.returncode == 1
+        assert b"adjoint" in res.stderr
+
+    def test_unknown_key_is_input_error(self, tmp_path, zero_kernel_file):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_grid=201\nbogus_key=3\n", encoding="utf-8")
+        res = run_cli(["solve", "--kernel", str(zero_kernel_file), "--k", "1.0",
+                       "--config", str(cfg)], tmp_path)
+        assert res.returncode == 1
+        assert b"bogus_key" in res.stderr
 
 
 class TestDeterminism:
