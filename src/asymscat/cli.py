@@ -54,9 +54,9 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(n_grid=args.n_grid, quadrature=args.quadrature)
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-grid", type=int, default=401, help="quadrature points across [-d, d]")
-    p.add_argument("--quadrature", choices=("trapezoid", "simpson"), default="trapezoid")
+def _add_solver_flags(add) -> None:
+    add("--n-grid", type=int, default=401, help="quadrature points across [-d, d]")
+    add("--quadrature", choices=("trapezoid", "simpson"), default="trapezoid")
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -255,11 +255,13 @@ def _config_value(action: argparse.Action, key: str, value: str):
     return action.type(value) if action.type else value
 
 
-def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+def _apply_config_file(argv: list[str], options: dict[str, list]) -> list[str]:
     """--config FILE holds key=value lines that become parser defaults.
 
     Keys are option names of any subcommand (dashes or underscores);
-    unknown keys and non-boolean values for on/off flags are input errors.
+    ``options`` maps each name to its (subcommand parser, action) pairs,
+    as ``build_parser`` collects them.  Unknown keys and non-boolean
+    values for on/off flags are input errors.
     """
     if "--config" not in argv:
         return argv
@@ -277,21 +279,18 @@ def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list
             raise KernelFormatError(f"bad config line {line!r}; expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
         overrides[key.replace("-", "_")] = value
-    known: dict[str, list] = {}
-    for sub in parser._subparsers._group_actions[0].choices.values():
-        for action in sub._actions:
-            if action.dest != "help":
-                known.setdefault(action.dest, []).append((sub, action))
-    unknown = sorted(set(overrides) - set(known))
+    unknown = sorted(set(overrides) - set(options))
     if unknown:
         raise KernelFormatError(f"unknown config key(s): {', '.join(unknown)}")
     for key, value in overrides.items():
-        for sub, action in known[key]:
+        for sub, action in options[key]:
             sub.set_defaults(**{key: _config_value(action, key, value)})
     return argv[:idx] + argv[idx + 2:]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, list]]:
+    """The argument parser, and for each option name (argparse ``dest``)
+    the (subcommand parser, action) pairs that ``--config`` may set."""
     parser = argparse.ArgumentParser(
         prog="asymscat",
         description="1D scattering by complex nonlocal potentials: solve, "
@@ -299,70 +298,75 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"asymscat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    options: dict[str, list] = {}
 
-    p = sub.add_parser("solve", help="amplitudes at one momentum")
-    p.add_argument("--kernel", required=True, help="kernel JSON file")
-    p.add_argument("--k", type=float, required=True, help="incident momentum k*d")
-    p.add_argument("--adjoint", action="store_true", help="also solve H† and report unitarity")
-    _add_solver_flags(p)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_solve)
+    def subcommand(name: str, help: str, func):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("sweep", help="amplitudes over a momentum grid (CSV)")
-    p.add_argument("--kernel", required=True)
-    p.add_argument("--kmin", type=float, required=True)
-    p.add_argument("--kmax", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_solver_flags(p)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_sweep)
+        def add(*flags, **kwargs):
+            action = p.add_argument(*flags, **kwargs)
+            options.setdefault(action.dest, []).append((p, action))
 
-    p = sub.add_parser("classify", help="symmetry verdicts and allowed devices")
-    p.add_argument("--kernel", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_classify)
+        return add
 
-    p = sub.add_parser("design", help="inverse-design a device kernel")
-    p.add_argument("--device", choices=sorted(_DEVICE_FLAGS), required=True)
-    p.add_argument("--k0", type=float, default=1.0)
-    p.add_argument("--constraint", choices=("none", "viii", "pt"), default="none")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--verify-points", type=int, default=21)
-    p.add_argument("--out", required=True, help="kernel JSON output path")
-    p.set_defaults(func=_cmd_design)
+    add = subcommand("solve", "amplitudes at one momentum", _cmd_solve)
+    add("--kernel", required=True, help="kernel JSON file")
+    add("--k", type=float, required=True, help="incident momentum k*d")
+    add("--adjoint", action="store_true", help="also solve H† and report unitarity")
+    _add_solver_flags(add)
+    add("--out", default=None)
 
-    p = sub.add_parser("born-design", help="broadband one-way reflector")
-    p.add_argument("--alpha", type=float, default=1.0 / (4.0 * np.pi))
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--tune", action="store_true", help="bisect alpha against the exact solver")
-    p.add_argument("--kref", type=float, default=1.0)
-    p.add_argument("--window", type=float, default=4.0)
-    p.add_argument("--sweep", default=None, help="kmin:kmax:n sweep grid")
-    p.add_argument("--out", required=True, help="potential JSON output path")
-    p.set_defaults(func=_cmd_born_design)
+    add = subcommand("sweep", "amplitudes over a momentum grid (CSV)", _cmd_sweep)
+    add("--kernel", required=True)
+    add("--kmin", type=float, required=True)
+    add("--kmax", type=float, required=True)
+    add("--n", type=int, required=True)
+    _add_solver_flags(add)
+    add("--out", default=None)
 
-    p = sub.add_parser("verify", help="unitarity + symmetry predicates over a grid")
-    p.add_argument("--kernel", required=True)
-    p.add_argument("--kmin", type=float, default=0.5)
-    p.add_argument("--kmax", type=float, default=2.0)
-    p.add_argument("--n", type=int, default=5)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--sym-tol", type=float, default=1e-9)
-    p.add_argument("--claim", choices=("II", "III", "IV", "V", "VI", "VII", "VIII"),
-                   default=None, help="assert the kernel satisfies this symmetry")
-    _add_solver_flags(p)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_verify)
+    add = subcommand("classify", "symmetry verdicts and allowed devices", _cmd_classify)
+    add("--kernel", required=True)
+    add("--tol", type=float, default=1e-9)
+    add("--out", default=None)
 
-    return parser
+    add = subcommand("design", "inverse-design a device kernel", _cmd_design)
+    add("--device", choices=sorted(_DEVICE_FLAGS), required=True)
+    add("--k0", type=float, default=1.0)
+    add("--constraint", choices=("none", "viii", "pt"), default="none")
+    add("--seed", type=int, default=0)
+    add("--verify-points", type=int, default=21)
+    add("--out", required=True, help="kernel JSON output path")
+
+    add = subcommand("born-design", "broadband one-way reflector", _cmd_born_design)
+    add("--alpha", type=float, default=1.0 / (4.0 * np.pi))
+    add("--epsilon", type=float, required=True)
+    add("--tune", action="store_true", help="bisect alpha against the exact solver")
+    add("--kref", type=float, default=1.0)
+    add("--window", type=float, default=4.0)
+    add("--sweep", default=None, help="kmin:kmax:n sweep grid")
+    add("--out", required=True, help="potential JSON output path")
+
+    add = subcommand("verify", "unitarity + symmetry predicates over a grid", _cmd_verify)
+    add("--kernel", required=True)
+    add("--kmin", type=float, default=0.5)
+    add("--kmax", type=float, default=2.0)
+    add("--n", type=int, default=5)
+    add("--tol", type=float, default=1e-8)
+    add("--sym-tol", type=float, default=1e-9)
+    add("--claim", choices=("II", "III", "IV", "V", "VI", "VII", "VIII"),
+        default=None, help="assert the kernel satisfies this symmetry")
+    _add_solver_flags(add)
+    add("--out", default=None)
+
+    return parser, options
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, options = build_parser()
     try:
-        argv = _apply_config_file(argv, parser)
+        argv = _apply_config_file(argv, options)
         args = parser.parse_args(argv)
         return args.func(args)
     except (KernelFormatError, FileNotFoundError, ForbiddenDeviceError, ValueError) as exc:

@@ -27,7 +27,15 @@ def _unpairs(pairs, field: str) -> np.ndarray:
         raise KernelFormatError(f"field {field!r} is not a list of [re, im] pairs") from exc
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise KernelFormatError(f"field {field!r} must hold [re, im] pairs")
+    _require_finite(arr, field)
     return arr[:, 0] + 1j * arr[:, 1]
+
+
+def _require_finite(value, field: str):
+    # json.load accepts NaN and Infinity
+    if not np.all(np.isfinite(value)):
+        raise KernelFormatError(f"field {field!r} must be finite")
+    return value
 
 
 def _require(data: dict, field: str, kind=None):
@@ -70,7 +78,7 @@ def kernel_from_dict(data: dict):
     if not isinstance(data, dict):
         raise KernelFormatError("kernel document must be a JSON object")
     ktype = _require(data, "type", str)
-    d = float(_require(data, "d", (int, float)))
+    d = _require_finite(float(_require(data, "d", (int, float))), "d")
     if ktype == "sampled":
         n = int(_require(data, "n", int))
         is_local = bool(_require(data, "is_local", bool))
@@ -94,8 +102,8 @@ def kernel_from_dict(data: dict):
             )
         return PolynomialKernel(coeffs.reshape(imax + 1, jmax + 1), d=d)
     if ktype == "inverse_square":
-        alpha = float(_require(data, "alpha", (int, float)))
-        epsilon = float(_require(data, "epsilon", (int, float)))
+        alpha = _require_finite(float(_require(data, "alpha", (int, float))), "alpha")
+        epsilon = _require_finite(float(_require(data, "epsilon", (int, float))), "epsilon")
         return RegularizedInverseSquare(alpha=alpha, epsilon=epsilon, d=d)
     raise KernelFormatError(f"unknown kernel type {ktype!r}")
 

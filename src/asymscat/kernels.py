@@ -45,6 +45,11 @@ def _check_code(which: str) -> str:
     return which
 
 
+def _check_finite(value, name: str) -> None:
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"kernel {name} must be finite")
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, copy=True)
     a.flags.writeable = False
@@ -69,6 +74,8 @@ class SampledKernel:
         n = grid.size
         if n < 3:
             raise ValueError("sampled kernel needs at least 3 grid points")
+        _check_finite(grid, "grid")
+        _check_finite(values, "values")
         if not np.all(np.diff(grid) > 0):
             raise ValueError("grid must be strictly increasing")
         d = grid[-1]
@@ -132,6 +139,7 @@ class SampledKernel:
         return np.asarray(self.evaluate(nodes))
 
     def sample_matrix(self, x_nodes: np.ndarray, y_nodes: np.ndarray) -> np.ndarray:
+        """V(x_i, y_j) on a node product; exactly 0 outside the support."""
         if self.is_local:
             raise ValueError("sample_matrix is only defined for nonlocal kernels")
         same_x = x_nodes.size == self.n and np.allclose(x_nodes, self.grid, rtol=0, atol=1e-14)
@@ -139,7 +147,8 @@ class SampledKernel:
         if same_x and same_y:
             return np.asarray(self.values)
         re, im = self._splines
-        return re(x_nodes, y_nodes) + 1j * im(x_nodes, y_nodes)
+        outside = (np.abs(x_nodes) > self.d)[:, None] | (np.abs(y_nodes) > self.d)[None, :]
+        return np.where(outside, 0.0, re(x_nodes, y_nodes) + 1j * im(x_nodes, y_nodes))
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -179,6 +188,8 @@ class PolynomialKernel:
         c = np.atleast_2d(np.asarray(self.coeffs, dtype=complex))
         if c.shape[0] > 6 or c.shape[1] > 6:
             raise ValueError("polynomial degrees are capped at 5 in each variable")
+        _check_finite(c, "coeffs")
+        _check_finite(self.d, "d")
         if self.d <= 0:
             raise ValueError("support half-width d must be positive")
         object.__setattr__(self, "coeffs", _readonly(c))
@@ -266,6 +277,8 @@ class RegularizedInverseSquare:
     is_local = True
 
     def __post_init__(self):
+        for name in ("alpha", "epsilon", "d"):
+            _check_finite(getattr(self, name), name)
         if self.epsilon <= 0:
             raise ValueError("regularizer epsilon must be positive")
         if self.d <= 0:

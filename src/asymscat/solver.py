@@ -5,7 +5,7 @@ The primary path discretizes the Lippmann-Schwinger equation
     psi(x) = phi(x) + int dx' G0(x, x') int dy V(x', y) psi(y)
 
 on [-d, d] with G0(x, x') = exp(i k |x - x'|) / (i k)  (hbar = m = 1) and
-solves the resulting dense linear system (Nystrom).  Amplitudes follow
+solves the resulting linear system (Nystrom).  Amplitudes follow
 from the post-form integrals
 
     T^l = 1 + (1/ik) II e^{-ikx'} V(x', y) psi_l(y) dx' dy
@@ -15,8 +15,8 @@ and mirrored expressions for right incidence, under the plane-wave
 normalization <x|p> = e^{ipx} / sqrt(2 pi).
 
 Every entry point (``scatter``, ``scatter_all`` with or without the
-adjoint, ``k_sweep``) goes through one solve core, which takes one of two
-paths chosen by the kernel type alone:
+adjoint, ``k_sweep``) goes through one solve core, which takes one of
+three paths chosen by the kernel type alone:
 
 * **Separable path.** Kernels exposing exact factors V = PC Q^T on the
   grid (``PolynomialKernel.factors``, rank r = jmax + 1 <= 6) never form
@@ -31,16 +31,32 @@ paths chosen by the kernel type alone:
   reverse running sum, plus the three-term Simpson kink band on odd
   rows.  A solve costs O(n r) time and memory instead of the dense
   O(n^3) LU and O(n^2) storage.
-* **Dense path.** Sampled nonlocal kernels and local kernels assemble
-  I - Omega V W (local: I - Omega diag(V)) and LU-factor it.
+* **Local banded path.** Local kernels (V(x, y) = V(x) delta(x - y))
+  solve (I - Omega diag(V)) psi = phi in O(n) time and memory.  The
+  same rank-one structure of G0 is carried by two running sums,
+  A_i = sum_{j<=i} e^{-ikx_j} w_j V_j psi_j and
+  B_i = sum_{j>=i} e^{+ikx_j} w_j V_j psi_j, which become unknowns
+  beside psi_i.  Ordered (psi_i, A_i, B_i), the 3n x 3n system is banded
+  with kl = ku = 3, the Simpson kink band included, and is factored by
+  LAPACK zgbtrf.  Eliminating the unit-bidiagonal A and B blocks leaves
+  exactly I - Omega diag(V), so the discrete solution is that of the
+  n x n system up to rounding.
+* **Dense path.** Sampled nonlocal kernels assemble I - Omega V W and
+  LU-factor it.
 
-Both paths estimate the reciprocal condition number (LAPACK zgecon) of
-the matrix they factor and raise SingularSystemError below the same
-threshold.  On the separable path that is the r x r capacitance matrix,
-so ``SingularSystemError.rcond`` describes it rather than the n x n
-system; by Sylvester's determinant identity, det(I_n - Omega PC Q^T W)
-= det(I_r - Q^T W Omega PC), so one is singular exactly when the other
-is and exceptional points are still reported.
+Every path estimates a reciprocal condition number in the 1-norm and
+raises SingularSystemError below the same threshold.  The dense path
+runs LAPACK zgecon on its LU factors.  The local path estimates the
+rcond of the n x n matrix I - Omega diag(V) itself: its 1-norm has a
+closed form, because |G0| = 1/k off the kink band, and the norm of its
+inverse comes from the Hager-Higham estimator that zgecon uses, driven
+by banded solves, since the psi block of the inverse of the 3n x 3n
+system is (I - Omega diag(V))^{-1}.  The separable path runs zgecon on
+the r x r capacitance matrix, so there ``SingularSystemError.rcond``
+describes that matrix rather than the n x n system; by Sylvester's
+determinant identity, det(I_n - Omega PC Q^T W) = det(I_r - Q^T W Omega
+PC), so one is singular exactly when the other is and exceptional
+points are still reported.
 
 An independent finite-difference oracle solves the differential form of
 the same problem with Robin (radiation) closures at +-d and exists purely
@@ -53,7 +69,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import zgecon
+from scipy.linalg.lapack import zgbtrf, zgbtrs, zgecon
 
 from .errors import AdjointDivergenceError, SingularSystemError
 from .kernels import adjoint as kernel_adjoint
@@ -84,8 +100,8 @@ class SolverConfig:
             raise ValueError("n_grid must be at least 3")
         if self.quadrature == "simpson" and self.n_grid % 2 == 0:
             raise ValueError("simpson quadrature needs an odd n_grid")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < np.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.weights is not None and self.nodes is None:
             raise ValueError("weights require explicit nodes")
         if self.nodes is not None:
@@ -99,6 +115,8 @@ class SolverConfig:
                 weights = np.asarray(self.weights, dtype=float)
                 if weights.shape != nodes.shape:
                     raise ValueError("weights must match nodes in shape")
+                if not np.all(np.isfinite(weights)):
+                    raise ValueError("weights must be finite")
                 object.__setattr__(self, "weights", weights)
 
 
@@ -238,19 +256,142 @@ def _apply_green(x: np.ndarray, w: np.ndarray, k: float, quadrature: str,
     return out
 
 
-def _sample(kernel, x: np.ndarray):
-    if kernel.is_local:
-        return kernel.sample_profile(x)
-    return kernel.sample_matrix(x, x)
+def _check_rcond(rcond: float, k: float, tolerance: float) -> None:
+    # "not >=" also rejects a NaN estimate
+    if not rcond >= max(tolerance * 1e-4, 1e-15):
+        raise SingularSystemError(k, float(rcond))
 
 
 def _solve_system(A: np.ndarray, rhs: np.ndarray, k: float, tolerance: float):
     anorm = np.linalg.norm(A, 1)
     lu, piv = lu_factor(A)
     rcond, info = zgecon(lu, anorm)
-    if info != 0 or rcond < max(tolerance * 1e-4, 1e-15):
-        raise SingularSystemError(k, float(rcond))
+    _check_rcond(rcond if info == 0 else 0.0, k, tolerance)
     return lu_solve((lu, piv), rhs)
+
+
+# Bandwidths of the 3n x 3n local system ordered (psi_i, A_i, B_i).  In
+# LAPACK band storage entry [r, c] sits at row _KL + _KU + r - c.
+_KL = _KU = 3
+_DIAG = _KL + _KU
+
+
+def _local_band(x: np.ndarray, w: np.ndarray, k: float, quadrature: str,
+                V: np.ndarray) -> np.ndarray:
+    """zgbtrf band storage of the local system in (psi, A, B) unknowns.
+
+    With s_i = w_i V_i psi_i the rows are
+
+        psi_i - (e^{ikx_i} A_i + e^{-ikx_i} B_i - s_i) / (ik) - kink_i = phi_i
+        A_i - A_{i-1} - e^{-ikx_i} s_i = 0
+        B_i - B_{i+1} - e^{+ikx_i} s_i = 0
+
+    where kink_i is the Simpson correction on odd rows.  Eliminating A
+    and B gives back (I - Omega diag(V)) psi = phi exactly.
+    """
+    n = x.size
+    e_plus = np.exp(1j * k * x)
+    e_minus = np.conj(e_plus)
+    wv = w * V
+    ab = np.zeros((2 * _KL + _KU + 1, 3 * n), dtype=complex)
+    ab[_DIAG, 0::3] = 1.0 + wv / (1j * k)       # psi_i   in row psi_i
+    ab[_DIAG - 1, 1::3] = -e_plus / (1j * k)    # A_i     in row psi_i
+    ab[_DIAG - 2, 2::3] = -e_minus / (1j * k)   # B_i     in row psi_i
+    ab[_DIAG + 1, 0::3] = -e_minus * wv         # psi_i   in row A_i
+    ab[_DIAG, 1::3] = 1.0                       # A_i     in row A_i
+    ab[_DIAG + 3, 1:-3:3] = -1.0                # A_i     in row A_{i+1}
+    ab[_DIAG + 2, 0::3] = -e_plus * wv          # psi_i   in row B_i
+    ab[_DIAG, 2::3] = 1.0                       # B_i     in row B_i
+    ab[_DIAG - 3, 5::3] = -1.0                  # B_{i+1} in row B_i
+    if quadrature == "simpson":
+        delta = _simpson_kink_delta(k, x[1] - x[0])
+        odd = np.arange(1, n - 1, 2)
+        ab[_DIAG + 3, 3 * (odd - 1)] = -delta[0] * V[odd - 1]  # psi_{i-1} in row psi_i
+        ab[_DIAG, 3 * odd] -= delta[1] * V[odd]
+        ab[_DIAG - 3, 3 * (odd + 1)] = -delta[2] * V[odd + 1]  # psi_{i+1} in row psi_i
+    return ab
+
+
+def _local_norm1(x: np.ndarray, w: np.ndarray, k: float, quadrature: str,
+                 V: np.ndarray) -> float:
+    """||I - Omega diag(V)||_1 in O(n).
+
+    Off the diagonal and the kink band every entry of column j has
+    modulus w_j |V_j| / k, because |G0| = 1/k; only those few entries
+    are formed explicitly.
+    """
+    n = x.size
+    wv = w * V
+    off = np.abs(wv) / k
+    diag = 1.0 - wv / (1j * k)
+    cols = (n - 1) * off
+    if quadrature == "simpson":
+        h = x[1] - x[0]
+        delta = _simpson_kink_delta(k, h)
+        g = np.exp(1j * k * h) / (1j * k)
+        odd = np.arange(1, n - 1, 2)
+        diag[odd] -= delta[1] * V[odd]
+        for j, dj in ((odd - 1, delta[0]), (odd + 1, delta[2])):
+            cols[j] += np.abs((g * w[j] + dj) * V[j]) - off[j]
+    return float(np.max(cols + np.abs(diag)))
+
+
+def _inverse_norm1(solve, n: int) -> float:
+    """Hager-Higham estimate of ||M^{-1}||_1 (the LAPACK zlacn2 iteration
+    that zgecon runs), given ``solve(v, trans)`` applying M^{-1} for
+    trans 0 and M^{-H} for trans 2."""
+    tiny = np.finfo(float).tiny
+
+    def unit_phase(v):
+        a = np.abs(v)
+        return np.where(a > tiny, v / np.where(a > tiny, a, 1.0), 1.0)
+
+    y = solve(np.full(n, 1.0 / n, dtype=complex), 0)
+    est = np.sum(np.abs(y))
+    z = solve(unit_phase(y), 2)
+    j = int(np.argmax(np.abs(z)))
+    for _ in range(4):  # zlacn2's iterations 2..ITMAX=5
+        y = solve(np.eye(1, n, j, dtype=complex)[0], 0)
+        est_old, est = est, np.sum(np.abs(y))
+        if est <= est_old:
+            break
+        z = solve(unit_phase(y), 2)
+        j_last, j = j, int(np.argmax(np.abs(z)))
+        if abs(z[j_last]) == abs(z[j]):
+            break
+    alternating = (-1.0) ** np.arange(n) * (1.0 + np.arange(n) / (n - 1))
+    y = solve(alternating.astype(complex), 0)
+    return float(max(est, 2.0 * np.sum(np.abs(y)) / (3 * n)))
+
+
+def _local_factor(x: np.ndarray, w: np.ndarray, k: float, quadrature: str,
+                  V: np.ndarray):
+    """Banded LU of the local system and the reciprocal condition
+    estimate of the n x n matrix I - Omega diag(V).
+
+    Returns (solve, rcond) where ``solve(rhs, trans)`` applies
+    (I - Omega diag(V))^{-1} (trans 0) or its conjugate transpose
+    (trans 2) to an n-vector or n x m array: the right-hand side goes on
+    the psi rows and the psi rows of the solution are read back.
+    """
+    n = x.size
+    lu, piv, info = zgbtrf(_local_band(x, w, k, quadrature, V), _KL, _KU)
+
+    def solve(rhs, trans=0):
+        b = np.zeros((3 * n,) + rhs.shape[1:], dtype=complex)
+        b[0::3] = rhs
+        out, _ = zgbtrs(lu, _KL, _KU, b.reshape(3 * n, -1), piv, trans=trans)
+        return out[0::3].reshape(rhs.shape)
+
+    if info != 0:
+        return solve, 0.0
+    anorm = _local_norm1(x, w, k, quadrature, V)
+    return solve, 1.0 / (anorm * _inverse_norm1(solve, n))
+
+
+def _check_momentum(k: float) -> None:
+    if not (np.isfinite(k) and k > 0):
+        raise ValueError(f"incident wavenumber k must be positive and finite, got {k!r}")
 
 
 def _amplitudes_from_source(source: np.ndarray, x, w, k, side: str):
@@ -267,12 +408,12 @@ def _solve(kernel, k: float, config: SolverConfig, sides: tuple[str, ...]):
     """The one Nystrom solve behind every entry point.
 
     Solves (I - Omega V W) psi = phi for the incident wave of each side,
-    on the separable path when the kernel exposes ``factors`` and on the
-    dense path otherwise (see the module docstring).  Returns
+    on the separable path when the kernel exposes ``factors``, on the
+    banded path for local kernels and on the dense path otherwise (see
+    the module docstring).  Returns
     ([(T, R) per side], psi with one column per side, nodes).
     """
-    if k <= 0:
-        raise ValueError("incident wavenumber k must be positive")
+    _check_momentum(k)
     x, w = grid_and_weights(config, kernel.d)
     quadrature = config.quadrature if config.nodes is None else "trapezoid"
     phi = np.stack([np.exp((1j if side == "left" else -1j) * k * x) for side in sides], axis=1)
@@ -285,15 +426,18 @@ def _solve(kernel, k: float, config: SolverConfig, sides: tuple[str, ...]):
         u = _solve_system(capacitance, qw @ phi, k, config.tolerance)
         psi = phi + omega_pc @ u
         source = pc @ u
+    elif kernel.is_local:
+        V = kernel.sample_profile(x)
+        solve, rcond = _local_factor(x, w, k, quadrature, V)
+        _check_rcond(rcond, k, config.tolerance)
+        psi = solve(phi)
+        source = V[:, None] * psi
     else:
+        V = kernel.sample_matrix(x, x)
         omega = _green_operator(x, w, k, quadrature)
-        V = _sample(kernel, x)
-        if kernel.is_local:
-            A = np.eye(x.size, dtype=complex) - omega * V[None, :]
-        else:
-            A = np.eye(x.size, dtype=complex) - omega @ (V * w[None, :])
+        A = np.eye(x.size, dtype=complex) - omega @ (V * w[None, :])
         psi = _solve_system(A, phi, k, config.tolerance)
-        source = V[:, None] * psi if kernel.is_local else V @ (w[:, None] * psi)
+        source = V @ (w[:, None] * psi)
     amps = [_amplitudes_from_source(source[:, c], x, w, k, side) for c, side in enumerate(sides)]
     return amps, psi, x
 
@@ -302,7 +446,7 @@ def scatter(kernel, k: float, side: str = "left", config: SolverConfig | None = 
     """Solve one scattering problem and return (T, R, psi-on-grid).
 
     Raises SingularSystemError at exceptional configurations instead of
-    returning garbage, and ValueError for k <= 0.
+    returning garbage, and ValueError unless k is positive and finite.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -335,7 +479,7 @@ def _oracle_once(kernel, k: float, n: int) -> tuple[complex, complex, complex, c
     d = kernel.d
     x = np.linspace(-d, d, n)
     h = x[1] - x[0]
-    V = _sample(kernel, x)
+    V = kernel.sample_profile(x) if kernel.is_local else kernel.sample_matrix(x, x)
     A = np.zeros((n, n), dtype=complex)
     idx = np.arange(1, n - 1)
     A[idx, idx] += 1.0 / h**2 - 0.5 * k**2
@@ -369,8 +513,7 @@ def _oracle_once(kernel, k: float, n: int) -> tuple[complex, complex, complex, c
 def scatter_oracle_all(kernel, k: float, n_grid: int = 801,
                        richardson: bool = True) -> tuple[complex, complex, complex, complex]:
     """Finite-difference oracle for both sides at once (one LU)."""
-    if k <= 0:
-        raise ValueError("incident wavenumber k must be positive")
+    _check_momentum(k)
     coarse = np.array(_oracle_once(kernel, k, n_grid))
     if not richardson:
         return tuple(coarse)
@@ -504,8 +647,8 @@ def k_sweep(kernel, k_grid, config: SolverConfig | None = None,
     """
     config = config or SolverConfig()
     ks = np.sort(np.asarray(k_grid, dtype=float))
-    if np.any(ks <= 0):
-        raise ValueError("all sweep momenta must be positive")
+    if not np.all(np.isfinite(ks) & (ks > 0)):
+        raise ValueError("all sweep momenta must be positive and finite")
     rows = []
     for k in ks:
         try:

@@ -3,11 +3,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from asymscat.kernels import PolynomialKernel, SampledKernel
 
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+# Hypothesis settings of the property tests.  Derandomized: tier-1 runs
+# the same examples every time.
+PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=40,
+                   suppress_health_check=[HealthCheck.too_slow])
 
 
 def cli_env():

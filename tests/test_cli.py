@@ -62,6 +62,21 @@ class TestSolve:
         assert res.returncode == 1
 
 
+    @pytest.mark.parametrize("k", ["nan", "inf"])
+    def test_non_finite_momentum_is_input_error(self, tmp_path, zero_kernel_file, k):
+        res = run_cli(["solve", "--kernel", str(zero_kernel_file), "--k", k], tmp_path)
+        assert res.returncode == 1
+        assert b"finite" in res.stderr
+
+    def test_non_finite_kernel_file_is_input_error(self, tmp_path):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"type": "inverse_square", "d": 1.0, "alpha": NaN, "epsilon": 0.01}',
+                       encoding="utf-8")
+        res = run_cli(["solve", "--kernel", str(bad), "--k", "1.0"], tmp_path)
+        assert res.returncode == 1
+        assert b"'alpha' must be finite" in res.stderr
+
+
 class TestSweepCommand:
     def test_csv_output(self, tmp_path, zero_kernel_file):
         out = tmp_path / "sweep.csv"

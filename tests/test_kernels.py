@@ -61,6 +61,20 @@ class TestEvaluate:
         want = np.polynomial.polynomial.polyval2d(x, y, c)
         assert evaluate(ker, x, y) == pytest.approx(want, rel=1e-7)
 
+    def test_sampled_matrix_is_zero_outside_support(self):
+        # The spline would clamp or extrapolate past [-d, d]; sampling must
+        # agree with evaluate, which is 0 there.
+        g = np.linspace(-1, 1, 41)
+        X, Y = np.meshgrid(g, g, indexing="ij")
+        ker = SampledKernel(g, np.exp(-X * X - Y * Y))
+        x = np.array([-1.5, -1.0, -0.3, 0.0, 0.7, 1.2])
+        y = np.array([-2.0, -0.5, 0.25, 1.0])
+        got = ker.sample_matrix(x, y)
+        np.testing.assert_array_equal(got, evaluate(ker, *np.meshgrid(x, y, indexing="ij")))
+        assert np.all(got[[0, 5]] == 0.0)
+        assert np.all(got[:, 0] == 0.0)
+        assert got[3, 2] == pytest.approx(np.exp(-0.0625), rel=1e-6)
+
     def test_local_kernel_rejects_two_coordinates(self):
         ker = RegularizedInverseSquare(alpha=1.0, epsilon=1e-2)
         with pytest.raises(ValueError):
@@ -194,6 +208,24 @@ class TestValidation:
         with pytest.raises(ValueError):
             RegularizedInverseSquare(alpha=1.0, epsilon=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("build", [
+        lambda bad: SampledKernel(np.linspace(-1, 1, 5), np.array([0, 1, bad, 1, 0])),
+        lambda bad: SampledKernel(np.linspace(-1, 1, 5),
+                                  np.full(5, bad, dtype=complex), is_local=True),
+        lambda bad: SampledKernel(np.array([-bad, -0.5, 0.0, 0.5, bad]), np.zeros(5),
+                                  is_local=True),
+        lambda bad: PolynomialKernel(np.array([[1.0, 1j * bad]])),
+        lambda bad: PolynomialKernel(np.ones((2, 2)), d=bad),
+        lambda bad: RegularizedInverseSquare(alpha=bad, epsilon=1e-2),
+        lambda bad: RegularizedInverseSquare(alpha=1.0, epsilon=bad),
+        lambda bad: RegularizedInverseSquare(alpha=1.0, epsilon=1e-2, d=bad),
+    ], ids=["sampled-values", "local-values", "grid", "coeffs", "poly-d",
+            "alpha", "epsilon", "d"])
+    def test_non_finite_values_are_rejected(self, build, bad):
+        with pytest.raises(ValueError, match="finite"):
+            build(bad)
+
     def test_kernels_are_immutable(self, rng):
         ker = random_poly_surface(rng, n=11)
         with pytest.raises(ValueError):
@@ -245,6 +277,27 @@ class TestJsonRoundTrip:
                 "type": "sampled", "d": 1.0, "n": 3, "is_local": False,
                 "values": [[0.0, 0.0]] * 5,
             })
+
+    @pytest.mark.parametrize("field, doc", [
+        ("values", {"type": "sampled", "d": 1.0, "n": 3, "is_local": True,
+                    "values": [[0.0, 0.0], [float("nan"), 0.0], [0.0, 0.0]]}),
+        ("coeffs", {"type": "polynomial", "d": 1.0, "imax": 0, "jmax": 1,
+                    "coeffs": [[1.0, 0.0], [0.0, float("inf")]]}),
+        ("d", {"type": "polynomial", "d": float("inf"), "imax": 0, "jmax": 0,
+               "coeffs": [[1.0, 0.0]]}),
+        ("alpha", {"type": "inverse_square", "d": 1.0, "alpha": float("nan"),
+                   "epsilon": 1e-4}),
+        ("epsilon", {"type": "inverse_square", "d": 1.0, "alpha": 1.0,
+                     "epsilon": float("-inf")}),
+    ])
+    def test_non_finite_field_is_named(self, tmp_path, field, doc):
+        with pytest.raises(KernelFormatError, match=f"'{field}' must be finite"):
+            kernel_from_dict(doc)
+        # json.load accepts the NaN and Infinity literals json.dump writes
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(KernelFormatError, match=f"'{field}' must be finite"):
+            load_kernel(path)
 
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"

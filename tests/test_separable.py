@@ -9,7 +9,7 @@ rounding.
 """
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from asymscat.errors import SingularSystemError
@@ -23,10 +23,7 @@ from asymscat.solver import (
     scatter,
     scatter_all,
 )
-
-# Derandomized: tier-1 runs the same examples every time.
-PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=40,
-                   suppress_health_check=[HealthCheck.too_slow])
+from conftest import PROFILE
 
 
 def _grid_config(grid: str, n: int, d: float, rng) -> SolverConfig:

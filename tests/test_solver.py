@@ -204,6 +204,24 @@ class TestErrors:
         with pytest.raises(ValueError):
             scatter_all(zero_kernel(), -1.0, TRAP)
 
+    @pytest.mark.parametrize("k", [np.nan, np.inf])
+    def test_non_finite_momentum(self, k):
+        with pytest.raises(ValueError, match="finite"):
+            scatter(zero_kernel(), k, "left", TRAP)
+        with pytest.raises(ValueError, match="finite"):
+            scatter_all(zero_kernel(), k, TRAP)
+        with pytest.raises(ValueError, match="finite"):
+            k_sweep(zero_kernel(), [0.5, k], TRAP)
+        with pytest.raises(ValueError, match="finite"):
+            scatter_oracle_all(zero_kernel(), k, 101)
+
+    def test_non_finite_config_is_rejected(self):
+        nodes = np.linspace(-1, 1, 5)
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(nodes=nodes, weights=np.array([0.25, 0.5, np.nan, 0.5, 0.25]))
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(tolerance=np.nan)
+
     def test_bad_side(self):
         with pytest.raises(ValueError):
             scatter(zero_kernel(), 1.0, "up", TRAP)
