@@ -7,7 +7,7 @@ oracle against that formula, then demonstrates the convergence orders.
 """
 import numpy as np
 
-from asymscat import SampledKernel, SolverConfig, scatter, scatter_all, scatter_oracle
+from asymscat import SampledKernel, SolverConfig, scatter, scatter_all, scatter_oracle_all
 
 
 def analytic(k, depth=-1.0, a=1.0):
@@ -27,7 +27,7 @@ def main():
         Ta, Ra = analytic(k)
         trap = scatter(well, k, "left", SolverConfig(n_grid=801, quadrature="trapezoid"))
         simp = scatter(well, k, "left", SolverConfig(n_grid=801, quadrature="simpson"))
-        To, Ro = scatter_oracle(well, k, "left", 801)
+        To, _, Ro, _ = scatter_oracle_all(well, k, 801)
         print(f"{k:5.2f} {abs(Ta)**2:10.6f} {abs(Ra)**2:10.6f} "
               f"{max(abs(trap.T - Ta), abs(trap.R - Ra)):10.2e} "
               f"{max(abs(simp.T - Ta), abs(simp.R - Ra)):10.2e} "

@@ -14,7 +14,6 @@ from asymscat import (
     generalized_unitarity_residuals,
     hatted_from_unhatted,
     scatter_all,
-    transform,
 )
 
 
@@ -36,7 +35,7 @@ def main():
     print(f"  generalized-unitarity residuals: {np.max(res):.3e}  (machine precision)")
 
     hat = hatted_from_unhatted(amps)
-    gap = np.max(np.abs(np.array(hat) - np.array(amps.hatted)))
+    gap = np.max(np.abs(np.array(hat.quadruple) - np.array(amps.hatted.quadruple)))
     print(f"  algebraic adjoint vs independent H† solve: {gap:.3e}\n")
 
     print("equivariance under the eight kernel transforms:")
@@ -51,7 +50,7 @@ def main():
         "VIII": (amps.Tl, amps.Tr, amps.Rr, amps.Rl),
     }
     for code, want in predictions.items():
-        got = scatter_all(transform(ker, code), 1.3, cfg)
+        got = scatter_all(ker.transform(code), 1.3, cfg)
         err = np.max(np.abs(np.array(got.quadruple) - np.array(want)))
         print(f"  transform {code:4s}: amplitude recombination error {err:.3e}")
 

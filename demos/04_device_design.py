@@ -44,7 +44,7 @@ def main():
 
         try:
             hat = hatted_from_unhatted(result.verification, tol=1e-4)
-            print(f"  adjoint device: " + "  ".join(f"{v:+.3f}" for v in hat))
+            print(f"  adjoint device: " + "  ".join(f"{v:+.3f}" for v in hat.quadruple))
         except AdjointDivergenceError:
             print("  adjoint amplitudes diverge at k0 (T^l T^r - R^l R^r = 0)")
         print()

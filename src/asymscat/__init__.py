@@ -47,14 +47,9 @@ from .kernels import (
     RegularizedInverseSquare,
     SampledKernel,
     adjoint,
-    evaluate,
     fourier_transform_local,
-    to_sampled,
-    transform,
 )
 from .solver import (
-    Hatted,
-    OnShellSMatrix,
     ScatteringAmplitudes,
     SolverConfig,
     SweepTable,
@@ -63,7 +58,6 @@ from .solver import (
     k_sweep,
     scatter,
     scatter_all,
-    scatter_oracle,
     scatter_oracle_all,
 )
 from .symmetry import (

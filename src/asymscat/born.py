@@ -95,8 +95,8 @@ def graded_mesh(epsilon: float, d: float = HALF_WIDTH, k_max: float = 5.0,
     of peak refinement removes.  Beyond the core, uniform tails carry the
     slowly varying remainder of the potential out to d.
     """
-    if epsilon <= 0 or d <= 0:
-        raise ValueError("epsilon and d must be positive")
+    if not (0 < epsilon < np.inf and 0 < d < np.inf):
+        raise ValueError(f"epsilon and d must be positive and finite, got {epsilon!r} and {d!r}")
     core = min(d, 1.0)
     t_max = np.arcsinh(core / epsilon)
     t = np.linspace(-t_max, t_max, n_core)

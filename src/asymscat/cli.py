@@ -88,8 +88,7 @@ def _cmd_solve(args) -> int:
     unitarity = generalized_unitarity_residuals(amps) if args.adjoint else None
     text = dumps_json(amplitudes_to_dict(amps, unitarity))
     _write_output(text, args.out)
-    if args.out:
-        _emit_manifest("solve", args, {"kernel": args.kernel}, {"amplitudes": args.out})
+    _emit_manifest("solve", args, {"kernel": args.kernel}, {"amplitudes": args.out})
     return 0
 
 
@@ -108,8 +107,7 @@ def _cmd_sweep(args) -> int:
     grid = np.linspace(args.kmin, args.kmax, args.n)
     table = k_sweep(kernel, grid, config)
     _write_output(table.to_csv_text(), args.out)
-    if args.out:
-        _emit_manifest("sweep", args, {"kernel": args.kernel}, {"sweep": args.out})
+    _emit_manifest("sweep", args, {"kernel": args.kernel}, {"sweep": args.out})
     return 0
 
 
@@ -130,8 +128,7 @@ def _cmd_classify(args) -> int:
         ],
     }
     _write_output(dumps_json(doc), args.out)
-    if args.out:
-        _emit_manifest("classify", args, {"kernel": args.kernel}, {"report": args.out})
+    _emit_manifest("classify", args, {"kernel": args.kernel}, {"report": args.out})
     return 0
 
 

@@ -287,14 +287,11 @@ def design_device(spec: DeviceSpec, seed: int = 0, restarts: int = 16,
 
     The returned kernel is verified with an independent forward solve;
     a residual above 1e-6 per amplitude raises DesignError.  Designs a
-    symmetry forbids are rejected upfront (ForbiddenDeviceError), and the
+    symmetry forbids are rejected when the spec is built
+    (``DeviceSpec`` raises ForbiddenDeviceError), and the
     R/A device is classification-only (it needs an external absorber
     construction rather than this polynomial ansatz).
     """
-    symmetry = _CONSTRAINT_SYMMETRY[spec.constraint]
-    if spec.code is not None and symmetry is not None \
-            and symmetry in FORBIDDING_SYMMETRIES[spec.code]:
-        raise ForbiddenDeviceError(spec.code, symmetry)
     if spec.code == "R/A":
         raise DesignError(
             "R/A is not designable with the polynomial ansatz; build it from "

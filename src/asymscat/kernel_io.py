@@ -130,27 +130,17 @@ def complex_pair(z: complex) -> list:
     return [float(np.real(z)), float(np.imag(z))]
 
 
+_AMPLITUDE_NAMES = ("Tl", "Tr", "Rl", "Rr")
+
+
+def _quadruple_pairs(amps) -> dict:
+    return {name: complex_pair(z) for name, z in zip(_AMPLITUDE_NAMES, amps.quadruple)}
+
+
 def amplitudes_to_dict(amps, unitarity=None) -> dict:
-    out = {
-        "k": amps.k,
-        "Tl": complex_pair(amps.Tl),
-        "Tr": complex_pair(amps.Tr),
-        "Rl": complex_pair(amps.Rl),
-        "Rr": complex_pair(amps.Rr),
-        "abs2": {
-            "Tl": abs(amps.Tl) ** 2,
-            "Tr": abs(amps.Tr) ** 2,
-            "Rl": abs(amps.Rl) ** 2,
-            "Rr": abs(amps.Rr) ** 2,
-        },
-    }
+    out = {"k": amps.k, **_quadruple_pairs(amps), "abs2": dict(zip(_AMPLITUDE_NAMES, amps.abs2))}
     if amps.hatted is not None:
-        out["hatted"] = {
-            "Tl": complex_pair(amps.hatted.Tl),
-            "Tr": complex_pair(amps.hatted.Tr),
-            "Rl": complex_pair(amps.hatted.Rl),
-            "Rr": complex_pair(amps.hatted.Rr),
-        }
+        out["hatted"] = _quadruple_pairs(amps.hatted)
     if unitarity is not None:
         out["unitarity_residuals"] = [float(r) for r in unitarity]
     return out
@@ -160,13 +150,9 @@ def dumps_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def sha256_path(path) -> str:
     with open(path, "rb") as fh:
-        return sha256_bytes(fh.read())
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def build_manifest(command: str, flags: dict, version: str,

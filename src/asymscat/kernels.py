@@ -72,8 +72,8 @@ class SampledKernel:
         grid = np.asarray(self.grid, dtype=float)
         values = np.asarray(self.values, dtype=complex)
         n = grid.size
-        if n < 3:
-            raise ValueError("sampled kernel needs at least 3 grid points")
+        if n < 4:
+            raise ValueError("sampled kernel needs at least 4 grid points (cubic splines)")
         _check_finite(grid, "grid")
         _check_finite(values, "values")
         if not np.all(np.diff(grid) > 0):
@@ -149,9 +149,6 @@ class SampledKernel:
         re, im = self._splines
         outside = (np.abs(x_nodes) > self.d)[:, None] | (np.abs(y_nodes) > self.d)[None, :]
         return np.where(outside, 0.0, re(x_nodes, y_nodes) + 1j * im(x_nodes, y_nodes))
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
     def transform(self, which: str) -> "SampledKernel":
         flip, transpose, conj = _TRANSFORM_FLAGS[_check_code(which)]
@@ -303,9 +300,6 @@ class RegularizedInverseSquare:
         g = np.linspace(-self.d, self.d, n)
         return SampledKernel(g, self.sample_profile(g), is_local=True)
 
-    def max_abs(self) -> float:
-        return abs(self.alpha) / self.epsilon**2
-
     def transform(self, which: str):
         _check_code(which)
         # VI is automatic for local kernels; VII holds because the
@@ -318,19 +312,8 @@ class RegularizedInverseSquare:
 PotentialKernel = SampledKernel | PolynomialKernel | RegularizedInverseSquare
 
 
-def evaluate(kernel, x, y=None):
-    """V(x, y) for nonlocal kernels, V(x) for local ones; 0 outside the
-    support."""
-    return kernel.evaluate(x, y)
-
-
-def transform(kernel, which: str):
-    """Apply one of the eight involutive transforms I..VIII."""
-    return kernel.transform(which)
-
-
 def adjoint(kernel):
-    """Kernel of H^dagger: V(y, x)*, identical to transform(..., 'II')."""
+    """Kernel of H^dagger: V(y, x)*, identical to kernel.transform('II')."""
     return kernel.transform("II")
 
 
@@ -342,10 +325,3 @@ def fourier_transform_local(potential: RegularizedInverseSquare, k):
     neg = np.sqrt(2.0 * np.pi) * potential.alpha * k * np.exp(potential.epsilon * k)
     out = np.where(k < 0, neg, 0.0)
     return complex(out) if out.ndim == 0 else out
-
-
-def to_sampled(kernel, n: int = 401) -> SampledKernel:
-    """Canonical conversion into the sampled representation."""
-    if isinstance(kernel, SampledKernel):
-        return kernel
-    return kernel.to_sampled(n)

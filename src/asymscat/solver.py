@@ -120,26 +120,19 @@ class SolverConfig:
                 object.__setattr__(self, "weights", weights)
 
 
-class Hatted(NamedTuple):
-    """Adjoint-problem amplitude quadruple."""
-
-    Tl: complex
-    Tr: complex
-    Rl: complex
-    Rr: complex
-
-
 @dataclass(frozen=True)
 class ScatteringAmplitudes:
-    """The quadruple (T^l, T^r, R^l, R^r) at one momentum, with the
-    optional adjoint (hatted) quadruple."""
+    """The quadruple (T^l, T^r, R^l, R^r) at one momentum.
+
+    ``hatted`` optionally holds the amplitudes of the adjoint problem
+    (H†) at the same k, which carry no hatted part of their own."""
 
     k: float
     Tl: complex
     Tr: complex
     Rl: complex
     Rr: complex
-    hatted: Hatted | None = None
+    hatted: ScatteringAmplitudes | None = None
 
     @property
     def quadruple(self) -> tuple[complex, complex, complex, complex]:
@@ -149,18 +142,6 @@ class ScatteringAmplitudes:
     def abs2(self) -> tuple[float, float, float, float]:
         """Scattering coefficients (|T^l|^2, |T^r|^2, |R^l|^2, |R^r|^2)."""
         return tuple(abs(a) ** 2 for a in self.quadruple)
-
-
-@dataclass(frozen=True)
-class OnShellSMatrix:
-    """On-shell 2x2 matrix [[T^l, R^r], [R^l, T^r]] at fixed k."""
-
-    amplitudes: ScatteringAmplitudes
-
-    @property
-    def matrix(self) -> np.ndarray:
-        a = self.amplitudes
-        return np.array([[a.Tl, a.Rr], [a.Rl, a.Tr]], dtype=complex)
 
 
 class ScatterResult(NamedTuple):
@@ -415,12 +396,11 @@ def _solve(kernel, k: float, config: SolverConfig, sides: tuple[str, ...]):
     """
     _check_momentum(k)
     x, w = grid_and_weights(config, kernel.d)
-    quadrature = config.quadrature if config.nodes is None else "trapezoid"
     phi = np.stack([np.exp((1j if side == "left" else -1j) * k * x) for side in sides], axis=1)
     factors = getattr(kernel, "factors", None)
     if factors is not None:
         pc, q = factors(x)
-        omega_pc = _apply_green(x, w, k, quadrature, pc)
+        omega_pc = _apply_green(x, w, k, config.quadrature, pc)
         qw = q.T * w[None, :]
         capacitance = np.eye(q.shape[1], dtype=complex) - qw @ omega_pc
         u = _solve_system(capacitance, qw @ phi, k, config.tolerance)
@@ -428,13 +408,13 @@ def _solve(kernel, k: float, config: SolverConfig, sides: tuple[str, ...]):
         source = pc @ u
     elif kernel.is_local:
         V = kernel.sample_profile(x)
-        solve, rcond = _local_factor(x, w, k, quadrature, V)
+        solve, rcond = _local_factor(x, w, k, config.quadrature, V)
         _check_rcond(rcond, k, config.tolerance)
         psi = solve(phi)
         source = V[:, None] * psi
     else:
         V = kernel.sample_matrix(x, x)
-        omega = _green_operator(x, w, k, quadrature)
+        omega = _green_operator(x, w, k, config.quadrature)
         A = np.eye(x.size, dtype=complex) - omega @ (V * w[None, :])
         psi = _solve_system(A, phi, k, config.tolerance)
         source = V @ (w[:, None] * psi)
@@ -463,11 +443,11 @@ def scatter_all(kernel, k: float, config: SolverConfig | None = None,
     generalized-unitarity relations.
     """
     config = config or SolverConfig()
-    Tl, Tr, Rl, Rr = _quadruple(kernel, k, config)
+    quadruple = _quadruple(kernel, k, config)
     hatted = None
     if include_adjoint:
-        hatted = Hatted(*_quadruple(kernel_adjoint(kernel), k, config))
-    return ScatteringAmplitudes(k, Tl, Tr, Rl, Rr, hatted)
+        hatted = ScatteringAmplitudes(k, *_quadruple(kernel_adjoint(kernel), k, config))
+    return ScatteringAmplitudes(k, *quadruple, hatted)
 
 
 def _quadruple(kernel, k: float, config: SolverConfig) -> tuple[complex, complex, complex, complex]:
@@ -512,18 +492,8 @@ def _oracle_once(kernel, k: float, n: int) -> tuple[complex, complex, complex, c
 
 def scatter_oracle_all(kernel, k: float, n_grid: int = 801,
                        richardson: bool = True) -> tuple[complex, complex, complex, complex]:
-    """Finite-difference oracle for both sides at once (one LU)."""
-    _check_momentum(k)
-    coarse = np.array(_oracle_once(kernel, k, n_grid))
-    if not richardson:
-        return tuple(coarse)
-    fine = np.array(_oracle_once(kernel, k, 2 * n_grid - 1))
-    return tuple((4.0 * fine - coarse) / 3.0)
-
-
-def scatter_oracle(kernel, k: float, side: str = "left", n_grid: int = 801,
-                   richardson: bool = True) -> tuple[complex, complex]:
-    """Independent finite-difference solve of the differential form.
+    """Independent finite-difference solve of the differential form,
+    returning (T^l, T^r, R^l, R^r): both sides share one LU.
 
     Central differences for psi'' with ghost-point Robin closures that
     encode the exterior plane waves; amplitudes read off the boundary
@@ -531,10 +501,12 @@ def scatter_oracle(kernel, k: float, side: str = "left", n_grid: int = 801,
     second solve on a doubled grid.  Exists purely to cross-check the
     Nystrom path: it shares no Green's function or quadrature with it.
     """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    Tl, Tr, Rl, Rr = scatter_oracle_all(kernel, k, n_grid, richardson)
-    return (Tl, Rl) if side == "left" else (Tr, Rr)
+    _check_momentum(k)
+    coarse = np.array(_oracle_once(kernel, k, n_grid))
+    if not richardson:
+        return tuple(coarse)
+    fine = np.array(_oracle_once(kernel, k, 2 * n_grid - 1))
+    return tuple((4.0 * fine - coarse) / 3.0)
 
 
 def generalized_unitarity_residuals(amps: ScatteringAmplitudes) -> np.ndarray:
@@ -553,7 +525,7 @@ def generalized_unitarity_residuals(amps: ScatteringAmplitudes) -> np.ndarray:
     )
 
 
-def hatted_from_unhatted(amps: ScatteringAmplitudes, tol: float = 1e-8) -> Hatted:
+def hatted_from_unhatted(amps: ScatteringAmplitudes, tol: float = 1e-8) -> ScatteringAmplitudes:
     """Adjoint amplitudes from the algebraic rearrangement
 
         conj(T-hat^l) = T^r / D,   conj(R-hat^l) = -R^r / D,
@@ -567,7 +539,8 @@ def hatted_from_unhatted(amps: ScatteringAmplitudes, tol: float = 1e-8) -> Hatte
     scale = max(1.0, abs(Tl * Tr), abs(Rl * Rr))
     if abs(D) < tol * scale:
         raise AdjointDivergenceError(amps.k, D)
-    return Hatted(
+    return ScatteringAmplitudes(
+        amps.k,
         np.conj(Tr / D),
         np.conj(Tl / D),
         np.conj(-Rr / D),
@@ -580,6 +553,15 @@ class SweepRow:
     k: float
     amps: ScatteringAmplitudes | None
     error: str | None = None
+
+
+def _csv_numbers(row: SweepRow) -> list[float]:
+    """The numeric CSV cells of a row in ``SweepTable.CSV_HEADER`` order;
+    the amplitude cells of an error row are NaN."""
+    if row.amps is None:
+        return [row.k] + [np.nan] * 12
+    a = row.amps
+    return [row.k, *a.abs2] + [part for z in a.quadruple for part in (z.real, z.imag)]
 
 
 @dataclass(frozen=True)
@@ -599,38 +581,15 @@ class SweepTable:
 
     def column(self, name: str) -> np.ndarray:
         """Column by CSV name (error rows become NaN)."""
-        out = []
-        for row in self.rows:
-            if row.amps is None:
-                out.append(np.nan)
-                continue
-            a = row.amps
-            abs2 = a.abs2
-            values = {
-                "k": row.k,
-                "abs2_Tl": abs2[0], "abs2_Tr": abs2[1],
-                "abs2_Rl": abs2[2], "abs2_Rr": abs2[3],
-                "re_Tl": a.Tl.real, "im_Tl": a.Tl.imag,
-                "re_Tr": a.Tr.real, "im_Tr": a.Tr.imag,
-                "re_Rl": a.Rl.real, "im_Rl": a.Rl.imag,
-                "re_Rr": a.Rr.real, "im_Rr": a.Rr.imag,
-            }
-            out.append(values[name])
-        return np.array(out)
+        i = self.CSV_HEADER.split(",")[:-1].index(name)
+        return np.array([np.nan if row.amps is None else _csv_numbers(row)[i]
+                         for row in self.rows])
 
     def to_csv_text(self) -> str:
         lines = [self.CSV_HEADER]
         for row in self.rows:
-            if row.amps is None:
-                cells = [f"{row.k:.17g}"] + ["nan"] * 12 + [row.error or "error"]
-            else:
-                a = row.amps
-                nums = list(a.abs2) + [
-                    a.Tl.real, a.Tl.imag, a.Tr.real, a.Tr.imag,
-                    a.Rl.real, a.Rl.imag, a.Rr.real, a.Rr.imag,
-                ]
-                cells = [f"{row.k:.17g}"] + [f"{v:.17g}" for v in nums] + [""]
-            lines.append(",".join(cells))
+            error = "" if row.amps is not None else row.error or "error"
+            lines.append(",".join([f"{v:.17g}" for v in _csv_numbers(row)] + [error]))
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:

@@ -13,13 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import (
-    SYMMETRY_CODES,
-    PolynomialKernel,
-    RegularizedInverseSquare,
-    SampledKernel,
-    transform,
-)
+from .kernels import SYMMETRY_CODES, PolynomialKernel, RegularizedInverseSquare, SampledKernel
 from .solver import ScatteringAmplitudes
 
 DEVICE_CODES = ("TR/A", "T/R", "T/A", "TR/R", "R/A", "TR/T")
@@ -59,29 +53,13 @@ class SymmetryReport:
         return tuple(c for c in SYMMETRY_CODES if self.verdicts[c])
 
 
-def _sampled_residuals(kernel: SampledKernel) -> dict:
-    base = np.asarray(kernel.values)
-    scale = np.max(np.abs(base))
+def _residuals(stored: np.ndarray, transformed: Callable[[str], np.ndarray]) -> dict:
+    """max |stored - transformed(code)| / max |stored| for each code."""
+    scale = np.max(np.abs(stored))
     residuals = {}
     for code in SYMMETRY_CODES:
-        other = np.asarray(kernel.transform(code).values)
-        if scale == 0.0:
-            residuals[code] = 0.0
-        else:
-            residuals[code] = float(np.max(np.abs(base - other)) / scale)
-    return residuals
-
-
-def _polynomial_residuals(kernel: PolynomialKernel) -> dict:
-    base = kernel._square_coeffs()
-    scale = np.max(np.abs(base))
-    residuals = {}
-    for code in SYMMETRY_CODES:
-        other = PolynomialKernel(base, d=kernel.d).transform(code).coeffs
-        if scale == 0.0:
-            residuals[code] = 0.0
-        else:
-            residuals[code] = float(np.max(np.abs(base - other)) / scale)
+        gap = np.max(np.abs(stored - transformed(code)))
+        residuals[code] = 0.0 if scale == 0.0 else float(gap / scale)
     return residuals
 
 
@@ -94,11 +72,11 @@ def check_symmetries(kernel, tol: float = 1e-9) -> SymmetryReport:
     the sampled representation.  Local kernels satisfy VI identically.
     """
     if isinstance(kernel, PolynomialKernel):
-        residuals = _polynomial_residuals(kernel)
-    elif isinstance(kernel, RegularizedInverseSquare):
-        residuals = _sampled_residuals(kernel.to_sampled())
+        square = PolynomialKernel(kernel._square_coeffs(), d=kernel.d)
+        residuals = _residuals(square.coeffs, lambda code: square.transform(code).coeffs)
     else:
-        residuals = _sampled_residuals(kernel)
+        sampled = kernel.to_sampled() if isinstance(kernel, RegularizedInverseSquare) else kernel
+        residuals = _residuals(sampled.values, lambda code: sampled.transform(code).values)
     verdicts = {code: residuals[code] < tol for code in SYMMETRY_CODES}
     return SymmetryReport(residuals, verdicts, tol)
 
@@ -109,7 +87,7 @@ def symmetrize(kernel, code: str):
     used to generate test kernels of a prescribed symmetry."""
     if code == "I":
         return kernel
-    other = transform(kernel, code)
+    other = kernel.transform(code)
     if isinstance(kernel, SampledKernel):
         if kernel.is_local and not other.is_local:
             raise ValueError(f"symmetry {code} does not preserve locality")
@@ -118,10 +96,8 @@ def symmetrize(kernel, code: str):
             is_local=kernel.is_local,
         )
     if isinstance(kernel, PolynomialKernel):
-        a = PolynomialKernel(kernel._square_coeffs(), d=kernel.d)
-        b = PolynomialKernel(other._square_coeffs() if other.coeffs.shape != a.coeffs.shape
-                             else other.coeffs, d=kernel.d)
-        return PolynomialKernel((a.coeffs + b.coeffs) / 2.0, d=kernel.d)
+        return PolynomialKernel((kernel._square_coeffs() + other._square_coeffs()) / 2.0,
+                                d=kernel.d)
     raise TypeError(f"cannot symmetrize kernel of type {type(kernel).__name__}")
 
 

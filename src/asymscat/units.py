@@ -7,16 +7,5 @@ With the defaults below V0 = 1/2, so a stored kernel value v corresponds
 to v / V0 = 2 v when comparing against plots normalised by V0.
 """
 
-HBAR = 1.0
-MASS = 1.0
-
 # Default support half-width of a kernel; kernels may carry their own d.
 HALF_WIDTH = 1.0
-
-# Natural kernel scale hbar^2 / (2 m d^3).
-V0 = HBAR**2 / (2.0 * MASS * HALF_WIDTH**3)
-
-
-def energy(k: float) -> float:
-    """Free-particle kinetic energy E = (hbar k)^2 / (2 m)."""
-    return (HBAR * k) ** 2 / (2.0 * MASS)

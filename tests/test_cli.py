@@ -76,6 +76,17 @@ class TestSolve:
         assert res.returncode == 1
         assert b"'alpha' must be finite" in res.stderr
 
+    @pytest.mark.parametrize("is_local", [True, False], ids=["local", "nonlocal"])
+    def test_three_point_kernel_file_is_input_error(self, tmp_path, is_local):
+        values = [[0.5, 0.0]] * (3 if is_local else 9)
+        bad = tmp_path / "three.json"
+        bad.write_text(json.dumps({"type": "sampled", "d": 1.0, "n": 3,
+                                   "is_local": is_local, "values": values}),
+                       encoding="utf-8")
+        res = run_cli(["solve", "--kernel", str(bad), "--k", "1.0"], tmp_path)
+        assert res.returncode == 1
+        assert b"input error:" in res.stderr and b"at least 4" in res.stderr
+
 
 class TestSweepCommand:
     def test_csv_output(self, tmp_path, zero_kernel_file):
@@ -129,6 +140,14 @@ class TestBornDesignCommand:
         pot = load_kernel(out)
         assert pot.epsilon == 1e-4
         assert (tmp_path / "reflector.sweep.csv").exists()
+
+    @pytest.mark.parametrize("flags", [["--epsilon", "1e-4", "--window", "inf"],
+                                       ["--epsilon", "inf"]], ids=["window", "epsilon"])
+    def test_non_finite_mesh_is_input_error(self, tmp_path, flags):
+        res = run_cli(["born-design", *flags, "--tune", "--out",
+                       str(tmp_path / "r.json")], tmp_path)
+        assert res.returncode == 1
+        assert b"input error:" in res.stderr and b"finite" in res.stderr
 
 
 class TestVerifyCommand:

@@ -102,7 +102,7 @@ class TestAdjointDivergence:
     def test_trr_adjoint_is_swapped_device(self, designs):
         hat = hatted_from_unhatted(designs["TR/R"].verification)
         np.testing.assert_allclose(
-            np.array(hat), [0.0, -1.0, -1.0, -1.0], atol=1e-6)
+            np.array(hat.quadruple), [0.0, -1.0, -1.0, -1.0], atol=1e-6)
 
     def test_trr_adjoint_solve_matches_swapped_device(self, designs):
         # the same quadruple from an actual H-dagger solve
@@ -110,7 +110,7 @@ class TestAdjointDivergence:
                            SolverConfig(n_grid=801, quadrature="simpson"),
                            include_adjoint=True)
         np.testing.assert_allclose(
-            np.array(amps.hatted), [0.0, -1.0, -1.0, -1.0], atol=1e-6)
+            np.array(amps.hatted.quadruple), [0.0, -1.0, -1.0, -1.0], atol=1e-6)
 
 
 class TestVerifyDesign:

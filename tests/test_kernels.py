@@ -11,9 +11,7 @@ from asymscat.kernels import (
     RegularizedInverseSquare,
     SampledKernel,
     adjoint,
-    evaluate,
     fourier_transform_local,
-    transform,
 )
 from conftest import random_poly_kernel, random_poly_surface
 
@@ -21,22 +19,22 @@ from conftest import random_poly_kernel, random_poly_surface
 class TestEvaluate:
     def test_constant_polynomial(self):
         ker = PolynomialKernel(np.array([[1.0 + 0j]]))
-        assert evaluate(ker, 0.5, 0.3) == 1.0 + 0j
+        assert ker.evaluate(0.5, 0.3) == 1.0 + 0j
 
     def test_outside_support_is_exactly_zero(self, rng):
         poly = random_poly_kernel(rng)
         sampled = random_poly_surface(rng, n=41)
         local = RegularizedInverseSquare(alpha=1.0, epsilon=1e-4)
-        assert evaluate(poly, 2.0, 0.0) == 0.0
-        assert evaluate(sampled, 0.0, -2.0) == 0.0
-        assert evaluate(local, 2.0) == 0.0
+        assert poly.evaluate(2.0, 0.0) == 0.0
+        assert sampled.evaluate(0.0, -2.0) == 0.0
+        assert local.evaluate(2.0) == 0.0
 
     def test_regularized_inverse_square_value(self):
         # direct evaluation of alpha/(x - i eps)^2 by independent arithmetic
         alpha, eps = 1.0, 1e-4
         ker = RegularizedInverseSquare(alpha=alpha, epsilon=eps)
         want = alpha / complex(1.0, -eps) ** 2
-        got = evaluate(ker, 1.0)
+        got = ker.evaluate(1.0)
         assert got == pytest.approx(want, abs=1e-15)
         assert got.imag == pytest.approx(2e-4, rel=1e-3)
 
@@ -44,11 +42,11 @@ class TestEvaluate:
         # Im V(eps) = alpha/(2 eps^2): the odd/even split of the profile
         alpha, eps = 0.7, 1e-3
         ker = RegularizedInverseSquare(alpha=alpha, epsilon=eps)
-        v = evaluate(ker, eps)
+        v = ker.evaluate(eps)
         assert v.imag == pytest.approx(alpha / (2 * eps**2), rel=1e-12)
         assert v.real == pytest.approx(0.0, abs=1e-6)
         doubled = RegularizedInverseSquare(alpha=alpha, epsilon=2 * eps)
-        assert evaluate(doubled, 2 * eps).imag == pytest.approx(v.imag / 4.0, rel=1e-12)
+        assert doubled.evaluate(2 * eps).imag == pytest.approx(v.imag / 4.0, rel=1e-12)
 
     def test_sampled_interpolation_matches_surface(self, rng):
         # cubic-spline evaluation between nodes reproduces the smooth
@@ -59,7 +57,7 @@ class TestEvaluate:
         ker = SampledKernel(g, vals)
         x, y = 0.1234, -0.4567
         want = np.polynomial.polynomial.polyval2d(x, y, c)
-        assert evaluate(ker, x, y) == pytest.approx(want, rel=1e-7)
+        assert ker.evaluate(x, y) == pytest.approx(want, rel=1e-7)
 
     def test_sampled_matrix_is_zero_outside_support(self):
         # The spline would clamp or extrapolate past [-d, d]; sampling must
@@ -70,7 +68,7 @@ class TestEvaluate:
         x = np.array([-1.5, -1.0, -0.3, 0.0, 0.7, 1.2])
         y = np.array([-2.0, -0.5, 0.25, 1.0])
         got = ker.sample_matrix(x, y)
-        np.testing.assert_array_equal(got, evaluate(ker, *np.meshgrid(x, y, indexing="ij")))
+        np.testing.assert_array_equal(got, ker.evaluate(*np.meshgrid(x, y, indexing="ij")))
         assert np.all(got[[0, 5]] == 0.0)
         assert np.all(got[:, 0] == 0.0)
         assert got[3, 2] == pytest.approx(np.exp(-0.0625), rel=1e-6)
@@ -78,32 +76,32 @@ class TestEvaluate:
     def test_local_kernel_rejects_two_coordinates(self):
         ker = RegularizedInverseSquare(alpha=1.0, epsilon=1e-2)
         with pytest.raises(ValueError):
-            evaluate(ker, 0.1, 0.2)
+            ker.evaluate(0.1, 0.2)
 
 
 class TestTransforms:
     def test_identity_row(self, rng):
         ker = random_poly_surface(rng, n=41)
-        out = transform(ker, "I")
+        out = ker.transform("I")
         np.testing.assert_array_equal(out.values, ker.values)
 
     @pytest.mark.parametrize("code", SYMMETRY_CODES)
     def test_involutions_sampled(self, rng, code):
         ker = random_poly_surface(rng, n=41)
-        out = transform(transform(ker, code), code)
+        out = ker.transform(code).transform(code)
         np.testing.assert_array_equal(out.values, ker.values)
 
     @pytest.mark.parametrize("code", SYMMETRY_CODES)
     def test_involutions_polynomial(self, rng, code):
         ker = random_poly_kernel(rng)
-        out = transform(transform(ker, code), code)
+        out = ker.transform(code).transform(code)
         np.testing.assert_allclose(out.coeffs, ker.coeffs, atol=1e-15)
 
     @pytest.mark.parametrize("code", SYMMETRY_CODES)
     def test_polynomial_map_matches_pointwise_definition(self, rng, code):
         # coefficient maps agree with evaluating the defining relation
         ker = random_poly_kernel(rng, degree=3)
-        out = transform(ker, code)
+        out = ker.transform(code)
         xs = np.linspace(-0.9, 0.9, 7)
         ys = np.linspace(-0.8, 0.8, 7)
         defs = {
@@ -122,22 +120,22 @@ class TestTransforms:
 
     def test_parity_flips_odd_coefficient(self):
         ker = PolynomialKernel(np.array([[0.0], [1.0]], dtype=complex))  # v_10 = 1
-        out = transform(ker, "III")
+        out = ker.transform("III")
         assert out.coeffs[1, 0] == -1.0
 
     def test_klein_composition(self, rng):
         # conjugation after parity equals the PT transform at kernel level
         ker = random_poly_surface(rng, n=41)
-        lhs = transform(transform(ker, "III"), "V")
-        rhs = transform(ker, "VII")
+        lhs = ker.transform("III").transform("V")
+        rhs = ker.transform("VII")
         np.testing.assert_array_equal(lhs.values, rhs.values)
 
     def test_local_profile_transforms(self, rng):
         g = np.linspace(-1, 1, 21)
         prof = rng.normal(size=21) + 1j * rng.normal(size=21)
         ker = SampledKernel(g, prof, is_local=True)
-        np.testing.assert_array_equal(transform(ker, "VI").values, prof)
-        np.testing.assert_array_equal(transform(ker, "III").values, prof[::-1])
+        np.testing.assert_array_equal(ker.transform("VI").values, prof)
+        np.testing.assert_array_equal(ker.transform("III").values, prof[::-1])
 
 
 class TestAdjoint:
@@ -157,7 +155,7 @@ class TestAdjoint:
 
     def test_adjoint_equals_transform_ii(self, rng):
         ker = random_poly_surface(rng, n=31)
-        np.testing.assert_array_equal(adjoint(ker).values, transform(ker, "II").values)
+        np.testing.assert_array_equal(adjoint(ker).values, ker.transform("II").values)
 
 
 class TestFourierTransform:
@@ -188,12 +186,18 @@ class TestFourierTransform:
 
 class TestValidation:
     def test_grid_must_be_symmetric(self):
-        with pytest.raises(ValueError):
-            SampledKernel(np.array([0.0, 0.5, 1.0]), np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="symmetric"):
+            SampledKernel(np.array([0.0, 0.5, 1.0, 1.5]), np.zeros((4, 4)))
 
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             SampledKernel(np.array([-1.0, 1.0]), np.zeros((2, 2)))
+        # the cubic splines behind evaluate and off-grid sampling need 4
+        g = np.linspace(-1, 1, 3)
+        with pytest.raises(ValueError, match="at least 4"):
+            SampledKernel(g, np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="at least 4"):
+            SampledKernel(g, np.zeros(3), is_local=True)
 
     def test_local_shape(self):
         g = np.linspace(-1, 1, 5)

@@ -83,7 +83,7 @@ def test_banded_amplitudes_match_dense(problem, include_adjoint):
     if include_adjoint:
         _, want_hat, rcond_hat = dense_local(adjoint(kernel), k, config)
         want = np.concatenate([want, want_hat])
-        got = np.concatenate([got, amps.hatted])
+        got = np.concatenate([got, amps.hatted.quadruple])
         rcond = min(rcond, rcond_hat)
     assert np.max(np.abs(got - want)) <= _bound(rcond) * np.max(np.abs(want))
 

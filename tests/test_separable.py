@@ -63,7 +63,7 @@ def dense_reference(kernel, config):
 
 
 def _eight(amps):
-    return np.array(amps.quadruple + (tuple(amps.hatted) if amps.hatted else ()))
+    return np.array(amps.quadruple + (amps.hatted.quadruple if amps.hatted else ()))
 
 
 @PROFILE
