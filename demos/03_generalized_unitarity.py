@@ -9,11 +9,13 @@ of the adjoint amplitudes from the direct ones.
 import numpy as np
 
 from asymscat import (
+    SYMMETRY_CODES,
     SampledKernel,
     SolverConfig,
     generalized_unitarity_residuals,
     hatted_from_unhatted,
     scatter_all,
+    transformed_amplitudes,
 )
 
 
@@ -39,19 +41,10 @@ def main():
     print(f"  algebraic adjoint vs independent H† solve: {gap:.3e}\n")
 
     print("equivariance under the eight kernel transforms:")
-    h = amps.hatted
-    predictions = {
-        "II": (h.Tl, h.Tr, h.Rl, h.Rr),
-        "III": (amps.Tr, amps.Tl, amps.Rr, amps.Rl),
-        "IV": (h.Tr, h.Tl, h.Rr, h.Rl),
-        "V": (h.Tr, h.Tl, h.Rl, h.Rr),
-        "VI": (amps.Tr, amps.Tl, amps.Rl, amps.Rr),
-        "VII": (h.Tl, h.Tr, h.Rr, h.Rl),
-        "VIII": (amps.Tl, amps.Tr, amps.Rr, amps.Rl),
-    }
-    for code, want in predictions.items():
+    for code in SYMMETRY_CODES[1:]:
         got = scatter_all(ker.transform(code), 1.3, cfg)
-        err = np.max(np.abs(np.array(got.quadruple) - np.array(want)))
+        want = transformed_amplitudes(amps, code)
+        err = np.max(np.abs(np.array(got.quadruple) - np.array(want.quadruple)))
         print(f"  transform {code:4s}: amplitude recombination error {err:.3e}")
 
 

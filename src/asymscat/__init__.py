@@ -72,4 +72,5 @@ from .symmetry import (
     equivalence_table_check,
     predicted_amplitude_relations,
     symmetrize,
+    transformed_amplitudes,
 )

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BracketingError
 from .kernels import RegularizedInverseSquare, SampledKernel, fourier_transform_local
-from .solver import SolverConfig, scatter
+from .solver import SolverConfig, _check_momentum, scatter
 from .units import HALF_WIDTH
 
 
@@ -52,8 +52,7 @@ def born_reflections(potential, k: float) -> tuple[complex, complex]:
     inverse-square profile and quadrature over the stored grid for
     sampled local potentials.
     """
-    if k <= 0:
-        raise ValueError("incident wavenumber k must be positive")
+    _check_momentum(k)
     pref = -1j * np.sqrt(2.0 * np.pi) / k
     if isinstance(potential, RegularizedInverseSquare):
         vt_m = fourier_transform_local(potential, -2.0 * k)
@@ -76,8 +75,10 @@ def design_broadband_reflector(alpha: float, epsilon: float,
     """The one-way reflector profile alpha / (x - i epsilon)^2.
 
     Its spectrum satisfies V~(k) = 0 for k >= 0 by construction, so the
-    Born right-reflection vanishes at every momentum.
+    Born right-reflection vanishes at every momentum; epsilon > 0.
     """
+    if epsilon <= 0:
+        raise ValueError("regularizer epsilon must be positive")
     return RegularizedInverseSquare(alpha=alpha, epsilon=epsilon, d=d)
 
 
@@ -147,8 +148,8 @@ def tune_alpha(epsilon: float, k_ref: float, target: float = 1.0,
     BracketingError (with the scan trace) if [0, alpha_hi] does not
     bracket the target.
     """
-    if k_ref <= 0:
-        raise ValueError("reference wavenumber must be positive")
+    if not 0 < k_ref < np.inf:
+        raise ValueError(f"reference wavenumber must be positive and finite, got {k_ref!r}")
     if target == 0.0:
         return 0.0
     config = config or reflector_config(epsilon, window, k_max=max(5.0, k_ref))

@@ -35,6 +35,7 @@ from .kernel_io import (
     save_kernel,
     sha256_path,
 )
+from .kernels import SYMMETRY_CODES
 from .solver import (
     SolverConfig,
     generalized_unitarity_residuals,
@@ -198,6 +199,8 @@ def _cmd_born_design(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not 0 < args.tol < np.inf:
+        raise ValueError(f"--tol must be positive and finite, got {args.tol!r}")
     kernel = load_kernel(args.kernel)
     config = _solver_config(args)
     report = check_symmetries(kernel, tol=args.sym_tol)
@@ -351,7 +354,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, list]]:
     add("--n", type=int, default=5)
     add("--tol", type=float, default=1e-8)
     add("--sym-tol", type=float, default=1e-9)
-    add("--claim", choices=("II", "III", "IV", "V", "VI", "VII", "VIII"),
+    add("--claim", choices=SYMMETRY_CODES[1:],
         default=None, help="assert the kernel satisfies this symmetry")
     _add_solver_flags(add)
     add("--out", default=None)

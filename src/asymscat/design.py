@@ -77,8 +77,8 @@ class DeviceSpec:
             raise ValueError(f"unknown device code {self.code!r}; expected one of {DEVICE_CODES}")
         if self.constraint not in _CONSTRAINT_SYMMETRY:
             raise ValueError("constraint must be 'none', 'viii' or 'pt'")
-        if self.k0 <= 0:
-            raise ValueError("design momentum k0 must be positive")
+        if not 0 < self.k0 < np.inf:
+            raise ValueError(f"design momentum k0 must be positive and finite, got {self.k0!r}")
         symmetry = _CONSTRAINT_SYMMETRY[self.constraint]
         if self.code is not None and symmetry is not None \
                 and symmetry in FORBIDDING_SYMMETRIES[self.code]:

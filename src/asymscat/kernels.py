@@ -24,9 +24,8 @@ from scipy.interpolate import InterpolatedUnivariateSpline, RectBivariateSpline
 
 from .units import HALF_WIDTH
 
-SYMMETRY_CODES = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII")
-
-# (flip coordinates, transpose arguments, conjugate) flags per transform.
+# (flip coordinates, transpose arguments, conjugate) flags per transform:
+# the one description of the group; transforms compose by XOR of flags.
 _TRANSFORM_FLAGS = {
     "I": (False, False, False),
     "II": (False, True, True),
@@ -37,12 +36,20 @@ _TRANSFORM_FLAGS = {
     "VII": (True, False, True),
     "VIII": (True, True, False),
 }
+SYMMETRY_CODES = tuple(_TRANSFORM_FLAGS)
 
 
-def _check_code(which: str) -> str:
+def transform_flags(which: str) -> tuple[bool, bool, bool]:
+    """(flip coordinates, transpose arguments, conjugate) of transform ``which``."""
     if which not in SYMMETRY_CODES:
         raise ValueError(f"unknown symmetry code {which!r}; expected one of {SYMMETRY_CODES}")
-    return which
+    return _TRANSFORM_FLAGS[which]
+
+
+def compose(a: str, b: str) -> str:
+    """The code of transforms ``a`` and ``b`` applied in turn (they commute)."""
+    flags = tuple(x != y for x, y in zip(transform_flags(a), transform_flags(b)))
+    return next(code for code, f in _TRANSFORM_FLAGS.items() if f == flags)
 
 
 def _check_finite(value, name: str) -> None:
@@ -151,22 +158,16 @@ class SampledKernel:
         return np.where(outside, 0.0, re(x_nodes, y_nodes) + 1j * im(x_nodes, y_nodes))
 
     def transform(self, which: str) -> "SampledKernel":
-        flip, transpose, conj = _TRANSFORM_FLAGS[_check_code(which)]
+        # np.flip reverses every axis; .T leaves a local 1D profile as it is.
+        flip, transpose, conj = transform_flags(which)
         v = np.asarray(self.values)
-        if self.is_local:
-            # On a diagonal profile, transposition is the identity.
-            if flip:
-                v = v[::-1]
-            if conj:
-                v = np.conj(v)
-            return SampledKernel(self.grid, v, is_local=True)
         if flip:
-            v = v[::-1, ::-1]
+            v = np.flip(v)
         if transpose:
             v = v.T
         if conj:
             v = np.conj(v)
-        return SampledKernel(self.grid, v, is_local=False)
+        return SampledKernel(self.grid, v, is_local=self.is_local)
 
 
 @dataclass(frozen=True)
@@ -245,7 +246,7 @@ class PolynomialKernel:
         return c
 
     def transform(self, which: str) -> "PolynomialKernel":
-        flip, transpose, conj = _TRANSFORM_FLAGS[_check_code(which)]
+        flip, transpose, conj = transform_flags(which)
         c = self._square_coeffs() if transpose else np.array(self.coeffs)
         if flip:
             i, j = np.indices(c.shape)
@@ -259,12 +260,12 @@ class PolynomialKernel:
 
 @dataclass(frozen=True)
 class RegularizedInverseSquare:
-    """Local PT-symmetric profile V(x) = alpha / (x - i epsilon)^2.
+    """Local PT-symmetric profile V(x) = alpha / (x - i epsilon)^2, real alpha.
 
-    Real part even, imaginary part odd; the Fourier transform vanishes
-    identically for non-negative wavenumbers, which is what makes it a
-    broadband one-way reflector.  As a scattering kernel it is truncated
-    to |x| <= d; ``profile_raw`` evaluates the untruncated function.
+    Real part even, imaginary part odd; for epsilon > 0 the spectrum vanishes
+    for non-negative wavenumbers, making it a broadband one-way reflector,
+    and epsilon < 0 is its mirror image.  As a scattering kernel it is
+    truncated to |x| <= d; ``profile_raw`` evaluates the untruncated function.
     """
 
     alpha: float
@@ -276,8 +277,8 @@ class RegularizedInverseSquare:
     def __post_init__(self):
         for name in ("alpha", "epsilon", "d"):
             _check_finite(getattr(self, name), name)
-        if self.epsilon <= 0:
-            raise ValueError("regularizer epsilon must be positive")
+        if self.epsilon == 0:
+            raise ValueError("regularizer epsilon must be non-zero")
         if self.d <= 0:
             raise ValueError("support half-width d must be positive")
 
@@ -300,13 +301,10 @@ class RegularizedInverseSquare:
         g = np.linspace(-self.d, self.d, n)
         return SampledKernel(g, self.sample_profile(g), is_local=True)
 
-    def transform(self, which: str):
-        _check_code(which)
-        # VI is automatic for local kernels; VII holds because the
-        # profile is PT-symmetric.  Other transforms leave the family.
-        if which in ("I", "VI", "VII"):
-            return self
-        return self.to_sampled().transform(which)
+    def transform(self, which: str) -> "RegularizedInverseSquare":
+        # Flipping x and conjugating each send epsilon -> -epsilon; .T is the identity.
+        flip, _, conj = transform_flags(which)
+        return self if flip == conj else RegularizedInverseSquare(self.alpha, -self.epsilon, self.d)
 
 
 PotentialKernel = SampledKernel | PolynomialKernel | RegularizedInverseSquare
@@ -320,8 +318,8 @@ def adjoint(kernel):
 def fourier_transform_local(potential: RegularizedInverseSquare, k):
     """Analytic Fourier transform of the regularized inverse-square
     profile: sqrt(2 pi) alpha k exp(epsilon k) for k < 0, and 0 for
-    k >= 0."""
-    k = np.asarray(k, dtype=float)
-    neg = np.sqrt(2.0 * np.pi) * potential.alpha * k * np.exp(potential.epsilon * k)
+    k >= 0; the mirror image (epsilon < 0) has V~_{-eps}(k) = V~_eps(-k)."""
+    k = np.sign(potential.epsilon) * np.asarray(k, dtype=float)
+    neg = np.sqrt(2.0 * np.pi) * potential.alpha * k * np.exp(abs(potential.epsilon) * k)
     out = np.where(k < 0, neg, 0.0)
     return complex(out) if out.ndim == 0 else out

@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .kernels import SYMMETRY_CODES, PolynomialKernel, RegularizedInverseSquare, SampledKernel
+from .kernels import compose, transform_flags
 from .solver import ScatteringAmplitudes
 
 DEVICE_CODES = ("TR/A", "T/R", "T/A", "TR/R", "R/A", "TR/T")
@@ -28,16 +29,12 @@ FORBIDDING_SYMMETRIES = {
     "TR/T": frozenset({"II", "III", "V", "VIII"}),
 }
 
-# Double-symmetry equivalences: given the first symmetry (key), each pair
-# of codes holds or fails together.
+# Double-symmetry equivalences: for a kernel fixed by the first symmetry
+# (key), a and compose(first, a) hold or fail together.
 EQUIVALENT_PAIRS = {
-    "II": (("III", "IV"), ("V", "VI"), ("VII", "VIII")),
-    "III": (("II", "IV"), ("V", "VII"), ("VI", "VIII")),
-    "IV": (("II", "III"), ("V", "VIII"), ("VI", "VII")),
-    "V": (("II", "VI"), ("III", "VII"), ("IV", "VIII")),
-    "VI": (("II", "V"), ("III", "VIII"), ("IV", "VII")),
-    "VII": (("II", "VIII"), ("III", "V"), ("IV", "VI")),
-    "VIII": (("II", "VII"), ("III", "VI"), ("IV", "V")),
+    first: tuple((a, compose(first, a)) for a in SYMMETRY_CODES[1:]
+                 if SYMMETRY_CODES.index(a) < SYMMETRY_CODES.index(compose(first, a)))
+    for first in SYMMETRY_CODES[1:]
 }
 
 
@@ -70,7 +67,10 @@ def check_symmetries(kernel, tol: float = 1e-9) -> SymmetryReport:
     Polynomial kernels are checked through their coefficient relations
     (e.g. VIII holds iff v_ij = (-1)^{i+j} v_ji); everything else through
     the sampled representation.  Local kernels satisfy VI identically.
+    Raises ValueError unless ``tol`` is positive and finite.
     """
+    if not 0 < tol < np.inf:
+        raise ValueError(f"symmetry tolerance must be positive and finite, got {tol!r}")
     if isinstance(kernel, PolynomialKernel):
         square = PolynomialKernel(kernel._square_coeffs(), d=kernel.d)
         residuals = _residuals(square.coeffs, lambda code: square.transform(code).coeffs)
@@ -89,8 +89,6 @@ def symmetrize(kernel, code: str):
         return kernel
     other = kernel.transform(code)
     if isinstance(kernel, SampledKernel):
-        if kernel.is_local and not other.is_local:
-            raise ValueError(f"symmetry {code} does not preserve locality")
         return SampledKernel(
             kernel.grid, (np.asarray(kernel.values) + np.asarray(other.values)) / 2.0,
             is_local=kernel.is_local,
@@ -173,16 +171,42 @@ class AmplitudeRelation:
             return 0.0
         return float(self._residual(amps))
 
-    def holds(self, amps: ScatteringAmplitudes, tol: float = 1e-8) -> bool:
-        return self.residual(amps) < tol
+
+def transformed_amplitudes(amps: ScatteringAmplitudes, code: str) -> ScatteringAmplitudes:
+    """The amplitudes of ``kernel.transform(code)`` from those of the kernel
+    (``amps``) and of its adjoint (``amps.hatted``).
+
+    Parity swaps both sides, transposition swaps the transmissions, and
+    conjugation swaps them too and reads the hatted quadruple, which must
+    then be present (ValueError otherwise).
+    """
+    flip, transpose, conj = transform_flags(code)
+    a = amps.hatted if conj else amps
+    if a is None:
+        raise ValueError(f"transform {code} reads the hatted amplitudes; "
+                         f"solve with include_adjoint=True")
+    t = (a.Tr, a.Tl) if flip != (transpose != conj) else (a.Tl, a.Tr)
+    r = (a.Rr, a.Rl) if flip else (a.Rl, a.Rr)
+    return ScatteringAmplitudes(amps.k, *t, *r)
 
 
-def _eq(symmetry, description, fn, needs_hatted=False):
-    return AmplitudeRelation(symmetry, description, needs_hatted, fn)
+# Amplitude names, which transformed_amplitudes permutes like the values.
+_NAMES = ScatteringAmplitudes(0.0, "T^l", "T^r", "R^l", "R^r",
+                              ScatteringAmplitudes(0.0, "That^l", "That^r", "Rhat^l", "Rhat^r"))
 
 
-def _gated(symmetry, description, fn, condition, gate, needs_hatted=False):
-    return AmplitudeRelation(symmetry, description, needs_hatted, fn, condition, gate)
+def _equalities(code: str) -> list[AmplitudeRelation]:
+    """The fields of amps = transformed_amplitudes(amps, code) for a kernel
+    fixed by ``code``, less the trivial (X = X) and the mirrored ones."""
+    reads_hatted = transform_flags(code)[2]
+    names = _NAMES.quadruple
+    return [
+        AmplitudeRelation(
+            code, f"{lhs} = {rhs}", reads_hatted,
+            lambda a, i=i: abs(a.quadruple[i] - transformed_amplitudes(a, code).quadruple[i]))
+        for i, (lhs, rhs) in enumerate(zip(names, transformed_amplitudes(_NAMES, code).quadruple))
+        if reads_hatted or names.index(rhs) > i
+    ]
 
 
 def _trans_asym(a: ScatteringAmplitudes, tol: float) -> bool:
@@ -193,57 +217,34 @@ def _refl_asym(a: ScatteringAmplitudes, tol: float) -> bool:
     return abs(abs(a.Rl) - 1.0) < tol and abs(a.Rr) < tol
 
 
-_RELATIONS = {
-    "I": [],
+# Listed after the equalities; these do not follow from the amplitude action.
+_MODULUS_AND_PHASE = {
     "II": [
-        _eq("II", "T^l = That^l", lambda a: abs(a.Tl - a.hatted.Tl), True),
-        _eq("II", "T^r = That^r", lambda a: abs(a.Tr - a.hatted.Tr), True),
-        _eq("II", "R^l = Rhat^l", lambda a: abs(a.Rl - a.hatted.Rl), True),
-        _eq("II", "R^r = Rhat^r", lambda a: abs(a.Rr - a.hatted.Rr), True),
-        _eq("II", "|T^l| = |T^r|", lambda a: abs(abs(a.Tl) - abs(a.Tr))),
-        _eq("II", "|R^l| = |R^r|", lambda a: abs(abs(a.Rl) - abs(a.Rr))),
-    ],
-    "III": [
-        _eq("III", "T^l = T^r", lambda a: abs(a.Tl - a.Tr)),
-        _eq("III", "R^l = R^r", lambda a: abs(a.Rl - a.Rr)),
+        AmplitudeRelation("II", "|T^l| = |T^r|", False, lambda a: abs(abs(a.Tl) - abs(a.Tr))),
+        AmplitudeRelation("II", "|R^l| = |R^r|", False, lambda a: abs(abs(a.Rl) - abs(a.Rr))),
     ],
     "IV": [
-        _eq("IV", "T^l = That^r", lambda a: abs(a.Tl - a.hatted.Tr), True),
-        _eq("IV", "T^r = That^l", lambda a: abs(a.Tr - a.hatted.Tl), True),
-        _eq("IV", "R^l = Rhat^r", lambda a: abs(a.Rl - a.hatted.Rr), True),
-        _eq("IV", "R^r = Rhat^l", lambda a: abs(a.Rr - a.hatted.Rl), True),
-        _gated("IV", "R^r conj(R^l) = 1", lambda a: abs(a.Rr * np.conj(a.Rl) - 1.0),
-               "perfect transmission asymmetry", _trans_asym),
-        _gated("IV", "T^r conj(T^l) = 1", lambda a: abs(a.Tr * np.conj(a.Tl) - 1.0),
-               "perfect reflection asymmetry", _refl_asym),
+        AmplitudeRelation("IV", "R^r conj(R^l) = 1", False, lambda a: abs(a.Rr * np.conj(a.Rl) - 1.0),
+                          "perfect transmission asymmetry", _trans_asym),
+        AmplitudeRelation("IV", "T^r conj(T^l) = 1", False, lambda a: abs(a.Tr * np.conj(a.Tl) - 1.0),
+                          "perfect reflection asymmetry", _refl_asym),
     ],
     "V": [
-        _eq("V", "T^l = That^r", lambda a: abs(a.Tl - a.hatted.Tr), True),
-        _eq("V", "T^r = That^l", lambda a: abs(a.Tr - a.hatted.Tl), True),
-        _eq("V", "R^l = Rhat^l", lambda a: abs(a.Rl - a.hatted.Rl), True),
-        _eq("V", "R^r = Rhat^r", lambda a: abs(a.Rr - a.hatted.Rr), True),
-        _eq("V", "|R^l| = |R^r|", lambda a: abs(abs(a.Rl) - abs(a.Rr))),
-        _gated("V", "|R^l| = |R^r| = 1",
-               lambda a: max(abs(abs(a.Rl) - 1.0), abs(abs(a.Rr) - 1.0)),
-               "perfect transmission asymmetry", _trans_asym),
-    ],
-    "VI": [
-        _eq("VI", "T^l = T^r", lambda a: abs(a.Tl - a.Tr)),
+        AmplitudeRelation("V", "|R^l| = |R^r|", False, lambda a: abs(abs(a.Rl) - abs(a.Rr))),
+        AmplitudeRelation("V", "|R^l| = |R^r| = 1", False,
+                          lambda a: max(abs(abs(a.Rl) - 1.0), abs(abs(a.Rr) - 1.0)),
+                          "perfect transmission asymmetry", _trans_asym),
     ],
     "VII": [
-        _eq("VII", "T^l = That^l", lambda a: abs(a.Tl - a.hatted.Tl), True),
-        _eq("VII", "T^r = That^r", lambda a: abs(a.Tr - a.hatted.Tr), True),
-        _eq("VII", "R^l = Rhat^r", lambda a: abs(a.Rl - a.hatted.Rr), True),
-        _eq("VII", "R^r = Rhat^l", lambda a: abs(a.Rr - a.hatted.Rl), True),
-        _eq("VII", "|T^l| = |T^r|", lambda a: abs(abs(a.Tl) - abs(a.Tr))),
-        _gated("VII", "|T^l| = |T^r| = 1",
-               lambda a: max(abs(abs(a.Tl) - 1.0), abs(abs(a.Tr) - 1.0)),
-               "perfect reflection asymmetry", _refl_asym),
-    ],
-    "VIII": [
-        _eq("VIII", "R^l = R^r", lambda a: abs(a.Rl - a.Rr)),
+        AmplitudeRelation("VII", "|T^l| = |T^r|", False, lambda a: abs(abs(a.Tl) - abs(a.Tr))),
+        AmplitudeRelation("VII", "|T^l| = |T^r| = 1", False,
+                          lambda a: max(abs(abs(a.Tl) - 1.0), abs(abs(a.Tr) - 1.0)),
+                          "perfect reflection asymmetry", _refl_asym),
     ],
 }
+
+_RELATIONS = {code: _equalities(code) + _MODULUS_AND_PHASE.get(code, [])
+              for code in SYMMETRY_CODES}
 
 
 def predicted_amplitude_relations(report: SymmetryReport) -> list[AmplitudeRelation]:

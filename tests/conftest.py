@@ -4,8 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
-from asymscat.kernels import PolynomialKernel, SampledKernel
+from asymscat.kernels import PolynomialKernel, RegularizedInverseSquare, SampledKernel
+from asymscat.solver import SolverConfig
 
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -14,6 +16,44 @@ SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 # the same examples every time.
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=40,
                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def equivariance_problems(draw):
+    """A random kernel of one of the four families (sampled nonlocal,
+    sampled local, polynomial, inverse-square), a momentum and a
+    trapezoid grid, on which generalized unitarity and the transform
+    relations are exact for the discrete problem.
+
+    Sampled kernels live on the solve grid; the others are read at its
+    nodes.  Strengths keep |Omega V W| of order ``strength``, so the
+    checks measure rounding, not the conditioning of a near-exceptional
+    system.
+    """
+    family = draw(st.sampled_from(["sampled", "local", "polynomial", "inverse_square"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    k = draw(st.floats(0.2, 4.0))
+    strength = draw(st.floats(0.05, 2.0))
+    n = draw(st.integers(21, 301))
+    g = np.linspace(-d, d, n)
+    if family == "sampled":
+        v = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        kernel = SampledKernel(g, v * strength * k / ((2 * d) ** 2 * np.max(np.abs(v))))
+    elif family == "local":
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        kernel = SampledKernel(g, v * strength * k / (2 * d * np.max(np.abs(v))), is_local=True)
+    elif family == "polynomial":
+        rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        c = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        i, j = np.indices(c.shape)
+        kernel = PolynomialKernel(
+            c * strength * k / ((2 * d) ** 2 * np.sum(np.abs(c) * d ** (i + j))), d=d)
+    else:
+        # int |alpha / (x - i eps)^2| dx = pi |alpha| / |eps|; either sign of eps
+        epsilon = draw(st.floats(0.05, 0.5)) * draw(st.sampled_from([1.0, -1.0]))
+        kernel = RegularizedInverseSquare(strength * k * abs(epsilon) / np.pi, epsilon, d)
+    return kernel, k, SolverConfig(n_grid=n, quadrature="trapezoid")
 
 
 def cli_env():

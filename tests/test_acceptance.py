@@ -17,7 +17,7 @@ import pytest
 from asymscat.born import born_reflections, design_broadband_reflector, reflector_config, tune_alpha
 from asymscat.design import DEFAULT_TARGETS, DeviceSpec, design_device, verify_design
 from asymscat.errors import AdjointDivergenceError
-from asymscat.kernels import SampledKernel
+from asymscat.kernels import SYMMETRY_CODES, SampledKernel
 from asymscat.solver import (
     SolverConfig,
     generalized_unitarity_residuals,
@@ -27,7 +27,7 @@ from asymscat.solver import (
     scatter_all,
     scatter_oracle_all,
 )
-from asymscat.symmetry import equivalence_table_check, symmetrize
+from asymscat.symmetry import equivalence_table_check, symmetrize, transformed_amplitudes
 from conftest import cli_env, random_poly_surface, square_well_analytic
 
 TRAP = SolverConfig(n_grid=401, quadrature="trapezoid")
@@ -115,18 +115,6 @@ def test_criterion_04_generalized_unitarity():
     report("criterion 4 algebraic-vs-solved adjoint deviation", worst_s9, 1e-8)
 
 
-EQUIVARIANT_RECOMBINATION = {
-    "I": lambda a, h: (a.Tl, a.Tr, a.Rl, a.Rr),
-    "II": lambda a, h: (h.Tl, h.Tr, h.Rl, h.Rr),
-    "III": lambda a, h: (a.Tr, a.Tl, a.Rr, a.Rl),
-    "IV": lambda a, h: (h.Tr, h.Tl, h.Rr, h.Rl),
-    "V": lambda a, h: (h.Tr, h.Tl, h.Rl, h.Rr),
-    "VI": lambda a, h: (a.Tr, a.Tl, a.Rl, a.Rr),
-    "VII": lambda a, h: (h.Tl, h.Tr, h.Rr, h.Rl),
-    "VIII": lambda a, h: (a.Tl, a.Tr, a.Rr, a.Rl),
-}
-
-
 def test_criterion_05_equivariance():
     """20 random kernels x 8 transforms: transformed-kernel amplitudes
     equal the predicted recombination of original/adjoint amplitudes."""
@@ -136,9 +124,9 @@ def test_criterion_05_equivariance():
         ker = random_poly_surface(rng, n=201)
         k = float(rng.uniform(0.4, 3.0))
         amps = scatter_all(ker, k, FAST, include_adjoint=True)
-        for code, recombine in EQUIVARIANT_RECOMBINATION.items():
+        for code in SYMMETRY_CODES:
             got = scatter_all(ker.transform(code), k, FAST)
-            want = np.array(recombine(amps, amps.hatted))
+            want = np.array(transformed_amplitudes(amps, code).quadruple)
             worst = max(worst, float(np.max(np.abs(np.array(got.quadruple) - want))))
     report("criterion 5 equivariance deviation (8 transforms)", worst, 1e-8)
 

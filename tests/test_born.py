@@ -11,7 +11,7 @@ from asymscat.born import (
 )
 from asymscat.errors import BracketingError
 from asymscat.kernels import SampledKernel, fourier_transform_local
-from asymscat.solver import k_sweep, scatter, scatter_all
+from asymscat.solver import generalized_unitarity_residuals, k_sweep, scatter, scatter_all
 from asymscat.symmetry import check_symmetries
 
 EPS = 1e-4
@@ -66,6 +66,17 @@ class TestBornReflections:
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError):
             born_reflections(design_broadband_reflector(0.1, EPS), 0.0)
+
+    @pytest.mark.parametrize("k", [np.nan, np.inf])
+    def test_rejects_non_finite_k(self, k):
+        with pytest.raises(ValueError, match="positive and finite"):
+            born_reflections(design_broadband_reflector(0.1, EPS), k)
+
+    def test_mirrored_profile_reflects_from_the_right(self):
+        # negative epsilon is the mirror image: the two sides swap
+        pot = design_broadband_reflector(0.1, EPS)
+        Rl, Rr = born_reflections(pot, 1.3)
+        assert born_reflections(pot.transform("III"), 1.3) == (Rr, Rl)
 
     def test_rejects_nonlocal_kernel(self, rng):
         from conftest import random_poly_surface
@@ -141,6 +152,11 @@ class TestTuneAlpha:
         with pytest.raises(ValueError):
             tune_alpha(EPS, -1.0)
 
+    @pytest.mark.parametrize("k_ref", [np.nan, np.inf])
+    def test_rejects_non_finite_kref(self, k_ref):
+        with pytest.raises(ValueError, match="positive and finite"):
+            tune_alpha(EPS, k_ref)
+
 
 class TestBroadbandReflector:
     def test_tuned_sweep_stays_in_band(self, config):
@@ -162,6 +178,19 @@ class TestBroadbandReflector:
             pred = born_prediction(pot, k)
             assert abs(abs(amps.Tl) ** 2 - pred.T_abs2) < 0.05
             assert abs(abs(amps.Tr) ** 2 - pred.T_abs2) < 0.05
+
+
+    def test_adjoint_solve_keeps_generalized_unitarity(self, config):
+        # the adjoint of alpha / (x - i eps)^2 is its mirror image, solved
+        # on the same graded mesh
+        pot = design_broadband_reflector(0.0976, EPS, d=4.0)
+        for k in (0.5, 1.0, 3.0):
+            amps = scatter_all(pot, k, config, include_adjoint=True)
+            assert np.max(generalized_unitarity_residuals(amps)) <= 1e-6
+
+    def test_designer_needs_positive_epsilon(self):
+        with pytest.raises(ValueError, match="positive"):
+            design_broadband_reflector(0.1, -EPS)
 
 
 class TestBornScaling:

@@ -109,6 +109,14 @@ class TestClassify:
         assert doc["forbidden_by"]["TR/A"] == ["II"]
 
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+    def test_tolerance_must_be_positive_and_finite(self, tmp_path, hermitian_kernel_file, tol):
+        res = run_cli(["classify", "--kernel", str(hermitian_kernel_file), f"--tol={tol}"],
+                      tmp_path)
+        assert res.returncode == 1
+        assert b"positive and finite" in res.stderr
+
+
 class TestDesignCommand:
     def test_design_writes_kernel_and_verification(self, tmp_path):
         out = tmp_path / "tra.json"
@@ -121,6 +129,14 @@ class TestDesignCommand:
         assert kernel.coeffs.shape == (6, 2)
         assert (tmp_path / "tra.verify.csv").exists()
         assert (tmp_path / "tra.json.manifest.json").exists()
+
+    @pytest.mark.parametrize("k0", ["nan", "inf"])
+    def test_non_finite_momentum_is_input_error(self, tmp_path, k0):
+        res = run_cli(["design", "--device", "tra", "--k0", k0,
+                       "--out", str(tmp_path / "x.json")], tmp_path)
+        assert res.returncode == 1
+        assert b"positive and finite" in res.stderr
+        assert b"DLASCL" not in res.stderr
 
     def test_forbidden_design_is_input_error(self, tmp_path):
         res = run_cli(["design", "--device", "tra", "--constraint", "viii",
@@ -166,6 +182,17 @@ class TestVerifyCommand:
                        "--kmin", "1.0", "--kmax", "1.0", "--n", "1"], tmp_path)
         assert res.returncode == 3
         assert b"VIII" in res.stderr
+
+
+    @pytest.mark.parametrize("flag", ["--tol", "--sym-tol"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_tolerance_must_be_positive_and_finite(self, tmp_path, hermitian_kernel_file,
+                                                   flag, tol):
+        # a NaN tolerance made every `residual > tol` check pass
+        res = run_cli(["verify", "--kernel", str(hermitian_kernel_file), flag, tol,
+                       "--kmin", "1.0", "--kmax", "1.0", "--n", "1"], tmp_path)
+        assert res.returncode == 1
+        assert b"positive and finite" in res.stderr
 
 
 class TestConfigFile:

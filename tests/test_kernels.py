@@ -137,6 +137,24 @@ class TestTransforms:
         np.testing.assert_array_equal(ker.transform("VI").values, prof)
         np.testing.assert_array_equal(ker.transform("III").values, prof[::-1])
 
+    @pytest.mark.parametrize("code", SYMMETRY_CODES)
+    def test_inverse_square_stays_in_family(self, code):
+        # flip and conjugation each send epsilon -> -epsilon; the result
+        # matches the transform of the sampled profile at any node count
+        pot = RegularizedInverseSquare(alpha=0.3, epsilon=0.05, d=2.0)
+        out = pot.transform(code)
+        assert isinstance(out, RegularizedInverseSquare)
+        for n in (81, 801):
+            g = np.linspace(-2.0, 2.0, n)
+            want = SampledKernel(g, pot.sample_profile(g), is_local=True).transform(code)
+            np.testing.assert_allclose(out.sample_profile(g), want.values, rtol=1e-12)
+
+    def test_negative_epsilon_is_the_mirror_image(self):
+        x = np.linspace(-1.0, 1.0, 11)
+        pot = RegularizedInverseSquare(alpha=0.3, epsilon=0.05)
+        mirror = RegularizedInverseSquare(alpha=0.3, epsilon=-0.05)
+        np.testing.assert_array_equal(mirror.profile_raw(x), pot.profile_raw(-x))
+
 
 class TestAdjoint:
     def test_hermitian_fixed_point(self, rng):
@@ -169,6 +187,15 @@ class TestFourierTransform:
         got = fourier_transform_local(pot, -2.0)
         want = np.sqrt(2 * np.pi) * (-2.0) * np.exp(-2e-4)
         assert got == pytest.approx(want, rel=1e-15)
+
+    def test_mirror_image_spectrum(self):
+        # V~ of the mirrored profile (epsilon < 0) at k is V~ at -k
+        pot = RegularizedInverseSquare(alpha=1.0, epsilon=1e-2)
+        mirror = RegularizedInverseSquare(alpha=1.0, epsilon=-1e-2)
+        k = np.array([-3.0, -0.5, 0.0, 0.5, 3.0])
+        np.testing.assert_array_equal(fourier_transform_local(mirror, k),
+                                      fourier_transform_local(pot, -k))
+        assert fourier_transform_local(mirror, -2.0) == 0.0
 
     @pytest.mark.parametrize("k", [0.5, 2.0, 5.0, -0.5, -2.0, -5.0])
     def test_windowed_quadrature_converges_to_analytic(self, k):

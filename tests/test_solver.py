@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from asymscat.errors import AdjointDivergenceError, SingularSystemError
-from asymscat.kernels import PolynomialKernel, RegularizedInverseSquare, SampledKernel
+from asymscat.kernels import SYMMETRY_CODES, SampledKernel
 from asymscat.solver import (
     ScatteringAmplitudes,
     SolverConfig,
@@ -16,8 +15,14 @@ from asymscat.solver import (
     scatter_all,
     scatter_oracle_all,
 )
-from asymscat.symmetry import symmetrize
-from conftest import PROFILE, random_local_kernel, random_poly_surface, square_well_analytic
+from asymscat.symmetry import symmetrize, transformed_amplitudes
+from conftest import (
+    PROFILE,
+    equivariance_problems,
+    random_local_kernel,
+    random_poly_surface,
+    square_well_analytic,
+)
 
 TRAP = SolverConfig(n_grid=401, quadrature="trapezoid")
 SIMP = SolverConfig(n_grid=801, quadrature="simpson")
@@ -145,71 +150,22 @@ class TestHattedFromUnhatted:
             assert np.max(np.abs(np.array(hat.quadruple) - np.array(amps.hatted.quadruple))) < 1e-10
 
 
-EQUIVARIANT_RECOMBINATION = {
-    "II": lambda a, h: (h.Tl, h.Tr, h.Rl, h.Rr),
-    "III": lambda a, h: (a.Tr, a.Tl, a.Rr, a.Rl),
-    "IV": lambda a, h: (h.Tr, h.Tl, h.Rr, h.Rl),
-    "V": lambda a, h: (h.Tr, h.Tl, h.Rl, h.Rr),
-    "VI": lambda a, h: (a.Tr, a.Tl, a.Rl, a.Rr),
-    "VII": lambda a, h: (h.Tl, h.Tr, h.Rr, h.Rl),
-    "VIII": lambda a, h: (a.Tl, a.Tr, a.Rr, a.Rl),
-}
-
-
-@st.composite
-def equivariance_problems(draw):
-    """A random kernel of one of the four families, a momentum and a
-    trapezoid grid.
-
-    Sampled kernels live on the solve grid, and the inverse-square
-    profile is solved on the 401-point grid of its ``to_sampled``, which
-    the transforms that leave its family return; every kernel is then
-    read at its own nodes.  Strengths keep |Omega V W| of order
-    ``strength``, so the checks measure rounding, not the conditioning of
-    a near-exceptional system.
-    """
-    family = draw(st.sampled_from(["sampled", "local", "polynomial", "inverse_square"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    d = draw(st.sampled_from([0.5, 1.0, 2.0]))
-    k = draw(st.floats(0.2, 4.0))
-    strength = draw(st.floats(0.05, 2.0))
-    n = 401 if family == "inverse_square" else draw(st.integers(21, 301))
-    g = np.linspace(-d, d, n)
-    if family == "sampled":
-        v = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        kernel = SampledKernel(g, v * strength * k / ((2 * d) ** 2 * np.max(np.abs(v))))
-    elif family == "local":
-        v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        kernel = SampledKernel(g, v * strength * k / (2 * d * np.max(np.abs(v))), is_local=True)
-    elif family == "polynomial":
-        rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-        c = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-        i, j = np.indices(c.shape)
-        kernel = PolynomialKernel(
-            c * strength * k / ((2 * d) ** 2 * np.sum(np.abs(c) * d ** (i + j))), d=d)
-    else:
-        # int |alpha / (x - i eps)^2| dx = pi |alpha| / eps
-        epsilon = draw(st.floats(0.05, 0.5))
-        kernel = RegularizedInverseSquare(strength * k * epsilon / np.pi, epsilon, d)
-    return kernel, k, SolverConfig(n_grid=n, quadrature="trapezoid")
-
-
 class TestEquivariance:
     # Generalized unitarity and the recombination hold for arbitrary
     # kernels, not only symmetric ones.  On a trapezoid grid both are
     # exact for the discrete problem; the Simpson kink band breaks its
     # symmetry and leaves ~1e-7.  The draws cover the dense, banded and
     # separable paths, each with its adjoint.
-    @pytest.mark.parametrize("code", sorted(EQUIVARIANT_RECOMBINATION))
+    @pytest.mark.parametrize("code", SYMMETRY_CODES[1:])
     @PROFILE
     @given(problem=equivariance_problems())
     def test_transformed_kernel_amplitudes(self, code, problem):
         kernel, k, cfg = problem
         amps = scatter_all(kernel, k, cfg, include_adjoint=True)
         assert np.max(generalized_unitarity_residuals(amps)) <= 1e-10
-        predicted = EQUIVARIANT_RECOMBINATION[code](amps, amps.hatted)
+        predicted = transformed_amplitudes(amps, code)
         got = scatter_all(kernel.transform(code), k, cfg)
-        assert np.max(np.abs(np.array(got.quadruple) - np.array(predicted))) <= 1e-10
+        assert np.max(np.abs(np.array(got.quadruple) - np.array(predicted.quadruple))) <= 1e-10
 
 
 class TestSymmetricKernelConsequences:

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
 
 from asymscat.kernels import (
     SYMMETRY_CODES,
     PolynomialKernel,
     RegularizedInverseSquare,
     SampledKernel,
+    compose,
 )
-from asymscat.solver import SolverConfig, scatter_all
+from asymscat.solver import ScatteringAmplitudes, SolverConfig, scatter_all
 from asymscat.symmetry import (
     DEVICE_CODES,
     EQUIVALENT_PAIRS,
@@ -16,8 +18,15 @@ from asymscat.symmetry import (
     equivalence_table_check,
     predicted_amplitude_relations,
     symmetrize,
+    transformed_amplitudes,
 )
-from conftest import random_local_kernel, random_poly_kernel, random_poly_surface
+from conftest import (
+    PROFILE,
+    equivariance_problems,
+    random_local_kernel,
+    random_poly_kernel,
+    random_poly_surface,
+)
 
 # Device types allowed per satisfied symmetry; kept here purely as a
 # cross-check table against the forbidding-set classification.
@@ -194,16 +203,21 @@ class TestPredictedRelations:
             assert rel.residual(boring) == 0.0  # gate inactive
 
     @pytest.mark.parametrize("code", SYMMETRY_CODES[1:])
-    def test_relations_hold_on_solver_output(self, rng, code):
+    @PROFILE
+    @given(problem=equivariance_problems())
+    def test_relations_hold_on_solver_output(self, code, problem):
         # end-to-end: symmetrized kernel -> solve (with adjoint) -> every
-        # emitted predicate holds
-        cfg = SolverConfig(n_grid=121, quadrature="trapezoid")
-        for _ in range(3):
-            ker = symmetrize(random_poly_surface(rng, n=121), code)
-            report = check_symmetries(ker)
-            amps = scatter_all(ker, rng.uniform(0.5, 2.5), cfg, include_adjoint=True)
-            for rel in predicted_amplitude_relations(report):
-                assert rel.residual(amps) < 1e-8, (code, rel.description)
+        # emitted predicate holds.  The inverse-square profile is not
+        # symmetrized (its family is not closed under averaging); it
+        # satisfies VI, VII and so IV natively.
+        kernel, k, cfg = problem
+        if not isinstance(kernel, RegularizedInverseSquare):
+            kernel = symmetrize(kernel, code)
+        report = check_symmetries(kernel)
+        assert report.verdicts["VII" if isinstance(kernel, RegularizedInverseSquare) else code]
+        amps = scatter_all(kernel, k, cfg, include_adjoint=True)
+        for rel in predicted_amplitude_relations(report):
+            assert rel.residual(amps) <= 1e-10, (code, rel.description)
 
     def test_hatted_relation_requires_adjoint_solve(self):
         rels = predicted_amplitude_relations(report_for({"II"}))
@@ -213,6 +227,74 @@ class TestPredictedRelations:
         needing = [r for r in rels if r.needs_hatted]
         with pytest.raises(ValueError):
             needing[0].residual(amps)
+
+
+class TestTransformedAmplitudes:
+    AMPS = ScatteringAmplitudes(1.0, 1.0 + 0j, 2.0 + 0j, 3.0 + 0j, 4.0 + 0j,
+                                ScatteringAmplitudes(1.0, 5.0 + 0j, 6.0 + 0j, 7.0 + 0j, 8.0 + 0j))
+
+    def test_parity_swaps_sides(self):
+        assert transformed_amplitudes(self.AMPS, "III").quadruple == (2.0, 1.0, 4.0, 3.0)
+
+    def test_conjugation_reads_the_hatted_quadruple(self):
+        assert transformed_amplitudes(self.AMPS, "V").quadruple == (6.0, 5.0, 7.0, 8.0)
+        assert transformed_amplitudes(self.AMPS, "II").quadruple == (5.0, 6.0, 7.0, 8.0)
+
+    def test_conjugating_codes_need_the_adjoint_solve(self):
+        direct = ScatteringAmplitudes(1.0, 1.0, 2.0, 3.0, 4.0)
+        for code in SYMMETRY_CODES:
+            if code in ("II", "IV", "V", "VII"):
+                with pytest.raises(ValueError, match="include_adjoint"):
+                    transformed_amplitudes(direct, code)
+            else:
+                transformed_amplitudes(direct, code)
+
+    def test_identity_and_unknown_code(self):
+        assert transformed_amplitudes(self.AMPS, "I").quadruple == self.AMPS.quadruple
+        with pytest.raises(ValueError, match="unknown symmetry code"):
+            transformed_amplitudes(self.AMPS, "IX")
+
+
+def _representation(kernel) -> np.ndarray:
+    """The stored numbers that define a kernel, comparable across transforms."""
+    if isinstance(kernel, PolynomialKernel):
+        return kernel._square_coeffs()
+    if isinstance(kernel, RegularizedInverseSquare):
+        return np.array([kernel.alpha, kernel.epsilon, kernel.d])
+    return np.asarray(kernel.values)
+
+
+class TestGroupLaw:
+    @PROFILE
+    @given(problem=equivariance_problems())
+    def test_transforms_compose_by_flags(self, problem):
+        # transform(a) then transform(b) is transform(compose(a, b)), within
+        # each family, for all 64 pairs of codes
+        kernel = problem[0]
+        for a in SYMMETRY_CODES:
+            once = kernel.transform(a)
+            assert type(once) is type(kernel)
+            for b in SYMMETRY_CODES:
+                np.testing.assert_array_equal(_representation(once.transform(b)),
+                                              _representation(kernel.transform(compose(a, b))))
+
+    @pytest.mark.parametrize("first", sorted(EQUIVALENT_PAIRS))
+    @PROFILE
+    @given(problem=equivariance_problems())
+    def test_equivalent_pairs_transform_alike(self, first, problem):
+        # on a kernel fixed by `first`, both codes of each listed pair give
+        # the same kernel, so they hold or fail together; together the
+        # pairs cover every code other than I and `first`
+        kernel = problem[0]
+        if isinstance(kernel, RegularizedInverseSquare):
+            assume(first in ("VI", "VII"))
+        else:
+            kernel = symmetrize(kernel, first)
+        pairs = EQUIVALENT_PAIRS[first]
+        assert sorted(c for pair in pairs for c in pair) == sorted(set(SYMMETRY_CODES) - {"I", first})
+        for a, b in pairs:
+            np.testing.assert_array_equal(_representation(kernel.transform(a)),
+                                          _representation(kernel.transform(b)))
 
 
 class TestForbiddenAsymmetrySoundness:
