@@ -288,10 +288,20 @@ def _apply_config_file(argv: list[str], options: dict[str, list]) -> list[str]:
     return argv[:idx] + argv[idx + 2:]
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, the code this CLI gives
+    numerical failures; usage errors are input errors and exit 1.
+    ``--help`` and ``--version`` still exit 0."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, list]]:
     """The argument parser, and for each option name (argparse ``dest``)
     the (subcommand parser, action) pairs that ``--config`` may set."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="asymscat",
         description="1D scattering by complex nonlocal potentials: solve, "
                     "classify Klein-group symmetries, design asymmetric devices.",

@@ -12,8 +12,12 @@ bilinear in (v, c).  Plane-wave matching of value and derivative at
 x = +-d pins eight of the twelve wavefunction coefficients (the target
 amplitudes enter here), and V(+-d, y) = 0 keeps the total potential
 continuous.  The remaining square-to-slightly-overdetermined system is
-solved by damped least-squares (trust-region Gauss-Newton) with a
-linear warm start for the kernel coefficients and seeded restarts.
+solved by damped least-squares (trust-region Gauss-Newton) on its exact
+Jacobian, with a linear warm start for the kernel coefficients and
+seeded restarts.  Because the residual is bilinear, its Jacobian is in
+closed form: the wave block of each side is (v M - Beta) N and the
+kernel block is the warm start's linear map (see
+``_DesignProblem.jacobian``).
 
 Constraint modes:
   none  - V(x,y) = sum_{i<=5, j<=1} v_ij x^i y^j, all v free
@@ -22,7 +26,7 @@ Constraint modes:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import null_space
@@ -102,9 +106,22 @@ class DeviceSpec:
 
 
 @dataclass(frozen=True)
+class Restart:
+    """One trust-region run of a design: its final max |residual|, the
+    residual and Jacobian evaluations it took, the Frobenius norm of its
+    kernel coefficients, and whether the design selected it."""
+
+    residual: float
+    nfev: int
+    njev: int
+    kernel_norm: float
+    chosen: bool = False
+
+
+@dataclass(frozen=True)
 class DesignResult:
-    """A designed kernel together with its interior wavefunctions and the
-    forward-solver verification at k0."""
+    """A designed kernel together with its interior wavefunctions, the
+    forward-solver verification at k0 and the restart trace."""
 
     kernel: PolynomialKernel
     wave_coeffs: tuple[np.ndarray, np.ndarray]
@@ -112,6 +129,7 @@ class DesignResult:
     residual: float
     design_residual: float
     spec: DeviceSpec
+    restarts: tuple[Restart, ...] = ()
 
 
 def _boundary_rows(d: float) -> np.ndarray:
@@ -147,47 +165,38 @@ def _even_moments(d: float, n_max: int) -> np.ndarray:
 
 
 class _VParam:
-    """Packs the kernel coefficients of one constraint mode into a flat
-    real vector and back."""
+    """The kernel coefficients of one constraint mode as a real-linear map
+    of a flat real vector u: ``unpack(u) = (E @ u).reshape(shape)``, with E
+    a complex matrix whose columns are the unit coefficient patterns."""
 
     def __init__(self, constraint: str):
-        self.constraint = constraint
         if constraint == "none":
             self.shape = (6, 2)
-            self.n_real = 24
+            E = np.hstack([np.eye(12), 1j * np.eye(12)])
         elif constraint == "pt":
             self.shape = (6, 2)
-            self.n_real = 12
+            i, j = np.divmod(np.arange(12), 2)
+            E = np.diag(np.where((i + j) % 2 == 0, 1.0, 1j))
         elif constraint == "viii":
             self.shape = (6, 6)
-            self.pairs = [
+            pairs = [
                 (i, j)
                 for i in range(6)
                 for j in range(i, 6)
                 if (i, j) not in ((4, 4), (4, 5), (5, 5))
             ]
-            self.n_real = 2 * len(self.pairs)
+            E = np.zeros((36, 2 * len(pairs)), dtype=complex)
+            unit = np.array([1.0, 1j])
+            for n, (i, j) in enumerate(pairs):
+                E[6 * i + j, 2 * n : 2 * n + 2] = unit
+                E[6 * j + i, 2 * n : 2 * n + 2] = (-1.0) ** (i + j) * unit
         else:
             raise ValueError(constraint)
+        self.E = E
+        self.n_real = E.shape[1]
 
     def unpack(self, u: np.ndarray) -> np.ndarray:
-        v = np.zeros(self.shape, dtype=complex)
-        if self.constraint == "none":
-            v[:, :] = (u[:12] + 1j * u[12:24]).reshape(6, 2)
-        elif self.constraint == "pt":
-            for idx in range(12):
-                i, j = divmod(idx, 2)
-                v[i, j] = u[idx] if (i + j) % 2 == 0 else 1j * u[idx]
-        else:
-            for n, (i, j) in enumerate(self.pairs):
-                z = u[2 * n] + 1j * u[2 * n + 1]
-                v[i, j] = z
-                v[j, i] = (-1.0) ** (i + j) * z
-        return v
-
-    def basis(self) -> list[np.ndarray]:
-        eye = np.eye(self.n_real)
-        return [self.unpack(eye[m]) for m in range(self.n_real)]
+        return (self.E @ u).reshape(self.shape)
 
 
 class _DesignProblem:
@@ -212,6 +221,17 @@ class _DesignProblem:
         self.dp = d ** np.arange(6)
         self.dm = (-d) ** np.arange(6)
         self.n_c_real = 4 * self.n_free  # re/im for both sides
+        # E as (i, j, m) = d v_ij / d u_m
+        self.e3 = self.vparam.E.reshape(*self.vparam.shape, self.vparam.n_real)
+        # Beta c = (k^2/2) c + the coefficients of -psi''/2
+        self.beta = 0.5 * self.k**2 * np.eye(PSI_DEGREE + 1)
+        i = np.arange(PSI_DEGREE - 1)
+        self.beta[i, i + 2] = 0.5 * (i + 1) * (i + 2)
+        # V(+-d, y) = 0: rows linear in the kernel parameters alone
+        self.edge_block = np.concatenate([
+            np.einsum("ijm,i->jm", self.e3, self.dp),
+            np.einsum("ijm,i->jm", self.e3, self.dm),
+        ])
 
     def waves(self, u_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nf = self.n_free
@@ -219,43 +239,58 @@ class _DesignProblem:
         ar = u_c[2 * nf : 3 * nf] + 1j * u_c[3 * nf : 4 * nf]
         return self.cl_part + self.null @ al, self.cr_part + self.null @ ar
 
-    def _beta(self, c: np.ndarray) -> np.ndarray:
-        beta = 0.5 * self.k**2 * c.astype(complex).copy()
-        i = np.arange(PSI_DEGREE - 1)
-        beta[i] += 0.5 * (i + 1) * (i + 2) * c[i + 2]
-        return beta
-
-    def residual_blocks(self, v: np.ndarray, cl: np.ndarray, cr: np.ndarray) -> np.ndarray:
-        res = []
-        for c in (cl, cr):
-            res.append(v @ (self.mmat @ c) - self._beta(c))
-        res.append(v.T @ self.dp)
-        res.append(v.T @ self.dm)
-        return np.concatenate(res)
-
     def residuals(self, u: np.ndarray) -> np.ndarray:
+        """Real and imaginary parts of the power-matching rows of both
+        sides, (v M - Beta) c, followed by the edge rows."""
         cl, cr = self.waves(u[: self.n_c_real])
-        v = self.vparam.unpack(u[self.n_c_real :])
-        block = self.residual_blocks(v, cl, cr)
+        u_v = u[self.n_c_real :]
+        L = self.vparam.unpack(u_v) @ self.mmat - self.beta
+        block = np.concatenate([L @ cl, L @ cr, self.edge_block @ u_v])
         return np.concatenate([block.real, block.imag])
 
+    def _kernel_block(self, cl: np.ndarray, cr: np.ndarray) -> np.ndarray:
+        """d(power-matching rows of both sides)/du_v; linear in the waves."""
+        return np.concatenate([
+            np.einsum("ijm,j->im", self.e3, self.mmat @ cl),
+            np.einsum("ijm,j->im", self.e3, self.mmat @ cr),
+        ])
+
+    def jacobian(self, u: np.ndarray) -> np.ndarray:
+        """Exact Jacobian of ``residuals``.
+
+        Each complex residual row is real-linear in every block of u, so
+        the derivative is one complex matrix J, and the real Jacobian
+        stacks its real and imaginary parts.  The wave block of a side is
+        (v M - Beta) N for the real parts of its null-space coefficients
+        and i times that for the imaginary parts."""
+        nf, nc = self.n_free, self.n_c_real
+        cl, cr = self.waves(u[:nc])
+        wave = (self.vparam.unpack(u[nc:]) @ self.mmat - self.beta) @ self.null
+        J = np.zeros((12 + self.edge_block.shape[0], u.size), dtype=complex)
+        for side in range(2):
+            rows, col = slice(6 * side, 6 * side + 6), 2 * nf * side
+            J[rows, col : col + nf] = wave
+            J[rows, col + nf : col + 2 * nf] = 1j * wave
+        J[:12, nc:] = self._kernel_block(cl, cr)
+        J[12:, nc:] = self.edge_block
+        return np.concatenate([J.real, J.imag])
+
     def warm_start_v(self, cl: np.ndarray, cr: np.ndarray) -> np.ndarray:
-        """Least-squares solve of the power-matching block for v with the
-        wavefunctions held fixed (the equations are linear in v)."""
-        cols = []
-        for vb in self.vparam.basis():
-            col = np.concatenate([vb @ (self.mmat @ cl), vb @ (self.mmat @ cr)])
-            cols.append(np.concatenate([col.real, col.imag]))
-        A = np.array(cols).T
-        b = np.concatenate([self._beta(cl), self._beta(cr)])
-        b = np.concatenate([b.real, b.imag])
-        return np.linalg.lstsq(A, b, rcond=None)[0]
+        """Least-squares solve of the power-matching rows for v with the
+        wavefunctions held fixed (the rows are linear in v)."""
+        A = self._kernel_block(cl, cr)
+        b = np.concatenate([self.beta @ cl, self.beta @ cr])
+        return np.linalg.lstsq(np.concatenate([A.real, A.imag]),
+                               np.concatenate([b.real, b.imag]), rcond=None)[0]
 
     def solve(self, seed: int, restarts: int, max_nfev: int):
-        # All restarts run; converged candidates are ranked by kernel
-        # norm (least-norm selection), the rest by residual.
+        """Run every restart; return the selected solution vector, its max
+        |residual| and the restart trace.
+
+        Converged candidates are ranked by kernel norm (least-norm
+        selection), the rest by residual."""
         rng = np.random.default_rng(seed)
-        best = None
+        xs, trace = [], []
         for attempt in range(restarts + 1):
             if attempt == 0:
                 u_c = np.zeros(self.n_c_real)
@@ -269,19 +304,25 @@ class _DesignProblem:
             # trf rather than lm: bit-reproducible across repeated calls
             # (the MINPACK driver carries call-to-call state)
             sol = least_squares(
-                self.residuals, u0, method="trf", xtol=1e-15, ftol=1e-15,
-                gtol=1e-15, max_nfev=max_nfev,
+                self.residuals, u0, jac=self.jacobian, method="trf", xtol=1e-15,
+                ftol=1e-15, gtol=1e-15, max_nfev=max_nfev,
             )
-            norm = float(np.max(np.abs(sol.fun)))
             knorm = float(np.linalg.norm(self.vparam.unpack(sol.x[self.n_c_real :])))
-            key = (0, knorm, norm) if norm <= 1e-11 else (1, norm, knorm)
-            if best is None or key < best[0]:
-                best = (key, sol.x, norm)
-        return best[1], best[2]
+            xs.append(sol.x)
+            trace.append(Restart(float(np.max(np.abs(sol.fun))), int(sol.nfev),
+                                 int(sol.njev), knorm))
+
+        def rank(r: Restart):
+            converged = r.residual <= 1e-11
+            return (0, r.kernel_norm, r.residual) if converged else (1, r.residual, r.kernel_norm)
+
+        best = min(range(len(trace)), key=lambda n: rank(trace[n]))
+        trace = tuple(replace(r, chosen=n == best) for n, r in enumerate(trace))
+        return xs[best], trace[best].residual, trace
 
 
 def design_device(spec: DeviceSpec, seed: int = 0, restarts: int = 16,
-                  max_nfev: int = 20000,
+                  max_nfev: int = 1000,
                   verify_config: SolverConfig | None = None) -> DesignResult:
     """Find a polynomial kernel realizing ``spec.targets`` at k0.
 
@@ -291,6 +332,11 @@ def design_device(spec: DeviceSpec, seed: int = 0, restarts: int = 16,
     (``DeviceSpec`` raises ForbiddenDeviceError), and the
     R/A device is classification-only (it needs an external absorber
     construction rather than this polynomial ansatz).
+
+    ``max_nfev`` caps the residual evaluations of each restart.  On the
+    exact Jacobian converged restarts take tens of evaluations, while a
+    restart stuck in a nonzero local minimum creeps on for thousands;
+    the default stops those without cutting any restart that converges.
     """
     if spec.code == "R/A":
         raise DesignError(
@@ -298,12 +344,12 @@ def design_device(spec: DeviceSpec, seed: int = 0, restarts: int = 16,
             "a perfect absorber backed by an infinite barrier (classification-only here)"
         )
     problem = _DesignProblem(spec)
-    u, design_residual = problem.solve(seed, restarts, max_nfev)
+    u, design_residual, trace = problem.solve(seed, restarts, max_nfev)
     if design_residual > 1e-9:
         raise DesignError(
             f"design for {spec.code} (constraint {spec.constraint}) did not "
             f"converge after {restarts} restarts",
-            best_residual=design_residual,
+            best_residual=design_residual, restarts=trace,
         )
     cl, cr = problem.waves(u[: problem.n_c_real])
     v = problem.vparam.unpack(u[problem.n_c_real :])
@@ -315,9 +361,9 @@ def design_device(spec: DeviceSpec, seed: int = 0, restarts: int = 16,
         raise DesignError(
             f"designed kernel for {spec.code} fails forward verification "
             f"(max amplitude deviation {residual:.3e})",
-            best_residual=residual,
+            best_residual=residual, restarts=trace,
         )
-    return DesignResult(kernel, (cl, cr), amps, residual, design_residual, spec)
+    return DesignResult(kernel, (cl, cr), amps, residual, design_residual, spec, trace)
 
 
 def verify_design(result: DesignResult, k_window: tuple[float, float] = (0.8, 1.2),

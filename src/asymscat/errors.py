@@ -54,10 +54,16 @@ class ForbiddenDeviceError(AsymscatError):
 
 
 class DesignError(AsymscatError):
-    """The inverse-design root find did not converge."""
+    """The inverse-design root find did not converge.
 
-    def __init__(self, message: str, best_residual: float = float("nan")):
+    ``restarts`` is the restart trace of the failed design (one
+    ``design.Restart`` per trust-region run), empty when no restart ran.
+    """
+
+    def __init__(self, message: str, best_residual: float = float("nan"),
+                 restarts: tuple = ()):
         self.best_residual = best_residual
+        self.restarts = restarts
         super().__init__(message)
 
 

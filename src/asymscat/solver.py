@@ -56,7 +56,10 @@ the r x r capacitance matrix, so there ``SingularSystemError.rcond``
 describes that matrix rather than the n x n system; by Sylvester's
 determinant identity, det(I_n - Omega PC Q^T W) = det(I_r - Q^T W Omega
 PC), so one is singular exactly when the other is and exceptional
-points are still reported.
+points are still reported.  The norm in that estimate is floored at 1,
+a lower bound for the norm of the n x n system (for n > r it keeps the
+eigenvalue 1), so that a rank-one kernel, whose 1 x 1 capacitance
+matrix has rcond 1 unless it is exactly zero, is reported too.
 
 An independent finite-difference oracle solves the differential form of
 the same problem with Robin (radiation) closures at +-d and exists purely
@@ -243,8 +246,13 @@ def _check_rcond(rcond: float, k: float, tolerance: float) -> None:
         raise SingularSystemError(k, float(rcond))
 
 
-def _solve_system(A: np.ndarray, rhs: np.ndarray, k: float, tolerance: float):
-    anorm = np.linalg.norm(A, 1)
+def _solve_system(A: np.ndarray, rhs: np.ndarray, k: float, tolerance: float,
+                  anorm: float | None = None):
+    """LU-solve A x = rhs; raise SingularSystemError when the reciprocal
+    condition estimate, taken with ``anorm`` (default ||A||_1) as the
+    norm of A, falls below the threshold."""
+    if anorm is None:
+        anorm = np.linalg.norm(A, 1)
     lu, piv = lu_factor(A)
     rcond, info = zgecon(lu, anorm)
     _check_rcond(rcond if info == 0 else 0.0, k, tolerance)
@@ -403,7 +411,11 @@ def _solve(kernel, k: float, config: SolverConfig, sides: tuple[str, ...]):
         omega_pc = _apply_green(x, w, k, config.quadrature, pc)
         qw = q.T * w[None, :]
         capacitance = np.eye(q.shape[1], dtype=complex) - qw @ omega_pc
-        u = _solve_system(capacitance, qw @ phi, k, config.tolerance)
+        # I_n - Omega PC Q^T W keeps the eigenvalue 1 off the span of PC,
+        # so its norm is at least 1; without that floor a 1 x 1
+        # capacitance matrix would always report rcond = 1
+        u = _solve_system(capacitance, qw @ phi, k, config.tolerance,
+                          anorm=max(np.linalg.norm(capacitance, 1), 1.0))
         psi = phi + omega_pc @ u
         source = pc @ u
     elif kernel.is_local:

@@ -18,6 +18,29 @@ PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=
                    suppress_health_check=[HealthCheck.too_slow])
 
 
+def draw_kernel(draw, family, rng, g, k, strength):
+    """A random kernel of ``family`` (sampled nonlocal, sampled local,
+    polynomial, inverse-square) on [-d, d], d = g[-1], scaled so that
+    |Omega V W| is of order ``strength`` at momentum k.  Sampled kernels
+    take their samples on the grid g."""
+    d, n = g[-1], g.size
+    if family == "sampled":
+        v = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return SampledKernel(g, v * strength * k / ((2 * d) ** 2 * np.max(np.abs(v))))
+    if family == "local":
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        return SampledKernel(g, v * strength * k / (2 * d * np.max(np.abs(v))), is_local=True)
+    if family == "polynomial":
+        rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        c = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        i, j = np.indices(c.shape)
+        return PolynomialKernel(
+            c * strength * k / ((2 * d) ** 2 * np.sum(np.abs(c) * d ** (i + j))), d=d)
+    # int |alpha / (x - i eps)^2| dx = pi |alpha| / |eps|; either sign of eps
+    epsilon = draw(st.floats(0.05, 0.5)) * draw(st.sampled_from([1.0, -1.0]))
+    return RegularizedInverseSquare(strength * k * abs(epsilon) / np.pi, epsilon, d)
+
+
 @st.composite
 def equivariance_problems(draw):
     """A random kernel of one of the four families (sampled nonlocal,
@@ -36,23 +59,7 @@ def equivariance_problems(draw):
     k = draw(st.floats(0.2, 4.0))
     strength = draw(st.floats(0.05, 2.0))
     n = draw(st.integers(21, 301))
-    g = np.linspace(-d, d, n)
-    if family == "sampled":
-        v = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        kernel = SampledKernel(g, v * strength * k / ((2 * d) ** 2 * np.max(np.abs(v))))
-    elif family == "local":
-        v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        kernel = SampledKernel(g, v * strength * k / (2 * d * np.max(np.abs(v))), is_local=True)
-    elif family == "polynomial":
-        rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-        c = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-        i, j = np.indices(c.shape)
-        kernel = PolynomialKernel(
-            c * strength * k / ((2 * d) ** 2 * np.sum(np.abs(c) * d ** (i + j))), d=d)
-    else:
-        # int |alpha / (x - i eps)^2| dx = pi |alpha| / |eps|; either sign of eps
-        epsilon = draw(st.floats(0.05, 0.5)) * draw(st.sampled_from([1.0, -1.0]))
-        kernel = RegularizedInverseSquare(strength * k * abs(epsilon) / np.pi, epsilon, d)
+    kernel = draw_kernel(draw, family, rng, np.linspace(-d, d, n), k, strength)
     return kernel, k, SolverConfig(n_grid=n, quadrature="trapezoid")
 
 

@@ -195,6 +195,27 @@ class TestVerifyCommand:
         assert b"positive and finite" in res.stderr
 
 
+class TestExitCodes:
+    # argparse exits 2 on usage errors, the code of a numerical failure;
+    # the parser reports them as input errors instead
+    @pytest.mark.parametrize("args", [
+        ["born-design", "--epsilon", "-1e-3", "--out", "r.json"],
+        ["classify", "--kernel", "x.json", "--tol", "-1e-9"],
+        ["solve", "--kernel", "x.json"],
+        ["bogus"],
+    ], ids=["negative-epsilon", "negative-tol", "missing-k", "unknown-command"])
+    def test_usage_error_exits_1(self, tmp_path, args):
+        res = run_cli(args, tmp_path)
+        assert res.returncode == 1
+        assert b"usage:" in res.stderr and b"error:" in res.stderr
+
+    @pytest.mark.parametrize("args", [["--help"], ["--version"], ["design", "--help"]])
+    def test_help_and_version_exit_0(self, tmp_path, args):
+        res = run_cli(args, tmp_path)
+        assert res.returncode == 0
+        assert res.stdout
+
+
 class TestConfigFile:
     def test_key_value_file_sets_defaults(self, tmp_path, zero_kernel_file):
         cfg = tmp_path / "run.cfg"

@@ -1,11 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from asymscat.design import DEFAULT_TARGETS, DesignResult, DeviceSpec, design_device, verify_design
+from asymscat.design import (
+    DEFAULT_TARGETS,
+    DesignResult,
+    DeviceSpec,
+    _DesignProblem,
+    design_device,
+    verify_design,
+)
 from asymscat.errors import AdjointDivergenceError, DesignError, ForbiddenDeviceError, VerificationError
 from asymscat.kernels import PolynomialKernel
 from asymscat.solver import SolverConfig, hatted_from_unhatted, scatter_all
 from asymscat.symmetry import check_symmetries
+from conftest import PROFILE
 
 DEVICES = [
     ("TR/A", "none"),
@@ -94,6 +104,66 @@ class TestDesignDevice:
         a = design_device(spec, seed=3, restarts=2)
         b = design_device(spec, seed=3, restarts=2)
         np.testing.assert_array_equal(a.kernel.coeffs, b.kernel.coeffs)
+
+
+class TestExactJacobian:
+    # The residual is bilinear in the wave and kernel parameters, so a
+    # central difference is exact up to rounding, about eps |r| / h.
+    @PROFILE
+    @given(device=st.sampled_from(DEVICES), k0=st.floats(0.1, 5.0),
+           seed=st.integers(0, 2**32 - 1), scale=st.floats(0.1, 3.0))
+    def test_matches_central_differences(self, device, k0, seed, scale):
+        code, constraint = device
+        problem = _DesignProblem(DeviceSpec(code=code, constraint=constraint, k0=k0))
+        u = scale * np.random.default_rng(seed).normal(
+            size=problem.n_c_real + problem.vparam.n_real)
+        jac = problem.jacobian(u)
+        h = 1e-4
+        fd = np.stack([(problem.residuals(u + h * e) - problem.residuals(u - h * e)) / (2 * h)
+                       for e in np.eye(u.size)], axis=1)
+        assert jac.shape == fd.shape
+        assert np.max(np.abs(jac - fd)) <= 1e-8 * np.max(np.abs(fd))
+
+    @pytest.mark.parametrize("code, constraint", [("TR/R", "viii"), ("TR/T", "pt")])
+    def test_vparam_imposes_the_constraint(self, code, constraint):
+        vparam = _DesignProblem(DeviceSpec(code=code, constraint=constraint)).vparam
+        v = vparam.unpack(np.random.default_rng(1).normal(size=vparam.n_real))
+        i, j = np.indices(v.shape)
+        if constraint == "viii":
+            np.testing.assert_array_equal(v, (-1.0) ** (i + j) * v.T)
+            assert not np.any(v[4:, 4:])
+        else:
+            assert not np.any(np.where((i + j) % 2 == 0, v.imag, v.real))
+
+
+class TestRestartTrace:
+    def test_one_record_per_restart_and_one_chosen(self, designs):
+        for result in designs.values():
+            trace = result.restarts
+            assert len(trace) == 9
+            chosen = [r for r in trace if r.chosen]
+            assert len(chosen) == 1
+            assert chosen[0].residual == result.design_residual
+            assert chosen[0].kernel_norm == pytest.approx(
+                np.linalg.norm(result.kernel.coeffs), rel=1e-14)
+            assert all(r.nfev >= 1 and r.njev >= 1 for r in trace)
+            # least-norm selection among the converged restarts
+            converged = [r.kernel_norm for r in trace if r.residual <= 1e-11]
+            assert chosen[0].kernel_norm == min(converged)
+
+    def test_design_error_carries_the_trace(self):
+        with pytest.raises(DesignError) as err:
+            design_device(DeviceSpec(code="T/A", constraint="viii"), restarts=1, max_nfev=2)
+        trace = err.value.restarts
+        assert len(trace) == 2
+        assert sum(r.chosen for r in trace) == 1
+        assert all(r.nfev <= 2 for r in trace)
+        assert err.value.best_residual == min(r.residual for r in trace)
+
+    def test_classification_only_device_has_no_trace(self):
+        with pytest.raises(DesignError) as err:
+            design_device(DeviceSpec(code="R/A"))
+        assert err.value.restarts == ()
 
 
 class TestAdjointDivergence:
