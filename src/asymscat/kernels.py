@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import InterpolatedUnivariateSpline, RectBivariateSpline
+from scipy import sparse
+from scipy.interpolate import BSpline, InterpolatedUnivariateSpline, RectBivariateSpline
 
 from .units import HALF_WIDTH
 
@@ -157,17 +158,54 @@ class SampledKernel:
         outside = (np.abs(x_nodes) > self.d)[:, None] | (np.abs(y_nodes) > self.d)[None, :]
         return np.where(outside, 0.0, re(x_nodes, y_nodes) + 1j * im(x_nodes, y_nodes))
 
+    @cached_property
+    def _spline_coeffs(self) -> np.ndarray:
+        """Complex coefficient matrix C of the fitted nonlocal spline:
+        V(x, y) = B(x) @ C @ B(y).T with B the cubic B-spline basis on
+        the grid's knots (see ``factors``)."""
+        re, im = self._splines
+        shape = (self.n, self.n)
+        c = re.get_coeffs().reshape(shape) + 1j * im.get_coeffs().reshape(shape)
+        c.flags.writeable = False
+        return c
+
+    def factors(self, x_nodes: np.ndarray):
+        """Exact separable factors on the nodes: V(x_i, x_j) = (PC @ Q.T)[i, j].
+
+        With more nodes than the stored grid, the cubic spline is a
+        degenerate kernel: ``PC = B @ C`` is dense and ``Q = B`` is the
+        sparse B-spline design matrix of the nodes (rows of nodes outside
+        +-d are zero), so the rank is the stored grid size.  On the stored
+        grid, or with at most as many nodes, ``PC`` is ``sample_matrix``
+        and ``Q`` the sparse identity.
+        """
+        if self.is_local:
+            raise ValueError("factors is only defined for nonlocal kernels")
+        x = np.asarray(x_nodes, dtype=float)
+        if x.size <= self.n:
+            return self.sample_matrix(x, x), sparse.eye_array(x.size, format="csr")
+        g = self.grid
+        # the not-a-knot knots that FITPACK places on the grid for s = 0
+        t = np.concatenate([np.full(4, g[0]), g[2:-2], np.full(4, g[-1])])
+        inside = sparse.diags_array((np.abs(x) <= self.d).astype(float))
+        b = inside @ BSpline.design_matrix(np.clip(x, t[0], t[-1]), t, 3)
+        return b @ self._spline_coeffs, b
+
     def transform(self, which: str) -> "SampledKernel":
         # np.flip reverses every axis; .T leaves a local 1D profile as it is.
+        # The knots are symmetric, so the flags act on a fitted coefficient
+        # matrix as on the values, and the child needs no fit of its own.
         flip, transpose, conj = transform_flags(which)
-        v = np.asarray(self.values)
-        if flip:
-            v = np.flip(v)
-        if transpose:
-            v = v.T
-        if conj:
-            v = np.conj(v)
-        return SampledKernel(self.grid, v, is_local=self.is_local)
+
+        def act(a):
+            a = np.flip(a) if flip else a
+            a = a.T if transpose else a
+            return np.conj(a) if conj else a
+
+        out = SampledKernel(self.grid, act(np.asarray(self.values)), is_local=self.is_local)
+        if "_spline_coeffs" in self.__dict__:
+            out.__dict__["_spline_coeffs"] = act(self._spline_coeffs)
+        return out
 
 
 @dataclass(frozen=True)

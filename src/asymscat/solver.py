@@ -16,12 +16,18 @@ normalization <x|p> = e^{ipx} / sqrt(2 pi).
 
 Every entry point (``scatter``, ``scatter_all`` with or without the
 adjoint, ``k_sweep``) goes through one solve core, which takes one of
-three paths chosen by the kernel type alone:
+two paths chosen by the kernel type alone; neither forms the n x n
+Green's operator Omega.
 
-* **Separable path.** Kernels exposing exact factors V = PC Q^T on the
-  grid (``PolynomialKernel.factors``, rank r = jmax + 1 <= 6) never form
-  an n x n matrix.  With u = Q^T W psi the system (I - Omega V W) psi =
-  phi becomes the r x r capacitance system
+* **Separable path.** Every nonlocal kernel exposes exact factors
+  V = PC Q^T on the grid.  Polynomial kernels have rank r = jmax + 1 <= 6
+  (``PolynomialKernel.factors``).  A sampled kernel is a tensor-product
+  cubic spline, V(x, y) = B(x) C B(y)^T, so on more nodes than its stored
+  grid PC = B C and Q = B, the sparse B-spline design matrix, with r the
+  stored grid size; on its stored grid or on fewer nodes PC is the
+  sampled matrix and Q the identity, r = n (``SampledKernel.factors``).
+  With u = Q^T W psi the system (I - Omega V W) psi = phi becomes the
+  r x r capacitance system
 
       (I_r - Q^T W Omega PC) u = Q^T W phi,
 
@@ -29,8 +35,9 @@ three paths chosen by the kernel type alone:
   Omega PC is applied in O(n r) without forming Omega: G0 has rank one on
   each triangle x' <= x and x' >= x, so the product is a forward and a
   reverse running sum, plus the three-term Simpson kink band on odd
-  rows.  A solve costs O(n r) time and memory instead of the dense
-  O(n^3) LU and O(n^2) storage.
+  rows.  Q^T W is applied as a sparse or diagonal product, never formed,
+  so with Q = I the capacitance matrix I - W Omega V costs O(n^2) to
+  build; the only cubic cost left is the r x r LU.
 * **Local banded path.** Local kernels (V(x, y) = V(x) delta(x - y))
   solve (I - Omega diag(V)) psi = phi in O(n) time and memory.  The
   same rank-one structure of G0 is carried by two running sums,
@@ -41,25 +48,26 @@ three paths chosen by the kernel type alone:
   LAPACK zgbtrf.  Eliminating the unit-bidiagonal A and B blocks leaves
   exactly I - Omega diag(V), so the discrete solution is that of the
   n x n system up to rounding.
-* **Dense path.** Sampled nonlocal kernels assemble I - Omega V W and
-  LU-factor it.
 
-Every path estimates a reciprocal condition number in the 1-norm and
-raises SingularSystemError below the same threshold.  The dense path
-runs LAPACK zgecon on its LU factors.  The local path estimates the
-rcond of the n x n matrix I - Omega diag(V) itself: its 1-norm has a
-closed form, because |G0| = 1/k off the kink band, and the norm of its
-inverse comes from the Hager-Higham estimator that zgecon uses, driven
-by banded solves, since the psi block of the inverse of the 3n x 3n
-system is (I - Omega diag(V))^{-1}.  The separable path runs zgecon on
-the r x r capacitance matrix, so there ``SingularSystemError.rcond``
-describes that matrix rather than the n x n system; by Sylvester's
-determinant identity, det(I_n - Omega PC Q^T W) = det(I_r - Q^T W Omega
-PC), so one is singular exactly when the other is and exceptional
-points are still reported.  The norm in that estimate is floored at 1,
-a lower bound for the norm of the n x n system (for n > r it keeps the
-eigenvalue 1), so that a rank-one kernel, whose 1 x 1 capacitance
-matrix has rcond 1 unless it is exactly zero, is reported too.
+Both paths estimate a reciprocal condition number in the 1-norm and
+raise SingularSystemError below the same threshold.  The local path
+estimates the rcond of the n x n matrix I - Omega diag(V) itself: its
+1-norm has a closed form, because |G0| = 1/k off the kink band, and the
+norm of its inverse comes from the Hager-Higham estimator that zgecon
+uses, driven by banded solves, since the psi block of the inverse of
+the 3n x 3n system is (I - Omega diag(V))^{-1}.  The separable path runs
+zgecon on the r x r capacitance matrix, so there
+``SingularSystemError.rcond`` describes that matrix rather than the
+n x n system: for a sampled kernel it is I - W Omega V on the stored
+grid or on fewer nodes (similar to I - Omega V W through W), and the
+spline capacitance matrix I_r - B^T W Omega B C on more nodes.  By
+Sylvester's determinant identity, det(I_n - Omega PC Q^T W) =
+det(I_r - Q^T W Omega PC), so one is singular exactly when the other is
+and exceptional points are still reported.  The norm in that estimate
+is floored at 1, a lower bound for the norm of the n x n system (for
+n > r it keeps the eigenvalue 1), so that a rank-one kernel, whose
+1 x 1 capacitance matrix has rcond 1 unless it is exactly zero, is
+reported too.
 
 An independent finite-difference oracle solves the differential form of
 the same problem with Robin (radiation) closures at +-d and exists purely
@@ -207,7 +215,10 @@ def _simpson_kink_delta(k: float, h: float) -> np.ndarray:
 
 
 def _green_operator(x: np.ndarray, w: np.ndarray, k: float, quadrature: str) -> np.ndarray:
-    """Matrix Omega with Omega @ f ~= int G0(x_i, x') f(x') dx'."""
+    """Matrix Omega with Omega @ f ~= int G0(x_i, x') f(x') dx'.
+
+    No solve forms it; it is the dense reference that the tests check
+    ``_apply_green`` and both solve paths against."""
     diff = np.abs(x[:, None] - x[None, :])
     G = np.exp(1j * k * diff) / (1j * k)
     omega = G * w[None, :]
@@ -231,9 +242,17 @@ def _apply_green(x: np.ndarray, w: np.ndarray, k: float, quadrature: str,
     e_plus = np.exp(1j * k * x)[:, None]
     e_minus = np.conj(e_plus)
     wm = w[:, None] * M
-    lower = np.cumsum(e_minus * wm, axis=0)
-    upper = np.cumsum((e_plus * wm)[::-1], axis=0)[::-1]
-    out = (e_plus * lower + e_minus * upper - wm) / (1j * k)
+    # (e_plus lower + e_minus upper - wm) / (ik), in place: M has up to n
+    # columns on the full-rank path, so temporaries cost as much as the
+    # arithmetic; the operand order is kept, and with it the rounding
+    lower = e_minus * wm
+    np.cumsum(lower, axis=0, out=lower)
+    upper = e_plus * wm
+    np.cumsum(upper[::-1], axis=0, out=upper[::-1])
+    out = np.multiply(e_plus, lower, out=lower)
+    out += np.multiply(e_minus, upper, out=upper)
+    out -= wm
+    out /= 1j * k
     if quadrature == "simpson":
         delta = _simpson_kink_delta(k, x[1] - x[0])
         out[1:-1:2] += delta[0] * M[:-2:2] + delta[1] * M[1:-1:2] + delta[2] * M[2::2]
@@ -397,18 +416,25 @@ def _solve(kernel, k: float, config: SolverConfig, sides: tuple[str, ...]):
     """The one Nystrom solve behind every entry point.
 
     Solves (I - Omega V W) psi = phi for the incident wave of each side,
-    on the separable path when the kernel exposes ``factors``, on the
-    banded path for local kernels and on the dense path otherwise (see
-    the module docstring).  Returns
+    on the banded path for local kernels and on the separable path
+    through ``kernel.factors`` otherwise (see the module docstring).
+    Returns
     ([(T, R) per side], psi with one column per side, nodes).
     """
     _check_momentum(k)
     x, w = grid_and_weights(config, kernel.d)
     phi = np.stack([np.exp((1j if side == "left" else -1j) * k * x) for side in sides], axis=1)
-    factors = getattr(kernel, "factors", None)
-    if factors is not None:
-        pc, q = factors(x)
+    if kernel.is_local:
+        V = kernel.sample_profile(x)
+        solve, rcond = _local_factor(x, w, k, config.quadrature, V)
+        _check_rcond(rcond, k, config.tolerance)
+        psi = solve(phi)
+        source = V[:, None] * psi
+    else:
+        pc, q = kernel.factors(x)
         omega_pc = _apply_green(x, w, k, config.quadrature, pc)
+        # stays sparse when Q is; with a dense identity Q, qw @ omega_pc
+        # would be an n^3 product
         qw = q.T * w[None, :]
         capacitance = np.eye(q.shape[1], dtype=complex) - qw @ omega_pc
         # I_n - Omega PC Q^T W keeps the eigenvalue 1 off the span of PC,
@@ -418,18 +444,6 @@ def _solve(kernel, k: float, config: SolverConfig, sides: tuple[str, ...]):
                           anorm=max(np.linalg.norm(capacitance, 1), 1.0))
         psi = phi + omega_pc @ u
         source = pc @ u
-    elif kernel.is_local:
-        V = kernel.sample_profile(x)
-        solve, rcond = _local_factor(x, w, k, config.quadrature, V)
-        _check_rcond(rcond, k, config.tolerance)
-        psi = solve(phi)
-        source = V[:, None] * psi
-    else:
-        V = kernel.sample_matrix(x, x)
-        omega = _green_operator(x, w, k, config.quadrature)
-        A = np.eye(x.size, dtype=complex) - omega @ (V * w[None, :])
-        psi = _solve_system(A, phi, k, config.tolerance)
-        source = V @ (w[:, None] * psi)
     amps = [_amplitudes_from_source(source[:, c], x, w, k, side) for c, side in enumerate(sides)]
     return amps, psi, x
 
@@ -544,12 +558,14 @@ def hatted_from_unhatted(amps: ScatteringAmplitudes, tol: float = 1e-8) -> Scatt
         conj(T-hat^r) = T^l / D,   conj(R-hat^r) = -R^l / D,
 
     with D = T^l T^r - R^l R^r.  Raises AdjointDivergenceError when |D|
-    falls below tol times the amplitude scale: there the adjoint problem
-    genuinely diverges (exceptional configuration)."""
+    falls below tol * max(1, max |amplitude|), that is when a hatted
+    amplitude would exceed 1/tol: there the adjoint problem genuinely
+    diverges (exceptional configuration).  Near a pole of S the products
+    T^l T^r and R^l R^r grow like the square of the amplitudes while D
+    grows only like them, so the scale is the amplitudes themselves."""
     Tl, Tr, Rl, Rr = amps.quadruple
     D = Tl * Tr - Rl * Rr
-    scale = max(1.0, abs(Tl * Tr), abs(Rl * Rr))
-    if abs(D) < tol * scale:
+    if abs(D) < tol * max(1.0, *map(abs, amps.quadruple)):
         raise AdjointDivergenceError(amps.k, D)
     return ScatteringAmplitudes(
         amps.k,

@@ -1,11 +1,15 @@
-"""The separable (capacitance-matrix) solve of polynomial kernels against
-the dense Nystrom reference.
+"""The separable (capacitance-matrix) solve of nonlocal kernels against
+a dense Nystrom reference built here.
 
-The reference is the dense path fed the very same matrix: a
-SampledKernel holding ``kernel.sample_matrix(x, x)`` on the solve grid,
-whose ``sample_matrix`` hands back the stored values exactly.  Both
-paths therefore solve one discrete problem, and they must agree to
-rounding.
+The reference samples the kernel on the solve grid with
+``sample_matrix``, assembles the n x n matrix I - Omega V W from the
+dense Green's operator ``_green_operator``, solves it with
+``np.linalg.solve`` and reads the amplitudes off the post-form source
+V W psi.  Both solve one discrete problem, up to the rounding in which
+the factors PC Q^T reproduce the sampled matrix, and they must agree to
+rounding.  Polynomial kernels go through their monomial factors;
+sampled kernels through their spline factors off the stored grid, or
+through the sampled matrix with Q = I on it and on fewer nodes.
 """
 import numpy as np
 import pytest
@@ -13,9 +17,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from asymscat.errors import SingularSystemError
-from asymscat.kernels import PolynomialKernel, SampledKernel
+from asymscat.kernels import SYMMETRY_CODES, PolynomialKernel, SampledKernel, adjoint
 from asymscat.solver import (
     SolverConfig,
+    _amplitudes_from_source,
     _apply_green,
     _green_operator,
     grid_and_weights,
@@ -57,9 +62,26 @@ def polynomial_problems(draw):
     return PolynomialKernel(c, d=d), k, _grid_config(grid, n, d, rng)
 
 
-def dense_reference(kernel, config):
-    x, _ = grid_and_weights(config, kernel.d)
-    return SampledKernel(x, kernel.sample_matrix(x, x))
+def dense_reference(kernel, k, config, sides=("left", "right")):
+    """([(T, R) per side], psi) from I - Omega V W, assembled densely and
+    solved by np.linalg.solve."""
+    x, w = grid_and_weights(config, kernel.d)
+    V = kernel.sample_matrix(x, x)
+    A = np.eye(x.size) - _green_operator(x, w, k, config.quadrature) @ (V * w[None, :])
+    phi = np.stack([np.exp((1j if side == "left" else -1j) * k * x) for side in sides], axis=1)
+    psi = np.linalg.solve(A, phi)
+    source = V @ (w[:, None] * psi)
+    return [_amplitudes_from_source(source[:, c], x, w, k, side)
+            for c, side in enumerate(sides)], psi
+
+
+def dense_eight(kernel, k, config, include_adjoint):
+    """The reference (Tl, Tr, Rl, Rr), followed by the adjoint's if asked."""
+    out = []
+    for ker in (kernel, adjoint(kernel)) if include_adjoint else (kernel,):
+        [(Tl, Rl), (Tr, Rr)], _ = dense_reference(ker, k, config)
+        out += [Tl, Tr, Rl, Rr]
+    return np.array(out)
 
 
 def _eight(amps):
@@ -71,8 +93,7 @@ def _eight(amps):
 def test_separable_amplitudes_match_dense(problem, include_adjoint):
     kernel, k, config = problem
     fast = _eight(scatter_all(kernel, k, config, include_adjoint=include_adjoint))
-    dense = _eight(scatter_all(dense_reference(kernel, config), k, config,
-                               include_adjoint=include_adjoint))
+    dense = dense_eight(kernel, k, config, include_adjoint)
     assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
@@ -81,11 +102,108 @@ def test_separable_amplitudes_match_dense(problem, include_adjoint):
 def test_separable_psi_matches_dense(problem, side):
     kernel, k, config = problem
     fast = scatter(kernel, k, side, config)
-    dense = scatter(dense_reference(kernel, config), k, side, config)
-    assert np.array_equal(fast.nodes, dense.nodes)
-    assert np.max(np.abs(fast.psi - dense.psi)) <= 1e-12 * np.max(np.abs(dense.psi))
-    assert abs(fast.T - dense.T) <= 1e-12 * max(abs(dense.T), abs(dense.R))
-    assert abs(fast.R - dense.R) <= 1e-12 * max(abs(dense.T), abs(dense.R))
+    [(T, R)], psi = dense_reference(kernel, k, config, (side,))
+    assert np.array_equal(fast.nodes, grid_and_weights(config, kernel.d)[0])
+    assert np.max(np.abs(fast.psi - psi[:, 0])) <= 1e-12 * np.max(np.abs(psi))
+    assert abs(fast.T - T) <= 1e-12 * max(abs(T), abs(R))
+    assert abs(fast.R - R) <= 1e-12 * max(abs(T), abs(R))
+
+
+def _stored_values(rng, roughness, g):
+    """Complex samples on the stored grid g: a random Gaussian bump
+    surface, or independent random numbers at every node."""
+    n = g.size
+    if roughness == "rough":
+        return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    X, Y = np.meshgrid(g / g[-1], g / g[-1], indexing="ij")
+    out = np.zeros((n, n), dtype=complex)
+    for _ in range(3):
+        a, b = rng.uniform(-0.8, 0.8, size=2)
+        amp = rng.normal() + 1j * rng.normal()
+        out += amp * np.exp(-rng.uniform(1.0, 8.0) * ((X - a) ** 2 + (Y - b) ** 2))
+    return out
+
+
+@st.composite
+def sampled_problems(draw, placement):
+    """A random sampled nonlocal kernel, a solve grid and a momentum.
+
+    By ``placement`` the solve grid is the stored grid itself (r = n), a
+    grid with fewer nodes (also r = n) or one with more (the spline
+    factors, r = n_s).  Explicit nodes off the stored grid may reach 30%
+    beyond +-d, where the kernel is zero.  Values are scaled so that
+    |Omega V W| stays of order ``strength``.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    k = draw(st.floats(0.05, 6.0))
+    strength = draw(st.floats(0.05, 3.0))
+    n_s = 2 * draw(st.integers(2, 60)) + 1
+    g = np.linspace(-d, d, n_s)
+    v = _stored_values(rng, draw(st.sampled_from(["smooth", "rough"])), g)
+    kernel = SampledKernel(g, v * strength * k / ((2 * d) ** 2 * np.max(np.abs(v))))
+    grid = draw(st.sampled_from(["simpson", "trapezoid", "nodes", "nodes+weights"]))
+    if placement == "stored":
+        n = n_s
+    elif placement == "fewer":
+        n = 2 * draw(st.integers(1, (n_s - 3) // 2)) + 1
+    else:
+        n = 2 * draw(st.integers((n_s + 1) // 2, 3 * n_s)) + 1
+    if grid in ("simpson", "trapezoid"):
+        return kernel, k, SolverConfig(n_grid=n, quadrature=grid)
+    reach = 1.0 if placement == "stored" else draw(st.sampled_from([1.0, 1.3]))
+    nodes = np.linspace(-reach * d, reach * d, n)
+    if grid == "nodes":
+        return kernel, k, SolverConfig(nodes=nodes)
+    h = nodes[1] - nodes[0]
+    return kernel, k, SolverConfig(nodes=nodes, weights=h * rng.uniform(0.5, 1.5, n))
+
+
+@pytest.mark.parametrize("placement", ["stored", "fewer", "more"])
+@PROFILE
+@given(data=st.data(), include_adjoint=st.booleans())
+def test_sampled_amplitudes_match_dense(placement, data, include_adjoint):
+    kernel, k, config = data.draw(sampled_problems(placement))
+    fast = _eight(scatter_all(kernel, k, config, include_adjoint=include_adjoint))
+    dense = dense_eight(kernel, k, config, include_adjoint)
+    assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@PROFILE
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["smooth", "rough"]), st.integers(2, 60),
+       st.sampled_from(SYMMETRY_CODES))
+def test_transformed_spline_coefficients_match_a_fresh_fit(seed, roughness, half, code):
+    g = np.linspace(-1.0, 1.0, 2 * half + 1)
+    kernel = SampledKernel(g, _stored_values(np.random.default_rng(seed), roughness, g))
+    kernel._spline_coeffs  # fit the parent, so that its transforms derive theirs
+    derived = kernel.transform(code)
+    assert "_spline_coeffs" in derived.__dict__
+    fresh = SampledKernel(derived.grid, derived.values)._spline_coeffs
+    assert np.max(np.abs(derived._spline_coeffs - fresh)) <= 1e-13 * np.max(np.abs(fresh))
+
+
+def test_spline_factors_reproduce_off_grid_sampling(rng):
+    g = np.linspace(-1.0, 1.0, 21)
+    kernel = SampledKernel(g, _stored_values(rng, "smooth", g))
+    x = np.linspace(-1.25, 1.25, 61)
+    pc, q = kernel.factors(x)
+    assert pc.shape == q.shape == (61, 21)
+    got = pc @ q.T
+    want = kernel.sample_matrix(x, x)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    outside = np.abs(x) > 1.0
+    assert np.all(pc[outside] == 0.0) and np.all(q.toarray()[outside] == 0.0)
+    # on the stored grid, or on fewer nodes, the factors are the samples and I
+    for nodes in (g, x[::4]):
+        pc, q = kernel.factors(nodes)
+        assert np.array_equal(pc, kernel.sample_matrix(nodes, nodes))
+        assert np.array_equal(q.toarray(), np.eye(nodes.size))
+
+
+def test_local_sampled_kernel_has_no_factors():
+    g = np.linspace(-1.0, 1.0, 11)
+    with pytest.raises(ValueError, match="nonlocal"):
+        SampledKernel(g, np.ones(11, dtype=complex), is_local=True).factors(g)
 
 
 @PROFILE
@@ -140,8 +258,10 @@ def test_capacitance_matrix_flags_exceptional_point(quadrature):
     assert err.value.rcond < 1e-14
     with pytest.raises(SingularSystemError):
         scatter(ker, 1.0, "right", cfg)
+    # the same matrix as a sampled kernel on the solve grid: full rank, Q = I
+    x, _ = grid_and_weights(cfg, ker.d)
     with pytest.raises(SingularSystemError):
-        scatter_all(dense_reference(ker, cfg), 1.0, cfg)
+        scatter_all(SampledKernel(x, ker.sample_matrix(x, x)), 1.0, cfg)
 
 
 def test_sweep_records_exceptional_row_and_continues():

@@ -144,6 +144,19 @@ class TestHattedFromUnhatted:
         with pytest.raises(AdjointDivergenceError):
             hatted_from_unhatted(amps)
 
+    @pytest.mark.parametrize("c, raises", [(0.5e-2, True), (2e-2, False)])
+    def test_raises_when_a_hatted_amplitude_exceeds_one_over_tol(self, c, raises):
+        # Tl = Tr = Rl = a, Rr = a - c/a: D = c and max |hatted| = a / c,
+        # which passes 1/tol = 1e8 exactly when |D| < tol * max |amplitude|
+        a = 1e6
+        amps = ScatteringAmplitudes(1.0, a, a, a, a - c / a)
+        if raises:
+            with pytest.raises(AdjointDivergenceError):
+                hatted_from_unhatted(amps)
+        else:
+            hat = hatted_from_unhatted(amps)
+            assert np.max(np.abs(hat.quadruple)) == pytest.approx(a / c, rel=1e-3)
+
     def test_agrees_with_independent_adjoint_solve(self, rng):
         for _ in range(3):
             ker = random_poly_surface(rng, n=401)
@@ -156,8 +169,9 @@ class TestEquivariance:
     # Generalized unitarity and the recombination hold for arbitrary
     # kernels, not only symmetric ones.  On a trapezoid grid both are
     # exact for the discrete problem; the Simpson kink band breaks its
-    # symmetry and leaves ~1e-7.  The draws cover the dense, banded and
-    # separable paths, each with its adjoint.
+    # symmetry and leaves ~1e-7.  The draws cover the banded path and
+    # the separable path of sampled and polynomial kernels, each with its
+    # adjoint.
     @pytest.mark.parametrize("code", SYMMETRY_CODES[1:])
     @PROFILE
     @given(problem=equivariance_problems())
