@@ -128,8 +128,8 @@ def reflector_config(epsilon: float, window: float = 4.0 * HALF_WIDTH,
 
     ``window`` is the half-width of the solve domain; the 1/x^2 tails
     beyond |x| ~ 1 still matter (cutting them re-opens R^r at low k), so
-    the default keeps k*window >= 2 down to k d = 0.5.
-    Convergence is checked by doubling the window.
+    the default keeps k*window >= 2 down to k d = 0.5.  Nothing here
+    checks convergence in the window; ``tests/test_born.py`` doubles it.
     """
     nodes, weights = graded_mesh(epsilon, window, k_max=k_max, n_core=n_core,
                                  tail_spacing=tail_spacing)

@@ -42,7 +42,9 @@ def _require(data: dict, field: str, kind=None):
     if field not in data:
         raise KernelFormatError(f"missing required field {field!r}")
     value = data[field]
-    if kind is not None and not isinstance(value, kind):
+    # bool is a subclass of int, but true is no number
+    if kind is not None and (not isinstance(value, kind)
+                             or isinstance(value, bool) and kind is not bool):
         raise KernelFormatError(f"field {field!r} has wrong type {type(value).__name__}")
     return value
 

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.interpolate import BSpline, InterpolatedUnivariateSpline, RectBivariateSpline
+from scipy.interpolate import BSpline, make_interp_spline
 
 from .units import HALF_WIDTH
 
@@ -69,7 +69,8 @@ class SampledKernel:
     """Kernel sampled on a uniform symmetric grid over [-d, d].
 
     ``values[i, j] = V(x_i, y_j)`` for nonlocal kernels; for local ones
-    only the diagonal profile ``values[i] = V(x_i)`` is stored.
+    only the diagonal profile ``values[i] = V(x_i)`` is stored.  Between
+    nodes it is the complex not-a-knot cubic spline through them.
     """
 
     grid: np.ndarray
@@ -110,16 +111,32 @@ class SampledKernel:
     def n(self) -> int:
         return self.grid.size
 
+    def _on_grid(self, nodes: np.ndarray) -> bool:
+        return nodes.size == self.n and np.allclose(nodes, self.grid, rtol=0, atol=1e-14)
+
     @cached_property
-    def _splines(self):
+    def _knots(self) -> np.ndarray:
+        """Not-a-knot knots: the grid less its 2nd and 2nd-to-last nodes, ends fourfold."""
         g = self.grid
-        if self.is_local:
-            re = InterpolatedUnivariateSpline(g, self.values.real, k=3, ext=3)
-            im = InterpolatedUnivariateSpline(g, self.values.imag, k=3, ext=3)
-        else:
-            re = RectBivariateSpline(g, g, self.values.real, kx=3, ky=3)
-            im = RectBivariateSpline(g, g, self.values.imag, kx=3, ky=3)
-        return re, im
+        return np.concatenate([np.full(4, g[0]), g[2:-2], np.full(4, g[-1])])
+
+    @cached_property
+    def _spline_coeffs(self) -> np.ndarray:
+        """Complex spline coefficients C: V(x) = _basis(x) @ C (local), or
+        V(x, y) = _basis(x) @ C @ _basis(y).T fitted along x, then y."""
+        def fit(a):
+            return make_interp_spline(self.grid, a, k=3, t=self._knots).c
+
+        c = fit(self.values) if self.is_local else np.ascontiguousarray(fit(fit(self.values).T).T)
+        c.flags.writeable = False
+        return c
+
+    def _basis(self, x: np.ndarray):
+        """Sparse cubic B-spline design matrix of the nodes ``x``; rows of
+        nodes outside +-d are zero, so the spline reads exactly 0 there."""
+        t = self._knots
+        inside = sparse.diags_array((np.abs(x) <= self.d).astype(float))
+        return inside @ BSpline.design_matrix(np.clip(x, t[0], t[-1]), t, 3)
 
     def evaluate(self, x, y=None):
         """Interpolated kernel value; exactly 0 outside the support."""
@@ -127,22 +144,21 @@ class SampledKernel:
             if y is not None and np.any(np.asarray(x) != np.asarray(y)):
                 raise ValueError("local kernel takes a single coordinate")
             x = np.asarray(x, dtype=float)
-            re, im = self._splines
-            out = np.where(np.abs(x) > self.d, 0.0, re(x) + 1j * im(x))
-            return complex(out) if out.ndim == 0 else out
-        if y is None:
-            raise ValueError("nonlocal kernel needs both x and y")
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        re, im = self._splines
-        val = re(x, y, grid=False) + 1j * im(x, y, grid=False)
-        out = np.where((np.abs(x) > self.d) | (np.abs(y) > self.d), 0.0, val)
+            out = self._basis(x.ravel()) @ self._spline_coeffs
+        else:
+            if y is None:
+                raise ValueError("nonlocal kernel needs both x and y")
+            x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+            # only the diagonal of B(x) C B(y)^T: the whole product is m x m
+            bxc = self._basis(x.ravel()) @ self._spline_coeffs
+            out = self._basis(y.ravel()).multiply(bxc).sum(axis=1)
+        out = out.reshape(x.shape)
         return complex(out) if out.ndim == 0 else out
 
     def sample_profile(self, nodes: np.ndarray) -> np.ndarray:
         if not self.is_local:
             raise ValueError("sample_profile is only defined for local kernels")
-        if nodes.size == self.n and np.allclose(nodes, self.grid, rtol=0, atol=1e-14):
+        if self._on_grid(nodes):
             return np.asarray(self.values)
         return np.asarray(self.evaluate(nodes))
 
@@ -150,45 +166,25 @@ class SampledKernel:
         """V(x_i, y_j) on a node product; exactly 0 outside the support."""
         if self.is_local:
             raise ValueError("sample_matrix is only defined for nonlocal kernels")
-        same_x = x_nodes.size == self.n and np.allclose(x_nodes, self.grid, rtol=0, atol=1e-14)
-        same_y = y_nodes.size == self.n and np.allclose(y_nodes, self.grid, rtol=0, atol=1e-14)
-        if same_x and same_y:
+        if self._on_grid(x_nodes) and self._on_grid(y_nodes):
             return np.asarray(self.values)
-        re, im = self._splines
-        outside = (np.abs(x_nodes) > self.d)[:, None] | (np.abs(y_nodes) > self.d)[None, :]
-        return np.where(outside, 0.0, re(x_nodes, y_nodes) + 1j * im(x_nodes, y_nodes))
-
-    @cached_property
-    def _spline_coeffs(self) -> np.ndarray:
-        """Complex coefficient matrix C of the fitted nonlocal spline:
-        V(x, y) = B(x) @ C @ B(y).T with B the cubic B-spline basis on
-        the grid's knots (see ``factors``)."""
-        re, im = self._splines
-        shape = (self.n, self.n)
-        c = re.get_coeffs().reshape(shape) + 1j * im.get_coeffs().reshape(shape)
-        c.flags.writeable = False
-        return c
+        return (self._basis(x_nodes) @ self._spline_coeffs) @ self._basis(y_nodes).T
 
     def factors(self, x_nodes: np.ndarray):
         """Exact separable factors on the nodes: V(x_i, x_j) = (PC @ Q.T)[i, j].
 
         With more nodes than the stored grid, the cubic spline is a
         degenerate kernel: ``PC = B @ C`` is dense and ``Q = B`` is the
-        sparse B-spline design matrix of the nodes (rows of nodes outside
-        +-d are zero), so the rank is the stored grid size.  On the stored
-        grid, or with at most as many nodes, ``PC`` is ``sample_matrix``
-        and ``Q`` the sparse identity.
+        sparse design matrix ``_basis(x)``, so the rank is the stored grid
+        size.  On the stored grid, or with at most as many nodes, ``PC``
+        is ``sample_matrix`` and ``Q`` the sparse identity.
         """
         if self.is_local:
             raise ValueError("factors is only defined for nonlocal kernels")
         x = np.asarray(x_nodes, dtype=float)
         if x.size <= self.n:
             return self.sample_matrix(x, x), sparse.eye_array(x.size, format="csr")
-        g = self.grid
-        # the not-a-knot knots that FITPACK places on the grid for s = 0
-        t = np.concatenate([np.full(4, g[0]), g[2:-2], np.full(4, g[-1])])
-        inside = sparse.diags_array((np.abs(x) <= self.d).astype(float))
-        b = inside @ BSpline.design_matrix(np.clip(x, t[0], t[-1]), t, 3)
+        b = self._basis(x)
         return b @ self._spline_coeffs, b
 
     def transform(self, which: str) -> "SampledKernel":
@@ -252,11 +248,14 @@ class PolynomialKernel:
 
         ``PC = vander(x, imax + 1) @ coeffs`` is n x (jmax + 1) and
         ``Q = vander(x, jmax + 1)`` is n x (jmax + 1), so the kernel has
-        rank r = jmax + 1 <= 6 on any grid.
+        rank r = jmax + 1 <= 6 on any grid.  Rows of nodes outside +-d
+        are zero in both, as ``evaluate`` is 0 there.
         """
         x = np.asarray(x_nodes, dtype=float)
+        inside = (np.abs(x) <= self.d)[:, None]
         pc = np.polynomial.polynomial.polyvander(x, self.imax) @ self.coeffs
-        return pc, np.polynomial.polynomial.polyvander(x, self.jmax)
+        q = np.polynomial.polynomial.polyvander(x, self.jmax)
+        return np.where(inside, pc, 0.0), np.where(inside, q, 0.0)
 
     def sample_matrix(self, x_nodes: np.ndarray, y_nodes: np.ndarray) -> np.ndarray:
         pc, _ = self.factors(x_nodes)

@@ -50,7 +50,7 @@ Green's operator Omega.
   n x n system up to rounding.
 
 Both paths estimate a reciprocal condition number in the 1-norm and
-raise SingularSystemError below the same threshold.  The local path
+raise SingularSystemError below the same threshold, 1e-14.  The local path
 estimates the rcond of the n x n matrix I - Omega diag(V) itself: its
 1-norm has a closed form, because |G0| = 1/k off the kink band, and the
 norm of its inverse comes from the Hager-Higham estimator that zgecon
@@ -100,7 +100,6 @@ class SolverConfig:
 
     n_grid: int = 401
     quadrature: str = "trapezoid"
-    tolerance: float = 1e-10
     nodes: np.ndarray | None = None
     weights: np.ndarray | None = None
 
@@ -111,8 +110,6 @@ class SolverConfig:
             raise ValueError("n_grid must be at least 3")
         if self.quadrature == "simpson" and self.n_grid % 2 == 0:
             raise ValueError("simpson quadrature needs an odd n_grid")
-        if not 0 < self.tolerance < np.inf:
-            raise ValueError("tolerance must be positive and finite")
         if self.weights is not None and self.nodes is None:
             raise ValueError("weights require explicit nodes")
         if self.nodes is not None:
@@ -259,14 +256,13 @@ def _apply_green(x: np.ndarray, w: np.ndarray, k: float, quadrature: str,
     return out
 
 
-def _check_rcond(rcond: float, k: float, tolerance: float) -> None:
+def _check_rcond(rcond: float, k: float) -> None:
     # "not >=" also rejects a NaN estimate
-    if not rcond >= max(tolerance * 1e-4, 1e-15):
+    if not rcond >= 1e-14:
         raise SingularSystemError(k, float(rcond))
 
 
-def _solve_system(A: np.ndarray, rhs: np.ndarray, k: float, tolerance: float,
-                  anorm: float | None = None):
+def _solve_system(A: np.ndarray, rhs: np.ndarray, k: float, anorm: float | None = None):
     """LU-solve A x = rhs; raise SingularSystemError when the reciprocal
     condition estimate, taken with ``anorm`` (default ||A||_1) as the
     norm of A, falls below the threshold."""
@@ -274,7 +270,7 @@ def _solve_system(A: np.ndarray, rhs: np.ndarray, k: float, tolerance: float,
         anorm = np.linalg.norm(A, 1)
     lu, piv = lu_factor(A)
     rcond, info = zgecon(lu, anorm)
-    _check_rcond(rcond if info == 0 else 0.0, k, tolerance)
+    _check_rcond(rcond if info == 0 else 0.0, k)
     return lu_solve((lu, piv), rhs)
 
 
@@ -427,7 +423,7 @@ def _solve(kernel, k: float, config: SolverConfig, sides: tuple[str, ...]):
     if kernel.is_local:
         V = kernel.sample_profile(x)
         solve, rcond = _local_factor(x, w, k, config.quadrature, V)
-        _check_rcond(rcond, k, config.tolerance)
+        _check_rcond(rcond, k)
         psi = solve(phi)
         source = V[:, None] * psi
     else:
@@ -440,7 +436,7 @@ def _solve(kernel, k: float, config: SolverConfig, sides: tuple[str, ...]):
         # I_n - Omega PC Q^T W keeps the eigenvalue 1 off the span of PC,
         # so its norm is at least 1; without that floor a 1 x 1
         # capacitance matrix would always report rcond = 1
-        u = _solve_system(capacitance, qw @ phi, k, config.tolerance,
+        u = _solve_system(capacitance, qw @ phi, k,
                           anorm=max(np.linalg.norm(capacitance, 1), 1.0))
         psi = phi + omega_pc @ u
         source = pc @ u
@@ -507,7 +503,7 @@ def _oracle_once(kernel, k: float, n: int) -> tuple[complex, complex, complex, c
     drive = -2j * k * np.exp(-1j * k * d) / h
     rhs[0, 0] = drive
     rhs[n - 1, 1] = drive
-    psi = _solve_system(A, rhs, k, 1e-10)
+    psi = _solve_system(A, rhs, k)
     ph = np.exp(-1j * k * d)
     Tl = psi[-1, 0] * ph
     Rl = (psi[0, 0] - ph) * ph
@@ -516,21 +512,19 @@ def _oracle_once(kernel, k: float, n: int) -> tuple[complex, complex, complex, c
     return Tl, Tr, Rl, Rr
 
 
-def scatter_oracle_all(kernel, k: float, n_grid: int = 801,
-                       richardson: bool = True) -> tuple[complex, complex, complex, complex]:
+def scatter_oracle_all(kernel, k: float,
+                       n_grid: int = 801) -> tuple[complex, complex, complex, complex]:
     """Independent finite-difference solve of the differential form,
     returning (T^l, T^r, R^l, R^r): both sides share one LU.
 
     Central differences for psi'' with ghost-point Robin closures that
     encode the exterior plane waves; amplitudes read off the boundary
-    values.  With ``richardson`` the h^2 error term is eliminated by a
-    second solve on a doubled grid.  Exists purely to cross-check the
+    values.  The h^2 error term is eliminated by Richardson extrapolation
+    from a second solve on a doubled grid.  Exists purely to cross-check the
     Nystrom path: it shares no Green's function or quadrature with it.
     """
     _check_momentum(k)
     coarse = np.array(_oracle_once(kernel, k, n_grid))
-    if not richardson:
-        return tuple(coarse)
     fine = np.array(_oracle_once(kernel, k, 2 * n_grid - 1))
     return tuple((4.0 * fine - coarse) / 3.0)
 

@@ -76,6 +76,14 @@ class TestSolve:
         assert res.returncode == 1
         assert b"'alpha' must be finite" in res.stderr
 
+    def test_boolean_kernel_field_is_input_error(self, tmp_path):
+        bad = tmp_path / "bool.json"
+        bad.write_text('{"type": "inverse_square", "d": true, "alpha": 1.0, "epsilon": 0.01}',
+                       encoding="utf-8")
+        res = run_cli(["solve", "--kernel", str(bad), "--k", "1.0"], tmp_path)
+        assert res.returncode == 1
+        assert b"'d' has wrong type bool" in res.stderr
+
     @pytest.mark.parametrize("is_local", [True, False], ids=["local", "nonlocal"])
     def test_three_point_kernel_file_is_input_error(self, tmp_path, is_local):
         values = [[0.5, 0.0]] * (3 if is_local else 9)

@@ -60,18 +60,25 @@ class TestEvaluate:
         assert ker.evaluate(x, y) == pytest.approx(want, rel=1e-7)
 
     def test_sampled_matrix_is_zero_outside_support(self):
-        # The spline would clamp or extrapolate past [-d, d]; sampling must
-        # agree with evaluate, which is 0 there.
+        # The spline would clamp or extrapolate past [-d, d], and the
+        # polynomial continue; sampling must agree with evaluate, which is
+        # 0 there.  The spline reads through the same products both ways,
+        # so it matches exactly; polyval2d sums in another order.
         g = np.linspace(-1, 1, 41)
         X, Y = np.meshgrid(g, g, indexing="ij")
-        ker = SampledKernel(g, np.exp(-X * X - Y * Y))
         x = np.array([-1.5, -1.0, -0.3, 0.0, 0.7, 1.2])
         y = np.array([-2.0, -0.5, 0.25, 1.0])
-        got = ker.sample_matrix(x, y)
-        np.testing.assert_array_equal(got, ker.evaluate(*np.meshgrid(x, y, indexing="ij")))
-        assert np.all(got[[0, 5]] == 0.0)
-        assert np.all(got[:, 0] == 0.0)
-        assert got[3, 2] == pytest.approx(np.exp(-0.0625), rel=1e-6)
+        for ker, rtol, centre in [
+            (SampledKernel(g, np.exp(-X * X - Y * Y)), 0.0, np.exp(-0.0625)),
+            # exp(-x^2 - y^2) to second order in each variable
+            (PolynomialKernel(np.outer([1.0, 0.0, -1.0], [1.0, 0.0, -1.0])), 1e-14, 0.9375),
+        ]:
+            got = ker.sample_matrix(x, y)
+            want = ker.evaluate(*np.meshgrid(x, y, indexing="ij"))
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
+            assert np.all(got[[0, 5]] == 0.0)
+            assert np.all(got[:, 0] == 0.0)
+            assert got[3, 2] == pytest.approx(centre, rel=1e-6)
 
     def test_local_kernel_rejects_two_coordinates(self):
         ker = RegularizedInverseSquare(alpha=1.0, epsilon=1e-2)
@@ -329,6 +336,22 @@ class TestJsonRoundTrip:
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(KernelFormatError, match=f"'{field}' must be finite"):
             load_kernel(path)
+
+    @pytest.mark.parametrize("field, doc", [
+        ("d", {"type": "polynomial", "d": True, "imax": 0, "jmax": 0, "coeffs": [[1.0, 0.0]]}),
+        ("n", {"type": "sampled", "d": 1.0, "n": True, "is_local": True,
+               "values": [[0.0, 0.0]]}),
+        ("imax", {"type": "polynomial", "d": 1.0, "imax": True, "jmax": 0,
+                  "coeffs": [[1.0, 0.0]] * 2}),
+        ("jmax", {"type": "polynomial", "d": 1.0, "imax": 0, "jmax": False,
+                  "coeffs": [[1.0, 0.0]]}),
+        ("alpha", {"type": "inverse_square", "d": 1.0, "alpha": False, "epsilon": 1e-4}),
+        ("epsilon", {"type": "inverse_square", "d": 1.0, "alpha": 1.0, "epsilon": True}),
+    ])
+    def test_boolean_number_field_is_wrong_type(self, field, doc):
+        # bool is a subclass of int, so isinstance alone let these load
+        with pytest.raises(KernelFormatError, match=f"'{field}' has wrong type bool"):
+            kernel_from_dict(doc)
 
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"

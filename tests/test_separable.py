@@ -169,17 +169,48 @@ def test_sampled_amplitudes_match_dense(placement, data, include_adjoint):
     assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
+def _stored_kernel(seed, roughness, half, is_local):
+    """A sampled kernel on 2 half + 1 nodes over [-1, 1]; a local one
+    keeps the diagonal of the nonlocal samples."""
+    g = np.linspace(-1.0, 1.0, 2 * half + 1)
+    v = _stored_values(np.random.default_rng(seed), roughness, g)
+    return SampledKernel(g, np.diagonal(v) if is_local else v, is_local=is_local)
+
+
 @PROFILE
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["smooth", "rough"]), st.integers(2, 60),
-       st.sampled_from(SYMMETRY_CODES))
-def test_transformed_spline_coefficients_match_a_fresh_fit(seed, roughness, half, code):
-    g = np.linspace(-1.0, 1.0, 2 * half + 1)
-    kernel = SampledKernel(g, _stored_values(np.random.default_rng(seed), roughness, g))
+       st.booleans())
+def test_spline_fit_reproduces_the_samples(seed, roughness, half, is_local):
+    # evaluate reads the spline, never the stored samples; the nonlocal
+    # samples are not symmetric, so a fit with x and y swapped fails here
+    kernel = _stored_kernel(seed, roughness, half, is_local)
+    g = kernel.grid
+    got = kernel.evaluate(g) if is_local else kernel.evaluate(*np.meshgrid(g, g, indexing="ij"))
+    assert np.max(np.abs(got - kernel.values)) <= 1e-13 * np.max(np.abs(kernel.values))
+
+
+@PROFILE
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["smooth", "rough"]), st.integers(2, 60),
+       st.sampled_from(SYMMETRY_CODES), st.booleans())
+def test_transformed_spline_coefficients_match_a_fresh_fit(seed, roughness, half, code, is_local):
+    kernel = _stored_kernel(seed, roughness, half, is_local)
     kernel._spline_coeffs  # fit the parent, so that its transforms derive theirs
     derived = kernel.transform(code)
     assert "_spline_coeffs" in derived.__dict__
-    fresh = SampledKernel(derived.grid, derived.values)._spline_coeffs
+    fresh = SampledKernel(derived.grid, derived.values, is_local=is_local)._spline_coeffs
     assert np.max(np.abs(derived._spline_coeffs - fresh)) <= 1e-13 * np.max(np.abs(fresh))
+
+
+@pytest.mark.parametrize("n", [61, 301])
+def test_polynomial_kernel_beyond_support_matches_sampled_twin(rng, n):
+    # Nodes reach past +-d, where both kernels vanish; the cubic spline of
+    # a degree-(2, 1) polynomial is the polynomial itself.  61 nodes solve
+    # the twin through its sampled matrix, 301 through its spline factors.
+    kernel = PolynomialKernel(rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
+    cfg = SolverConfig(nodes=np.linspace(-1.5, 1.5, n))
+    got = _eight(scatter_all(kernel, 1.0, cfg, include_adjoint=True))
+    want = _eight(scatter_all(kernel.to_sampled(101), 1.0, cfg, include_adjoint=True))
+    assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
 
 def test_spline_factors_reproduce_off_grid_sampling(rng):

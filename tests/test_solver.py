@@ -277,8 +277,6 @@ class TestErrors:
         nodes = np.linspace(-1, 1, 5)
         with pytest.raises(ValueError, match="finite"):
             SolverConfig(nodes=nodes, weights=np.array([0.25, 0.5, np.nan, 0.5, 0.25]))
-        with pytest.raises(ValueError, match="finite"):
-            SolverConfig(tolerance=np.nan)
 
     def test_bad_side(self):
         with pytest.raises(ValueError):
