@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -21,12 +22,23 @@ def _pairs(values: np.ndarray) -> list:
 
 
 def _unpairs(pairs, field: str) -> np.ndarray:
+    # a float dtype would read true as 1.0 and "1.5" as 1.5; the entries
+    # are checked flat, where map and set run at C speed
     try:
-        arr = np.asarray(pairs, dtype=float)
-    except (TypeError, ValueError) as exc:
+        lengths = set(map(len, pairs))
+        flat = list(chain.from_iterable(pairs))
+    except TypeError as exc:
         raise KernelFormatError(f"field {field!r} is not a list of [re, im] pairs") from exc
-    if arr.ndim != 2 or arr.shape[1] != 2:
+    if lengths != {2}:
         raise KernelFormatError(f"field {field!r} must hold [re, im] pairs")
+    wrong = set(map(type, flat)) - {float, int}
+    if wrong:
+        name = min(t.__name__ for t in wrong)
+        raise KernelFormatError(f"field {field!r} has wrong type {name}")
+    try:
+        arr = np.array(flat, dtype=float).reshape(-1, 2)
+    except OverflowError as exc:  # an integer literal beyond the double range
+        raise KernelFormatError(f"field {field!r} must be finite") from exc
     _require_finite(arr, field)
     return arr[:, 0] + 1j * arr[:, 1]
 

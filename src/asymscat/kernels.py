@@ -22,8 +22,14 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 from scipy.interpolate import BSpline, make_interp_spline
+from scipy.linalg.blas import izamax, zgeru
 
 from .units import HALF_WIDTH
+
+# A sampled nonlocal kernel is solved through a compression V ~ L R^T of
+# its samples when max|V - L R^T| <= _COMPRESSION_TOL * max|V| at a rank
+# of at most a quarter of its grid size; otherwise through its exact factors.
+_COMPRESSION_TOL = 1e-14
 
 # (flip coordinates, transpose arguments, conjugate) flags per transform:
 # the one description of the group; transforms compose by XOR of flags.
@@ -62,6 +68,40 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, copy=True)
     a.flags.writeable = False
     return a
+
+
+def _cross_approximation(v: np.ndarray, atol: float, max_rank: int):
+    """(L, R) with max|v - L @ R.T| <= atol and at most ``max_rank``
+    columns, or None when no such pair is found.
+
+    Cross approximation with complete pivoting (Bebendorf, Numer. Math.
+    86, 2000), that is Gaussian elimination with complete pivoting
+    stopped early: each step takes the largest entry of the residual
+    E = v - L R^T as pivot and removes the cross through it by a
+    rank-one update, two BLAS calls of O(n^2) each.  "Largest" is by
+    |Re| + |Im| (izamax), within sqrt(2) of the largest modulus and an
+    upper bound for it, so the loop stops once max|E| <= atol.  The
+    residual of the result is recomputed from v, not taken from E.
+    """
+    n, m = v.shape
+    e = np.array(v, dtype=complex, order="F")
+    left = np.empty((n, max_rank), dtype=complex)
+    right = np.empty((m, max_rank), dtype=complex)
+    rank = 0
+    while True:
+        i, j = np.unravel_index(izamax(e.reshape(-1, order="F")), e.shape, order="F")
+        if abs(e[i, j].real) + abs(e[i, j].imag) <= atol:
+            break
+        if rank == max_rank:
+            return None
+        left[:, rank] = e[:, j]
+        right[:, rank] = e[i, :] / e[i, j]
+        e = zgeru(-1.0, left[:, rank], right[:, rank], a=e, overwrite_a=1)
+        rank += 1
+    left, right = _readonly(left[:, :rank]), _readonly(right[:, :rank])
+    if np.max(np.abs(v - left @ right.T), initial=0.0) > atol:
+        return None
+    return left, right
 
 
 @dataclass(frozen=True)
@@ -120,16 +160,37 @@ class SampledKernel:
         g = self.grid
         return np.concatenate([np.full(4, g[0]), g[2:-2], np.full(4, g[-1])])
 
+    def _fit(self, a: np.ndarray) -> np.ndarray:
+        """Coefficients of the splines through the columns of ``a`` (axis 0
+        on the grid)."""
+        return make_interp_spline(self.grid, a, k=3, t=self._knots).c
+
     @cached_property
     def _spline_coeffs(self) -> np.ndarray:
         """Complex spline coefficients C: V(x) = _basis(x) @ C (local), or
         V(x, y) = _basis(x) @ C @ _basis(y).T fitted along x, then y."""
-        def fit(a):
-            return make_interp_spline(self.grid, a, k=3, t=self._knots).c
-
+        fit = self._fit
         c = fit(self.values) if self.is_local else np.ascontiguousarray(fit(fit(self.values).T).T)
         c.flags.writeable = False
         return c
+
+    @cached_property
+    def _low_rank(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(L, R) with max|values - L @ R.T| <= _COMPRESSION_TOL * max|values|
+        and at most n // 4 columns, or None; rank 0 for a zero kernel."""
+        v, cap = self.values, self.n // 4
+        atol = _COMPRESSION_TOL * np.max(np.abs(v))
+        # A submatrix has no larger singular values than the whole, so
+        # samples whose every other row and column need more than the cap
+        # are not tried in full: rough kernels fail at a quarter of the cost.
+        if _cross_approximation(v[::2, ::2], atol, cap) is None:
+            return None
+        return _cross_approximation(v, atol, cap)
+
+    @cached_property
+    def _low_rank_coeffs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(fit(L), fit(R)): the fit is linear, so C ~ fit(L) @ fit(R).T."""
+        return tuple(self._fit(f) for f in self._low_rank)
 
     def _basis(self, x: np.ndarray):
         """Sparse cubic B-spline design matrix of the nodes ``x``; rows of
@@ -171,17 +232,28 @@ class SampledKernel:
         return (self._basis(x_nodes) @ self._spline_coeffs) @ self._basis(y_nodes).T
 
     def factors(self, x_nodes: np.ndarray):
-        """Exact separable factors on the nodes: V(x_i, x_j) = (PC @ Q.T)[i, j].
+        """Separable factors on the nodes: V(x_i, x_j) ~= (PC @ Q.T)[i, j].
 
-        With more nodes than the stored grid, the cubic spline is a
-        degenerate kernel: ``PC = B @ C`` is dense and ``Q = B`` is the
-        sparse design matrix ``_basis(x)``, so the rank is the stored grid
-        size.  On the stored grid, or with at most as many nodes, ``PC``
-        is ``sample_matrix`` and ``Q`` the sparse identity.
+        When the samples compress, values = L @ R.T to within
+        _COMPRESSION_TOL * max|values| at a rank r <= n // 4 (``_low_rank``),
+        the factors are ``(L, R)`` on the stored grid and
+        ``(B @ fit(L), B @ fit(R))`` on any other nodes, with B the sparse
+        design matrix ``_basis(x)``; both are dense with r columns.
+
+        Otherwise they are exact.  With more nodes than the stored grid,
+        the cubic spline is a degenerate kernel: ``PC = B @ C`` is dense
+        and ``Q = B``, so the rank is the stored grid size.  On the stored
+        grid, or with at most as many nodes, ``PC`` is ``sample_matrix``
+        and ``Q`` the sparse identity.
         """
         if self.is_local:
             raise ValueError("factors is only defined for nonlocal kernels")
         x = np.asarray(x_nodes, dtype=float)
+        if self._low_rank is not None:
+            if self._on_grid(x):
+                return self._low_rank
+            b = self._basis(x)
+            return tuple(b @ f for f in self._low_rank_coeffs)
         if x.size <= self.n:
             return self.sample_matrix(x, x), sparse.eye_array(x.size, format="csr")
         b = self._basis(x)
@@ -191,6 +263,8 @@ class SampledKernel:
         # np.flip reverses every axis; .T leaves a local 1D profile as it is.
         # The knots are symmetric, so the flags act on a fitted coefficient
         # matrix as on the values, and the child needs no fit of its own.
+        # On a factor pair V = L R^T a flip reverses the rows of both, a
+        # transpose swaps them, so the child needs no compression either.
         flip, transpose, conj = transform_flags(which)
 
         def act(a):
@@ -198,9 +272,18 @@ class SampledKernel:
             a = a.T if transpose else a
             return np.conj(a) if conj else a
 
+        def act_pair(pair):
+            if pair is None:
+                return None
+            left, right = (f[::-1] for f in pair) if flip else pair
+            left, right = (right, left) if transpose else (left, right)
+            return (np.conj(left), np.conj(right)) if conj else (left, right)
+
         out = SampledKernel(self.grid, act(np.asarray(self.values)), is_local=self.is_local)
-        if "_spline_coeffs" in self.__dict__:
-            out.__dict__["_spline_coeffs"] = act(self._spline_coeffs)
+        for name, derive in (("_spline_coeffs", act), ("_low_rank", act_pair),
+                             ("_low_rank_coeffs", act_pair)):
+            if name in self.__dict__:
+                out.__dict__[name] = derive(self.__dict__[name])
         return out
 
 

@@ -19,13 +19,18 @@ adjoint, ``k_sweep``) goes through one solve core, which takes one of
 two paths chosen by the kernel type alone; neither forms the n x n
 Green's operator Omega.
 
-* **Separable path.** Every nonlocal kernel exposes exact factors
-  V = PC Q^T on the grid.  Polynomial kernels have rank r = jmax + 1 <= 6
-  (``PolynomialKernel.factors``).  A sampled kernel is a tensor-product
-  cubic spline, V(x, y) = B(x) C B(y)^T, so on more nodes than its stored
-  grid PC = B C and Q = B, the sparse B-spline design matrix, with r the
-  stored grid size; on its stored grid or on fewer nodes PC is the
-  sampled matrix and Q the identity, r = n (``SampledKernel.factors``).
+* **Separable path.** Every nonlocal kernel exposes factors V = PC Q^T
+  on the grid.  Polynomial kernels have exact factors of rank
+  r = jmax + 1 <= 6 (``PolynomialKernel.factors``).  A sampled kernel is
+  a tensor-product cubic spline, V(x, y) = B(x) C B(y)^T.  When its
+  n_s x n_s samples compress, V = L R^T to within 1e-14 max|V| at a rank
+  r <= n_s / 4 (cross approximation, computed once per kernel), PC = L
+  and Q = R on the stored grid and PC = B fit(L), Q = B fit(R) on any
+  other nodes, since the spline fit is linear.  Otherwise the factors
+  are exact: on more nodes than the stored grid PC = B C and Q = B, the
+  sparse B-spline design matrix, with r = n_s; on the stored grid or on
+  fewer nodes PC is the sampled matrix and Q the identity, r = n
+  (``SampledKernel.factors``).
   With u = Q^T W psi the system (I - Omega V W) psi = phi becomes the
   r x r capacitance system
 
@@ -58,9 +63,10 @@ uses, driven by banded solves, since the psi block of the inverse of
 the 3n x 3n system is (I - Omega diag(V))^{-1}.  The separable path runs
 zgecon on the r x r capacitance matrix, so there
 ``SingularSystemError.rcond`` describes that matrix rather than the
-n x n system: for a sampled kernel it is I - W Omega V on the stored
-grid or on fewer nodes (similar to I - Omega V W through W), and the
-spline capacitance matrix I_r - B^T W Omega B C on more nodes.  By
+n x n system: for a sampled kernel that does not compress it is
+I - W Omega V on the stored grid or on fewer nodes (similar to
+I - Omega V W through W), and the spline capacitance matrix
+I_r - B^T W Omega B C on more nodes.  By
 Sylvester's determinant identity, det(I_n - Omega PC Q^T W) =
 det(I_r - Q^T W Omega PC), so one is singular exactly when the other is
 and exceptional points are still reported.  The norm in that estimate
@@ -266,6 +272,8 @@ def _solve_system(A: np.ndarray, rhs: np.ndarray, k: float, anorm: float | None 
     """LU-solve A x = rhs; raise SingularSystemError when the reciprocal
     condition estimate, taken with ``anorm`` (default ||A||_1) as the
     norm of A, falls below the threshold."""
+    if not A.size:  # the capacitance matrix of a rank-0 kernel
+        return rhs
     if anorm is None:
         anorm = np.linalg.norm(A, 1)
     lu, piv = lu_factor(A)

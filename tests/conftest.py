@@ -82,8 +82,7 @@ def random_poly_surface(rng, n=401, d=1.0, degree=4, scale=1.0):
     g = np.linspace(-d, d, n)
     c = scale * (rng.normal(size=(degree + 1, degree + 1))
                  + 1j * rng.normal(size=(degree + 1, degree + 1)))
-    vals = np.polynomial.polynomial.polyval2d(*np.meshgrid(g, g, indexing="ij"), c)
-    return SampledKernel(g, vals, is_local=False)
+    return SampledKernel(g, PolynomialKernel(c, d=d).sample_matrix(g, g), is_local=False)
 
 
 def random_poly_kernel(rng, degree=4, d=1.0, scale=1.0):

@@ -84,6 +84,15 @@ class TestSolve:
         assert res.returncode == 1
         assert b"'d' has wrong type bool" in res.stderr
 
+    def test_non_number_kernel_pair_is_input_error(self, tmp_path):
+        bad = tmp_path / "pairs.json"
+        bad.write_text(json.dumps({"type": "sampled", "d": 1.0, "n": 4, "is_local": True,
+                                   "values": [[True, 0.5]] + [[0.0, 0.0]] * 3}),
+                       encoding="utf-8")
+        res = run_cli(["solve", "--kernel", str(bad), "--k", "1.0"], tmp_path)
+        assert res.returncode == 1
+        assert b"'values' has wrong type bool" in res.stderr
+
     @pytest.mark.parametrize("is_local", [True, False], ids=["local", "nonlocal"])
     def test_three_point_kernel_file_is_input_error(self, tmp_path, is_local):
         values = [[0.5, 0.0]] * (3 if is_local else 9)

@@ -327,6 +327,8 @@ class TestJsonRoundTrip:
                    "epsilon": 1e-4}),
         ("epsilon", {"type": "inverse_square", "d": 1.0, "alpha": 1.0,
                      "epsilon": float("-inf")}),
+        ("coeffs", {"type": "polynomial", "d": 1.0, "imax": 0, "jmax": 0,
+                    "coeffs": [[10**400, 0]]}),  # an integer beyond the double range
     ])
     def test_non_finite_field_is_named(self, tmp_path, field, doc):
         with pytest.raises(KernelFormatError, match=f"'{field}' must be finite"):
@@ -352,6 +354,28 @@ class TestJsonRoundTrip:
         # bool is a subclass of int, so isinstance alone let these load
         with pytest.raises(KernelFormatError, match=f"'{field}' has wrong type bool"):
             kernel_from_dict(doc)
+
+    @pytest.mark.parametrize("field, doc, kind", [
+        ("values", {"type": "sampled", "d": 1.0, "n": 4, "is_local": True,
+                    "values": [[0.0, 0.0], [True, 0.5], [0.0, 0.0], [0.0, 0.0]]}, "bool"),
+        ("values", {"type": "sampled", "d": 1.0, "n": 4, "is_local": True,
+                    "values": [["1.5", "2"]] * 4}, "str"),
+        ("values", {"type": "sampled", "d": 1.0, "n": 4, "is_local": True,
+                    "values": [[0.0, None]] * 4}, "NoneType"),
+        ("coeffs", {"type": "polynomial", "d": 1.0, "imax": 0, "jmax": 1,
+                    "coeffs": [[1.0, 0.0], [0.5, False]]}, "bool"),
+        ("coeffs", {"type": "polynomial", "d": 1.0, "imax": 0, "jmax": 0,
+                    "coeffs": [["1", 0.0]]}, "str"),
+    ])
+    def test_non_number_in_pairs_is_wrong_type(self, field, doc, kind):
+        # a float conversion would read true as 1.0 and "1.5" as 1.5
+        with pytest.raises(KernelFormatError, match=f"'{field}' has wrong type {kind}"):
+            kernel_from_dict(doc)
+
+    def test_integer_pairs_still_load(self):
+        ker = kernel_from_dict({"type": "polynomial", "d": 1.0, "imax": 0, "jmax": 1,
+                                "coeffs": [[1, 0], [0, -2]]})
+        np.testing.assert_array_equal(ker.coeffs, [[1.0, -2j]])
 
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"

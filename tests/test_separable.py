@@ -7,9 +7,13 @@ dense Green's operator ``_green_operator``, solves it with
 ``np.linalg.solve`` and reads the amplitudes off the post-form source
 V W psi.  Both solve one discrete problem, up to the rounding in which
 the factors PC Q^T reproduce the sampled matrix, and they must agree to
-rounding.  Polynomial kernels go through their monomial factors;
-sampled kernels through their spline factors off the stored grid, or
-through the sampled matrix with Q = I on it and on fewer nodes.
+rounding.  Polynomial kernels go through their monomial factors.
+Sampled kernels whose samples compress go through the factors L R^T of
+the compression on the stored grid and through their fitted splines
+B fit(L), B fit(R) on any other nodes; there the two problems differ by
+at most _COMPRESSION_TOL * max|V| in the kernel.  Other sampled kernels
+go through their exact spline factors off the stored grid, or through
+the sampled matrix with Q = I on it and on fewer nodes.
 """
 import numpy as np
 import pytest
@@ -17,7 +21,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from asymscat.errors import SingularSystemError
-from asymscat.kernels import SYMMETRY_CODES, PolynomialKernel, SampledKernel, adjoint
+from asymscat.kernels import (
+    _COMPRESSION_TOL,
+    SYMMETRY_CODES,
+    PolynomialKernel,
+    SampledKernel,
+    adjoint,
+)
 from asymscat.solver import (
     SolverConfig,
     _amplitudes_from_source,
@@ -109,29 +119,43 @@ def test_separable_psi_matches_dense(problem, side):
     assert abs(fast.R - R) <= 1e-12 * max(abs(T), abs(R))
 
 
-def _stored_values(rng, roughness, g):
+KINDS = ("smooth", "rough", "low-rank", "zero")
+
+
+def _stored_values(rng, kind, g):
     """Complex samples on the stored grid g: a random Gaussian bump
-    surface, or independent random numbers at every node."""
+    surface with a term coupling x and y (smooth, not separable),
+    independent random numbers at every node (rough), a sum of one to
+    four outer products of random vectors (exactly low-rank), or zeros."""
     n = g.size
-    if roughness == "rough":
+    if kind == "rough":
         return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if kind == "low-rank":
+        r = rng.integers(1, 5)
+        a, b = (rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r)) for _ in range(2))
+        return a @ b.T
+    if kind == "zero":
+        return np.zeros((n, n), dtype=complex)
     X, Y = np.meshgrid(g / g[-1], g / g[-1], indexing="ij")
     out = np.zeros((n, n), dtype=complex)
     for _ in range(3):
         a, b = rng.uniform(-0.8, 0.8, size=2)
         amp = rng.normal() + 1j * rng.normal()
         out += amp * np.exp(-rng.uniform(1.0, 8.0) * ((X - a) ** 2 + (Y - b) ** 2))
-    return out
+    mix = rng.normal() + 1j * rng.normal()
+    return out + mix * X * np.exp(-rng.uniform(0.5, 2.0) * (X + Y) ** 2)
 
 
 @st.composite
 def sampled_problems(draw, placement):
     """A random sampled nonlocal kernel, a solve grid and a momentum.
 
-    By ``placement`` the solve grid is the stored grid itself (r = n), a
-    grid with fewer nodes (also r = n) or one with more (the spline
-    factors, r = n_s).  Explicit nodes off the stored grid may reach 30%
-    beyond +-d, where the kernel is zero.  Values are scaled so that
+    By ``placement`` the solve grid is the stored grid itself, a grid
+    with fewer nodes or one with more.  A kernel whose samples compress
+    is solved at the rank of the compression on all three; otherwise at
+    r = n on the first two and through the spline factors, r = n_s, on
+    the third.  Explicit nodes off the stored grid may reach 30% beyond
+    +-d, where the kernel is zero.  Values are scaled so that
     |Omega V W| stays of order ``strength``.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -140,8 +164,8 @@ def sampled_problems(draw, placement):
     strength = draw(st.floats(0.05, 3.0))
     n_s = 2 * draw(st.integers(2, 60)) + 1
     g = np.linspace(-d, d, n_s)
-    v = _stored_values(rng, draw(st.sampled_from(["smooth", "rough"])), g)
-    kernel = SampledKernel(g, v * strength * k / ((2 * d) ** 2 * np.max(np.abs(v))))
+    v = _stored_values(rng, draw(st.sampled_from(KINDS)), g)
+    kernel = SampledKernel(g, v * strength * k / ((2 * d) ** 2 * (np.max(np.abs(v)) or 1.0)))
     grid = draw(st.sampled_from(["simpson", "trapezoid", "nodes", "nodes+weights"]))
     if placement == "stored":
         n = n_s
@@ -169,11 +193,11 @@ def test_sampled_amplitudes_match_dense(placement, data, include_adjoint):
     assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
-def _stored_kernel(seed, roughness, half, is_local):
+def _stored_kernel(seed, kind, half, is_local=False):
     """A sampled kernel on 2 half + 1 nodes over [-1, 1]; a local one
     keeps the diagonal of the nonlocal samples."""
     g = np.linspace(-1.0, 1.0, 2 * half + 1)
-    v = _stored_values(np.random.default_rng(seed), roughness, g)
+    v = _stored_values(np.random.default_rng(seed), kind, g)
     return SampledKernel(g, np.diagonal(v) if is_local else v, is_local=is_local)
 
 
@@ -214,21 +238,83 @@ def test_polynomial_kernel_beyond_support_matches_sampled_twin(rng, n):
 
 
 def test_spline_factors_reproduce_off_grid_sampling(rng):
+    # on 21 nodes only the rank-1..4 samples compress (cap 21 // 4 = 5)
     g = np.linspace(-1.0, 1.0, 21)
-    kernel = SampledKernel(g, _stored_values(rng, "smooth", g))
     x = np.linspace(-1.25, 1.25, 61)
-    pc, q = kernel.factors(x)
-    assert pc.shape == q.shape == (61, 21)
-    got = pc @ q.T
-    want = kernel.sample_matrix(x, x)
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     outside = np.abs(x) > 1.0
-    assert np.all(pc[outside] == 0.0) and np.all(q.toarray()[outside] == 0.0)
-    # on the stored grid, or on fewer nodes, the factors are the samples and I
-    for nodes in (g, x[::4]):
-        pc, q = kernel.factors(nodes)
-        assert np.array_equal(pc, kernel.sample_matrix(nodes, nodes))
-        assert np.array_equal(q.toarray(), np.eye(nodes.size))
+    for kind in ("smooth", "rough", "low-rank"):
+        kernel = SampledKernel(g, _stored_values(rng, kind, g))
+        assert (kernel._low_rank is None) == (kind != "low-rank")
+        pc, q = kernel.factors(x)
+        assert pc.shape == q.shape and pc.shape[0] == 61 and pc.shape[1] <= g.size
+        q = q.toarray() if hasattr(q, "toarray") else q
+        want = kernel.sample_matrix(x, x)
+        assert np.max(np.abs(pc @ q.T - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.all(pc[outside] == 0.0) and np.all(q[outside] == 0.0)
+        if kind == "low-rank":
+            continue
+        # the exact spline factors, rank n_s, and on the stored grid, or
+        # on fewer nodes, the samples and I
+        assert pc.shape[1] == g.size
+        for nodes in (g, x[::4]):
+            pc, q = kernel.factors(nodes)
+            assert np.array_equal(pc, kernel.sample_matrix(nodes, nodes))
+            assert np.array_equal(q.toarray(), np.eye(nodes.size))
+
+
+def _compression_residual(kernel):
+    left, right = kernel._low_rank
+    return np.max(np.abs(kernel.values - left @ right.T), initial=0.0)
+
+
+@PROFILE
+@given(st.integers(0, 2**32 - 1), st.sampled_from(KINDS), st.integers(2, 60))
+def test_compression_meets_its_tolerance(seed, kind, half):
+    kernel = _stored_kernel(seed, kind, half)
+    cap = kernel.n // 4
+    # a random matrix has no rank-n/4 approximation to 1e-14; a smooth
+    # kernel may or may not have one
+    exact_rank = {"rough": None, "zero": 0, "low-rank": np.linalg.matrix_rank(kernel.values)}
+    if kind in exact_rank:
+        rank = exact_rank[kind]
+        assert (kernel._low_rank is None) == (rank is None or rank > cap)
+        if kernel._low_rank is not None:
+            assert kernel._low_rank[0].shape[1] == rank
+    if kernel._low_rank is not None:
+        assert kernel._low_rank[0].shape[1] <= cap
+        assert _compression_residual(kernel) <= _COMPRESSION_TOL * np.max(np.abs(kernel.values))
+
+
+@PROFILE
+@given(st.integers(0, 2**32 - 1), st.sampled_from(KINDS), st.integers(2, 60),
+       st.sampled_from(SYMMETRY_CODES))
+def test_transformed_compression_is_derived_and_reproduces_values(seed, kind, half, code):
+    kernel = _stored_kernel(seed, kind, half)
+    kernel._low_rank  # compress the parent, so that its transforms derive theirs
+    if kernel._low_rank is not None:
+        kernel._low_rank_coeffs
+    derived = kernel.transform(code)
+    assert "_low_rank" in derived.__dict__
+    if kernel._low_rank is None:
+        assert derived._low_rank is None
+        return
+    scale = np.max(np.abs(derived.values))
+    assert _compression_residual(derived) <= _COMPRESSION_TOL * scale
+    assert derived._low_rank[0].shape == kernel._low_rank[0].shape
+    for got, factor in zip(derived.__dict__["_low_rank_coeffs"], derived._low_rank):
+        fresh = derived._fit(factor)
+        assert np.max(np.abs(got - fresh), initial=0.0) <= 1e-13 * np.max(np.abs(fresh), initial=0.0)
+
+
+def test_zero_kernel_has_rank_zero_and_scatters_nothing():
+    g = np.linspace(-1.0, 1.0, 41)
+    kernel = SampledKernel(g, np.zeros((41, 41)))
+    for config in (SolverConfig(n_grid=41, quadrature="simpson"),
+                   SolverConfig(n_grid=21), SolverConfig(n_grid=161)):
+        pc, q = kernel.factors(grid_and_weights(config, kernel.d)[0])
+        assert pc.shape[1] == q.shape[1] == 0
+        amps = scatter_all(kernel, 1.3, config, include_adjoint=True)
+        assert _eight(amps).tolist() == [1, 1, 0, 0] * 2
 
 
 def test_local_sampled_kernel_has_no_factors():
