@@ -82,9 +82,8 @@ def design_broadband_reflector(alpha: float, epsilon: float,
     return RegularizedInverseSquare(alpha=alpha, epsilon=epsilon, d=d)
 
 
-def graded_mesh(epsilon: float, d: float = HALF_WIDTH, k_max: float = 5.0,
-                n_core: int = 801,
-                tail_spacing: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def graded_mesh(epsilon: float, d: float = HALF_WIDTH,
+                k_max: float = 5.0) -> tuple[np.ndarray, np.ndarray]:
     """Graded mesh and weights over [-d, d] resolving the eps-scale peak.
 
     The core |x| <= min(d, 1) holds images of a uniform grid under
@@ -100,7 +99,7 @@ def graded_mesh(epsilon: float, d: float = HALF_WIDTH, k_max: float = 5.0,
         raise ValueError(f"epsilon and d must be positive and finite, got {epsilon!r} and {d!r}")
     core = min(d, 1.0)
     t_max = np.arcsinh(core / epsilon)
-    t = np.linspace(-t_max, t_max, n_core)
+    t = np.linspace(-t_max, t_max, 801)
     xc = epsilon * np.sinh(t)
     wc = epsilon * np.cosh(t) * (t[1] - t[0])
     wc[0] *= 0.5
@@ -108,22 +107,20 @@ def graded_mesh(epsilon: float, d: float = HALF_WIDTH, k_max: float = 5.0,
     xc[0], xc[-1] = -core, core  # map is exact at the ends up to roundoff
     if d <= core:
         return xc, wc
-    if tail_spacing is None:
-        tail_spacing = min(0.03 * core, 2.0 * np.pi / k_max / 40.0)
+    tail_spacing = min(0.03 * core, 2.0 * np.pi / k_max / 40.0)
     n_tail = int(np.ceil((d - core) / tail_spacing))
     xt = np.linspace(core, d, n_tail + 1)
     wt = np.full(n_tail + 1, xt[1] - xt[0])
     wt[0] *= 0.5
     wt[-1] *= 0.5
     x = np.concatenate([-xt[::-1], xc[1:-1], xt])
-    w = np.concatenate([wt[::-1], np.zeros(n_core - 2), wt])
-    w[n_tail : n_tail + n_core] += wc
+    w = np.concatenate([wt[::-1], np.zeros(xc.size - 2), wt])
+    w[n_tail : n_tail + xc.size] += wc
     return x, w
 
 
 def reflector_config(epsilon: float, window: float = 4.0 * HALF_WIDTH,
-                     k_max: float = 5.0, n_core: int = 801,
-                     tail_spacing: float | None = None) -> SolverConfig:
+                     k_max: float = 5.0) -> SolverConfig:
     """Solver configuration with the graded mesh for the reflector.
 
     ``window`` is the half-width of the solve domain; the 1/x^2 tails
@@ -131,22 +128,20 @@ def reflector_config(epsilon: float, window: float = 4.0 * HALF_WIDTH,
     the default keeps k*window >= 2 down to k d = 0.5.  Nothing here
     checks convergence in the window; ``tests/test_born.py`` doubles it.
     """
-    nodes, weights = graded_mesh(epsilon, window, k_max=k_max, n_core=n_core,
-                                 tail_spacing=tail_spacing)
+    nodes, weights = graded_mesh(epsilon, window, k_max=k_max)
     return SolverConfig(n_grid=nodes.size, quadrature="trapezoid",
                         nodes=nodes, weights=weights)
 
 
 def tune_alpha(epsilon: float, k_ref: float, target: float = 1.0,
-               alpha_hi: float = 4.0 / (4.0 * np.pi), tol: float = 1e-4,
-               max_iter: int = 80, window: float = 4.0 * HALF_WIDTH,
+               window: float = 4.0 * HALF_WIDTH,
                config: SolverConfig | None = None) -> float:
     """Bisect alpha so the exact solver gives |R^l(k_ref)|^2 = target.
 
     The Born estimate alpha = 1/(4 pi) under-reflects once the exact
-    dynamics are included; the bisection absorbs that.  Raises
-    BracketingError (with the scan trace) if [0, alpha_hi] does not
-    bracket the target.
+    dynamics are included; bisection on [0, 1/pi] to 1e-4 in |R^l|^2
+    absorbs that.  Raises BracketingError (with the scan trace) if the
+    interval does not bracket the target or 80 steps do not suffice.
     """
     if not 0 < k_ref < np.inf:
         raise ValueError(f"reference wavenumber must be positive and finite, got {k_ref!r}")
@@ -162,22 +157,22 @@ def tune_alpha(epsilon: float, k_ref: float, target: float = 1.0,
         trace.append((alpha, value + target))
         return value
 
-    lo, hi = 0.0, alpha_hi
+    lo, hi = 0.0, 4.0 / (4.0 * np.pi)
     f_lo, f_hi = -target, objective(hi)
     if f_lo * f_hi > 0:
         raise BracketingError(
-            f"|R^l|^2 - {target} does not change sign on [0, {alpha_hi}]", trace
+            f"|R^l|^2 - {target} does not change sign on [0, {hi}]", trace
         )
-    for _ in range(max_iter):
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
         f_mid = objective(mid)
-        if abs(f_mid) <= tol:
+        if abs(f_mid) <= 1e-4:
             return mid
         if f_lo * f_mid <= 0:
             hi, f_hi = mid, f_mid
         else:
             lo, f_lo = mid, f_mid
     raise BracketingError(
-        f"bisection did not reach |{target} - |R^l|^2| <= {tol} in {max_iter} steps",
+        f"bisection did not reach |{target} - |R^l|^2| <= 0.0001 in 80 steps",
         trace,
     )

@@ -93,16 +93,25 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _check_count(flag: str, n: int) -> None:
+    if n < 1:
+        raise ValueError(f"{flag} must be at least 1, got {n}")
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         lo, hi, n = spec.split(":")
-        grid = np.linspace(float(lo), float(hi), int(n))
+        lo, hi, n = float(lo), float(hi), int(n)
     except ValueError as exc:
         raise KernelFormatError(f"bad grid spec {spec!r}; expected kmin:kmax:n") from exc
-    return grid
+    if not (0 < lo < np.inf and 0 < hi < np.inf and n >= 1):
+        raise KernelFormatError(f"bad grid spec {spec!r}; expected positive finite "
+                                f"kmin and kmax and n >= 1")
+    return np.linspace(lo, hi, n)
 
 
 def _cmd_sweep(args) -> int:
+    _check_count("--n", args.n)
     kernel = load_kernel(args.kernel)
     config = _solver_config(args)
     grid = np.linspace(args.kmin, args.kmax, args.n)
@@ -150,6 +159,7 @@ def _design_result_doc(result: DesignResult) -> dict:
 
 
 def _cmd_design(args) -> int:
+    _check_count("--verify-points", args.verify_points)
     spec = DeviceSpec(code=_DEVICE_FLAGS[args.device], k0=args.k0,
                       constraint=args.constraint)
     result = design_device(spec, seed=args.seed)
@@ -164,6 +174,7 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_born_design(args) -> int:
+    grid = _parse_grid(args.sweep) if args.sweep else None
     if args.tune:
         alpha = tune_alpha(args.epsilon, args.kref, window=args.window)
     else:
@@ -179,8 +190,7 @@ def _cmd_born_design(args) -> int:
     outputs = {}
     save_kernel(pot, args.out)
     outputs["kernel"] = args.out
-    if args.sweep:
-        grid = _parse_grid(args.sweep)
+    if grid is not None:
         config = reflector_config(args.epsilon, window=args.window,
                                   k_max=float(np.max(grid)))
         table = k_sweep(pot, grid, config)
@@ -201,6 +211,7 @@ def _cmd_born_design(args) -> int:
 def _cmd_verify(args) -> int:
     if not 0 < args.tol < np.inf:
         raise ValueError(f"--tol must be positive and finite, got {args.tol!r}")
+    _check_count("--n", args.n)
     kernel = load_kernel(args.kernel)
     config = _solver_config(args)
     report = check_symmetries(kernel, tol=args.sym_tol)
@@ -234,6 +245,7 @@ def _cmd_verify(args) -> int:
         "failures": failures,
     }
     _write_output(dumps_json(doc), args.out)
+    _emit_manifest("verify", args, {"kernel": args.kernel}, {"report": args.out})
     if failures:
         raise VerificationError(f"{len(failures)} verification check(s) failed", failures)
     return 0

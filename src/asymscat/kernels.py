@@ -352,9 +352,9 @@ class PolynomialKernel:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.to_sampled(101).values)))
 
-    def edge_max(self, n_samples: int = 201) -> float:
+    def edge_max(self) -> float:
         """max over y of |V(+-d, y)|; ~0 for edge-vanishing kernels."""
-        y = np.linspace(-self.d, self.d, n_samples)
+        y = np.linspace(-self.d, self.d, 201)
         lo = np.abs(self.evaluate(np.full_like(y, -self.d), y))
         hi = np.abs(self.evaluate(np.full_like(y, self.d), y))
         return float(max(lo.max(), hi.max()))

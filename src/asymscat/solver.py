@@ -627,12 +627,11 @@ class SweepTable:
             fh.write(self.to_csv_text())
 
 
-def k_sweep(kernel, k_grid, config: SolverConfig | None = None,
-            include_adjoint: bool = False) -> SweepTable:
+def k_sweep(kernel, k_grid, config: SolverConfig | None = None) -> SweepTable:
     """Tabulate amplitudes over a grid of incident momenta.
 
     Per-row solver failures are recorded in the row and the sweep
-    continues; rows are sorted by ascending k.
+    continues; rows, sorted by ascending k, carry no hatted amplitudes.
     """
     config = config or SolverConfig()
     ks = np.sort(np.asarray(k_grid, dtype=float))
@@ -641,8 +640,8 @@ def k_sweep(kernel, k_grid, config: SolverConfig | None = None,
     rows = []
     for k in ks:
         try:
-            amps = scatter_all(kernel, float(k), config, include_adjoint=include_adjoint)
+            amps = scatter_all(kernel, float(k), config)
             rows.append(SweepRow(float(k), amps))
-        except (SingularSystemError, AdjointDivergenceError) as err:
+        except SingularSystemError as err:
             rows.append(SweepRow(float(k), None, str(err)))
     return SweepTable(tuple(rows))

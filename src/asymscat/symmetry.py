@@ -99,7 +99,7 @@ def symmetrize(kernel, code: str):
     raise TypeError(f"cannot symmetrize kernel of type {type(kernel).__name__}")
 
 
-def equivalence_table_check(kernel, first: str, tol: float = 1e-9) -> list:
+def equivalence_table_check(kernel, first: str) -> list:
     """For a kernel satisfying ``first``, report whether each equivalent
     pair of symmetries holds or fails together.
 
@@ -108,11 +108,11 @@ def equivalence_table_check(kernel, first: str, tol: float = 1e-9) -> list:
     """
     if first not in EQUIVALENT_PAIRS:
         raise ValueError(f"first symmetry must be one of {tuple(EQUIVALENT_PAIRS)}")
-    report = check_symmetries(kernel, tol)
+    report = check_symmetries(kernel)
     if not report.verdicts[first]:
         raise ValueError(
             f"kernel does not satisfy the first symmetry {first} "
-            f"(residual {report.residuals[first]:.3e} >= tol {tol:.3e})"
+            f"(residual {report.residuals[first]:.3e} >= tol {report.tol:.3e})"
         )
     return [
         (pair, report.verdicts[pair[0]] == report.verdicts[pair[1]])
@@ -146,7 +146,7 @@ class AmplitudeRelation:
 
     ``residual`` evaluates |lhs - rhs| on a ScatteringAmplitudes value;
     conditional (phase) relations apply only when the amplitudes show the
-    0/1 pattern named in ``condition`` and report 0 otherwise.
+    0/1 pattern of ``condition`` (to 1e-2) and report 0 otherwise.
     """
 
     symmetry: str
@@ -156,18 +156,18 @@ class AmplitudeRelation:
     condition: str | None = None
     _applies: Callable | None = None
 
-    def applies(self, amps: ScatteringAmplitudes, gate_tol: float = 1e-2) -> bool:
+    def applies(self, amps: ScatteringAmplitudes) -> bool:
         if self._applies is None:
             return True
-        return self._applies(amps, gate_tol)
+        return self._applies(amps)
 
-    def residual(self, amps: ScatteringAmplitudes, gate_tol: float = 1e-2) -> float:
+    def residual(self, amps: ScatteringAmplitudes) -> float:
         if self.needs_hatted and amps.hatted is None:
             raise ValueError(
                 f"relation {self.description!r} needs hatted amplitudes; "
                 f"solve with include_adjoint=True"
             )
-        if not self.applies(amps, gate_tol):
+        if not self.applies(amps):
             return 0.0
         return float(self._residual(amps))
 
@@ -209,12 +209,12 @@ def _equalities(code: str) -> list[AmplitudeRelation]:
     ]
 
 
-def _trans_asym(a: ScatteringAmplitudes, tol: float) -> bool:
-    return abs(abs(a.Tl) - 1.0) < tol and abs(a.Tr) < tol
+def _trans_asym(a: ScatteringAmplitudes) -> bool:
+    return abs(abs(a.Tl) - 1.0) < 1e-2 and abs(a.Tr) < 1e-2
 
 
-def _refl_asym(a: ScatteringAmplitudes, tol: float) -> bool:
-    return abs(abs(a.Rl) - 1.0) < tol and abs(a.Rr) < tol
+def _refl_asym(a: ScatteringAmplitudes) -> bool:
+    return abs(abs(a.Rl) - 1.0) < 1e-2 and abs(a.Rr) < 1e-2
 
 
 # Listed after the equalities; these do not follow from the amplitude action.

@@ -161,6 +161,15 @@ class TestDesignCommand:
         assert res.returncode == 1
         assert b"VIII" in res.stderr
 
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_verify_points_below_one_fails_before_designing(self, tmp_path, points):
+        # --verify-points 0 used to design and write the kernel, then fail
+        res = run_cli(["design", "--device", "tra", "--verify-points", points,
+                       "--out", str(tmp_path / "x.json")], tmp_path)
+        assert res.returncode == 1
+        assert b"--verify-points must be at least 1" in res.stderr
+        assert not list(tmp_path.iterdir())
+
 
 class TestBornDesignCommand:
     def test_writes_potential_and_sweep(self, tmp_path):
@@ -182,6 +191,16 @@ class TestBornDesignCommand:
         assert res.returncode == 1
         assert b"input error:" in res.stderr and b"finite" in res.stderr
 
+    @pytest.mark.parametrize("spec", ["0.5:5", "0.5:5:3:1", "0:5:3", "nan:5:3",
+                                      "0.5:inf:3", "0.5:5:0", "0.5:5:x"])
+    def test_bad_sweep_spec_fails_before_any_write(self, tmp_path, spec):
+        # the spec used to be parsed after tuning and after writing the kernel
+        res = run_cli(["born-design", "--epsilon", "1e-4", "--tune", "--sweep", spec,
+                       "--out", str(tmp_path / "r.json")], tmp_path)
+        assert res.returncode == 1
+        assert b"bad grid spec" in res.stderr
+        assert not list(tmp_path.iterdir())
+
 
 class TestVerifyCommand:
     def test_hermitian_kernel_passes(self, tmp_path, hermitian_kernel_file):
@@ -196,9 +215,14 @@ class TestVerifyCommand:
         path = hermitian_kernel_file.parent / "plain.json"
         save_kernel(ker, path)
         res = run_cli(["verify", "--kernel", str(path), "--claim", "VIII",
-                       "--kmin", "1.0", "--kmax", "1.0", "--n", "1"], tmp_path)
+                       "--kmin", "1.0", "--kmax", "1.0", "--n", "1", "--out", "v.json"],
+                      tmp_path)
         assert res.returncode == 3
         assert b"VIII" in res.stderr
+        assert json.loads((tmp_path / "v.json").read_text())["failures"]
+        manifest = json.loads((tmp_path / "v.json.manifest.json").read_text())
+        assert set(manifest["input_digests"]) == {"kernel"}
+        assert set(manifest["output_digests"]) == {"report"}
 
 
     @pytest.mark.parametrize("flag", ["--tol", "--sym-tol"])
@@ -210,6 +234,17 @@ class TestVerifyCommand:
                        "--kmin", "1.0", "--kmax", "1.0", "--n", "1"], tmp_path)
         assert res.returncode == 1
         assert b"positive and finite" in res.stderr
+
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_n_must_be_at_least_one(self, tmp_path, zero_kernel_file, command, n):
+        # verify --n 0 used to pass with no check made, and sweep --n 0
+        # to write a header-only CSV
+        res = run_cli([command, "--kernel", str(zero_kernel_file), "--kmin", "0.5",
+                       "--kmax", "1.5", "--n", n, "--out", "o.txt"], tmp_path)
+        assert res.returncode == 1
+        assert b"--n must be at least 1" in res.stderr
+        assert [p.name for p in tmp_path.iterdir()] == [zero_kernel_file.name]
 
 
 class TestExitCodes:
@@ -308,4 +343,12 @@ class TestDeterminism:
              "--kmax", "2.0", "--n", "4", "--out", "s.csv"],
             tmp_path,
             ["s.csv", "s.csv.manifest.json"],
+        )
+
+    def test_verify_runs_are_byte_identical(self, tmp_path, hermitian_kernel_file):
+        self._twice(
+            ["verify", "--kernel", str(hermitian_kernel_file), "--kmin", "0.8",
+             "--kmax", "1.2", "--n", "2", "--out", "v.json"],
+            tmp_path,
+            ["v.json", "v.json.manifest.json"],
         )
