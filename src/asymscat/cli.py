@@ -241,6 +241,7 @@ def _cmd_verify(args) -> int:
     doc = {
         "verdicts": {c: bool(v) for c, v in report.verdicts.items()},
         "n_checks": len(checks),
+        "n_unitarity_checks": len(grid),
         "max_relation_residual": max((c["residual"] for c in checks), default=0.0),
         "failures": failures,
     }

@@ -3,11 +3,28 @@
 Complex numbers are stored as [re, im] pairs of IEEE-754 doubles;
 serialization goes through Python's shortest-repr float printing, so a
 kernel round-trips bit-exactly through its JSON file.
+
+A kernel file is the document ``json.dumps(kernel_to_dict(kernel),
+indent=2, sort_keys=True) + "\n"``.  The json module encodes in pure
+Python whenever ``indent`` is set, so ``save_kernel`` streams the same
+bytes itself: each scalar field through ``json.dumps``, and the [re, im]
+pairs through one template per pair, formatted with ``%r`` (the float
+repr json uses) a fixed-size chunk at a time.  No string of the whole
+document is built: beside the pair list, writing holds one chunk's text.
+
+``save_kernel`` and ``load_kernel`` run with the cyclic garbage
+collector paused.  A 401 x 401 kernel is 160,801 pair lists; allocating
+them sets off full collections that find nothing to free, since a
+parsed JSON document, like the dict written, is a tree: reference
+counting frees all of it.  Anything cyclic made meanwhile waits for
+the next collection after the caller's collector state is restored.
 """
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+from contextlib import contextmanager
 from itertools import chain
 
 import numpy as np
@@ -18,7 +35,7 @@ from .kernels import PolynomialKernel, RegularizedInverseSquare, SampledKernel
 
 def _pairs(values: np.ndarray) -> list:
     flat = np.asarray(values, dtype=complex).ravel()
-    return [[float(z.real), float(z.imag)] for z in flat]
+    return np.stack([flat.real, flat.imag], axis=1).tolist()
 
 
 def _unpairs(pairs, field: str) -> np.ndarray:
@@ -40,7 +57,8 @@ def _unpairs(pairs, field: str) -> np.ndarray:
     except OverflowError as exc:  # an integer literal beyond the double range
         raise KernelFormatError(f"field {field!r} must be finite") from exc
     _require_finite(arr, field)
-    return arr[:, 0] + 1j * arr[:, 1]
+    # re + 1j * im can turn a -0.0 in either part into +0.0
+    return arr.view(complex)[:, 0]
 
 
 def _require_finite(value, field: str):
@@ -122,22 +140,70 @@ def kernel_from_dict(data: dict):
     raise KernelFormatError(f"unknown kernel type {ktype!r}")
 
 
+@contextmanager
+def _collector_paused():
+    """Disable the cyclic garbage collector for the block, then restore
+    the state the caller had, also when the block raises."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+# One [re, im] pair as json.dumps(..., indent=2) lays it out in the
+# list of a top-level field, and a chunk of them joined as json joins
+# list items.
+_PAIR = "    [\n      %r,\n      %r\n    ]"
+_CHUNK = 4096
+_CHUNK_TEMPLATE = ",\n".join([_PAIR] * _CHUNK)
+
+
+def _write_pairs(fh, pairs: list) -> None:
+    if not pairs:
+        fh.write("[]")
+        return
+    fh.write("[\n")
+    for start in range(0, len(pairs), _CHUNK):
+        chunk = pairs[start:start + _CHUNK]
+        template = _CHUNK_TEMPLATE if len(chunk) == _CHUNK else ",\n".join([_PAIR] * len(chunk))
+        if start:
+            fh.write(",\n")
+        fh.write(template % tuple(chain.from_iterable(chunk)))
+    fh.write("\n  ]")
+
+
 def save_kernel(kernel, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(kernel_to_dict(kernel), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write ``json.dumps(kernel_to_dict(kernel), indent=2,
+    sort_keys=True) + "\n"`` to ``path``, streamed (see the module
+    docstring)."""
+    with _collector_paused():
+        doc = kernel_to_dict(kernel)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            separator = "{\n  "
+            for key, value in sorted(doc.items()):
+                fh.write(separator + json.dumps(key) + ": ")
+                separator = ",\n  "
+                if isinstance(value, list):
+                    _write_pairs(fh, value)
+                else:
+                    fh.write(json.dumps(value))
+            fh.write("\n}\n")
 
 
 def load_kernel(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise KernelFormatError(f"invalid JSON in kernel file: {exc}") from exc
-    try:
-        return kernel_from_dict(data)
-    except ValueError as exc:
-        raise KernelFormatError(str(exc)) from exc
+    with _collector_paused():
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise KernelFormatError(f"invalid JSON in kernel file: {exc}") from exc
+        try:
+            return kernel_from_dict(data)
+        except ValueError as exc:
+            raise KernelFormatError(str(exc)) from exc
 
 
 def complex_pair(z: complex) -> list:

@@ -345,20 +345,6 @@ class PolynomialKernel:
         _, q = self.factors(y_nodes)
         return pc @ q.T
 
-    def to_sampled(self, n: int = 401) -> SampledKernel:
-        g = np.linspace(-self.d, self.d, n)
-        return SampledKernel(g, self.sample_matrix(g, g), is_local=False)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.to_sampled(101).values)))
-
-    def edge_max(self) -> float:
-        """max over y of |V(+-d, y)|; ~0 for edge-vanishing kernels."""
-        y = np.linspace(-self.d, self.d, 201)
-        lo = np.abs(self.evaluate(np.full_like(y, -self.d), y))
-        hi = np.abs(self.evaluate(np.full_like(y, self.d), y))
-        return float(max(lo.max(), hi.max()))
-
     def _square_coeffs(self) -> np.ndarray:
         s = max(self.coeffs.shape)
         c = np.zeros((s, s), dtype=complex)

@@ -217,21 +217,6 @@ def _simpson_kink_delta(k: float, h: float) -> np.ndarray:
     return _simpson_kink_weights(k, h) - naive * g_row
 
 
-def _green_operator(x: np.ndarray, w: np.ndarray, k: float, quadrature: str) -> np.ndarray:
-    """Matrix Omega with Omega @ f ~= int G0(x_i, x') f(x') dx'.
-
-    No solve forms it; it is the dense reference that the tests check
-    ``_apply_green`` and both solve paths against."""
-    diff = np.abs(x[:, None] - x[None, :])
-    G = np.exp(1j * k * diff) / (1j * k)
-    omega = G * w[None, :]
-    if quadrature == "simpson":
-        delta = _simpson_kink_delta(k, x[1] - x[0])
-        for i in range(1, x.size - 1, 2):
-            omega[i, i - 1 : i + 2] += delta
-    return omega
-
-
 def _apply_green(x: np.ndarray, w: np.ndarray, k: float, quadrature: str,
                  M: np.ndarray) -> np.ndarray:
     """Omega @ M in O(n * cols), without forming Omega.

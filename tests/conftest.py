@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from asymscat.kernels import PolynomialKernel, RegularizedInverseSquare, SampledKernel
-from asymscat.solver import SolverConfig
+from asymscat.solver import SolverConfig, _simpson_kink_delta
 
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -83,6 +83,39 @@ def random_poly_surface(rng, n=401, d=1.0, degree=4, scale=1.0):
     c = scale * (rng.normal(size=(degree + 1, degree + 1))
                  + 1j * rng.normal(size=(degree + 1, degree + 1)))
     return SampledKernel(g, PolynomialKernel(c, d=d).sample_matrix(g, g), is_local=False)
+
+
+def green_operator(x, w, k, quadrature):
+    """Matrix Omega with Omega @ f ~= int G0(x_i, x') f(x') dx'.
+
+    No solve forms it; it is the dense reference that the tests check
+    ``_apply_green`` and both solve paths against."""
+    diff = np.abs(x[:, None] - x[None, :])
+    G = np.exp(1j * k * diff) / (1j * k)
+    omega = G * w[None, :]
+    if quadrature == "simpson":
+        delta = _simpson_kink_delta(k, x[1] - x[0])
+        for i in range(1, x.size - 1, 2):
+            omega[i, i - 1 : i + 2] += delta
+    return omega
+
+
+def poly_to_sampled(kernel, n):
+    """The polynomial ``kernel`` sampled on n uniform nodes over [-d, d]."""
+    g = np.linspace(-kernel.d, kernel.d, n)
+    return SampledKernel(g, kernel.sample_matrix(g, g))
+
+
+def poly_max_abs(kernel):
+    return float(np.max(np.abs(poly_to_sampled(kernel, 101).values)))
+
+
+def poly_edge_max(kernel):
+    """max over y of |V(+-d, y)|; ~0 for edge-vanishing kernels."""
+    y = np.linspace(-kernel.d, kernel.d, 201)
+    lo = np.abs(kernel.evaluate(np.full_like(y, -kernel.d), y))
+    hi = np.abs(kernel.evaluate(np.full_like(y, kernel.d), y))
+    return float(max(lo.max(), hi.max()))
 
 
 def random_poly_kernel(rng, degree=4, d=1.0, scale=1.0):

@@ -224,6 +224,18 @@ class TestVerifyCommand:
         assert set(manifest["input_digests"]) == {"kernel"}
         assert set(manifest["output_digests"]) == {"report"}
 
+    def test_report_counts_unitarity_checks(self, tmp_path, rng):
+        # a rough kernel satisfies no symmetry beyond I, so no relation is
+        # checked, but unitarity is, once per momentum
+        g = np.linspace(-1, 1, 61)
+        v = 0.05 * (rng.normal(size=(61, 61)) + 1j * rng.normal(size=(61, 61)))
+        save_kernel(SampledKernel(g, v), tmp_path / "rough.json")
+        res = run_cli(["verify", "--kernel", "rough.json", "--n", "3"], tmp_path)
+        assert res.returncode == 0
+        doc = json.loads(res.stdout)
+        assert doc["verdicts"] == {c: c == "I" for c in doc["verdicts"]}
+        assert (doc["n_checks"], doc["n_unitarity_checks"]) == (0, 3)
+        assert doc["failures"] == []
 
     @pytest.mark.parametrize("flag", ["--tol", "--sym-tol"])
     @pytest.mark.parametrize("tol", ["nan", "inf", "0"])

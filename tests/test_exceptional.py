@@ -26,14 +26,13 @@ from asymscat.errors import AdjointDivergenceError, SingularSystemError
 from asymscat.kernels import SYMMETRY_CODES, PolynomialKernel, SampledKernel, adjoint
 from asymscat.solver import (
     SolverConfig,
-    _green_operator,
     generalized_unitarity_residuals,
     grid_and_weights,
     hatted_from_unhatted,
     scatter_all,
 )
 from asymscat.symmetry import transformed_amplitudes
-from conftest import PROFILE
+from conftest import PROFILE, green_operator
 
 EPS = np.finfo(float).eps
 
@@ -41,7 +40,7 @@ EPS = np.finfo(float).eps
 def dense_system(kernel, k, config):
     """The n x n matrix I - Omega V W that every solve path reduces to."""
     x, w = grid_and_weights(config, kernel.d)
-    omega = _green_operator(x, w, k, config.quadrature)
+    omega = green_operator(x, w, k, config.quadrature)
     if kernel.is_local:
         return np.eye(x.size) - omega * kernel.sample_profile(x)[None, :]
     return np.eye(x.size) - omega @ (kernel.sample_matrix(x, x) * w[None, :])

@@ -1,10 +1,14 @@
+import gc
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from asymscat import kernel_io
 from asymscat.errors import KernelFormatError
-from asymscat.kernel_io import kernel_from_dict, load_kernel, save_kernel
+from asymscat.kernel_io import kernel_from_dict, kernel_to_dict, load_kernel, save_kernel
 from asymscat.kernels import (
     SYMMETRY_CODES,
     PolynomialKernel,
@@ -13,7 +17,7 @@ from asymscat.kernels import (
     adjoint,
     fourier_transform_local,
 )
-from conftest import random_poly_kernel, random_poly_surface
+from conftest import PROFILE, random_poly_kernel, random_poly_surface
 
 
 class TestEvaluate:
@@ -382,3 +386,113 @@ class TestJsonRoundTrip:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(KernelFormatError):
             load_kernel(path)
+
+
+# Floats whose printing is easy to get wrong: signed zero, the smallest
+# subnormal, where repr switches to an exponent (1e16), a power of ten
+# beyond 2**53 (1e22), the largest double, integral values and mixed
+# exponents.
+_AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e22, -1e22, 1.7976931348623157e308,
+            -1.7976931348623157e308, 3.0, -2.0, 1e15, 123456789.0, 0.1, 1e-7, 2.5e-300]
+
+
+def _awkward_floats(rng, size):
+    """Floats from _AWKWARD, or random mantissas at exponents from 1e-320 to 1e299."""
+    mixed = rng.uniform(-1, 1, size) * 10.0 ** rng.integers(-320, 300, size)
+    return np.where(rng.random(size) < 0.5, rng.choice(_AWKWARD, size), mixed)
+
+
+@st.composite
+def kernels_to_write(draw):
+    """A random kernel of one of the five shapes written to files: sampled
+    nonlocal and local, polynomial 6 x 2 and 6 x 6, inverse-square."""
+    family = draw(st.sampled_from(["sampled", "local", "poly6x2", "poly6x6",
+                                   "inverse_square"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([0.5, 1.0, 3.0, 1e-300, 1e22]))
+
+    def cplx(shape):  # re + 1j * im would lose an imaginary part of -0.0
+        return _awkward_floats(rng, (*shape, 2)).view(complex)[..., 0]
+
+    if family in ("sampled", "local"):
+        n = draw(st.integers(4, 12))
+        shape = (n,) if family == "local" else (n, n)
+        return SampledKernel(np.linspace(-d, d, n), cplx(shape), is_local=family == "local")
+    if family.startswith("poly"):
+        return PolynomialKernel(cplx((6, 2 if family == "poly6x2" else 6)), d=d)
+    alpha, epsilon = _awkward_floats(rng, 2)
+    return RegularizedInverseSquare(float(alpha), float(epsilon) or 1.0, d)
+
+
+def _indented_document(kernel) -> bytes:
+    return (json.dumps(kernel_to_dict(kernel), indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+_FIELDS = {SampledKernel: ("grid", "values", "is_local"),
+           PolynomialKernel: ("coeffs", "d"),
+           RegularizedInverseSquare: ("alpha", "epsilon", "d")}
+
+
+class TestKernelWriter:
+    @PROFILE
+    @given(kernels_to_write())
+    def test_bytes_are_the_indented_json_document(self, tmp_path_factory, kernel):
+        path = tmp_path_factory.mktemp("writer") / "k.json"
+        save_kernel(kernel, path)
+        assert path.read_bytes() == _indented_document(kernel)
+        back = load_kernel(path)
+        assert type(back) is type(kernel)
+        for field in _FIELDS[type(kernel)]:  # bit for bit, so -0.0 is not 0.0
+            assert (np.asarray(getattr(back, field)).tobytes()
+                    == np.asarray(getattr(kernel, field)).tobytes()), field
+
+    def test_pairs_span_several_chunks(self, rng, tmp_path):
+        # 401 x 401 pairs fill whole chunks and end in a partial one
+        g = np.linspace(-1, 1, 401)
+        kernel = SampledKernel(g, rng.normal(size=(401, 401)) + 1j * rng.normal(size=(401, 401)))
+        path = tmp_path / "k.json"
+        save_kernel(kernel, path)
+        assert path.read_bytes() == _indented_document(kernel)
+
+    def test_empty_pair_list(self, tmp_path):
+        kernel = PolynomialKernel(np.zeros((1, 0)))
+        path = tmp_path / "k.json"
+        save_kernel(kernel, path)
+        assert path.read_bytes() == _indented_document(kernel)
+
+
+class TestCollectorPause:
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def gc_state(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_save_and_load_restore_the_callers_state(self, gc_state, rng, tmp_path,
+                                                      monkeypatch):
+        seen = []
+
+        def spy(original):
+            def wrapped(*args):
+                seen.append(gc.isenabled())
+                return original(*args)
+            return wrapped
+
+        monkeypatch.setattr(kernel_io, "kernel_to_dict", spy(kernel_io.kernel_to_dict))
+        monkeypatch.setattr(kernel_io, "kernel_from_dict", spy(kernel_io.kernel_from_dict))
+        path = tmp_path / "k.json"
+        save_kernel(random_poly_surface(rng, n=11), path)
+        assert gc.isenabled() is gc_state
+        load_kernel(path)
+        assert gc.isenabled() is gc_state
+        assert seen == [False, False]  # paused inside both
+
+    @pytest.mark.parametrize("text", ["{not json", '{"type": "sampled"}'],
+                             ids=["bad-json", "missing-field"])
+    def test_failed_load_restores_the_callers_state(self, gc_state, tmp_path, text):
+        path = tmp_path / "broken.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(KernelFormatError):
+            load_kernel(path)
+        assert gc.isenabled() is gc_state

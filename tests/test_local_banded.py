@@ -19,14 +19,13 @@ from asymscat.errors import SingularSystemError
 from asymscat.kernels import RegularizedInverseSquare, SampledKernel, adjoint
 from asymscat.solver import (
     SolverConfig,
-    _green_operator,
     _local_factor,
     grid_and_weights,
     k_sweep,
     scatter,
     scatter_all,
 )
-from conftest import PROFILE
+from conftest import PROFILE, green_operator
 
 EPS = np.finfo(float).eps
 
@@ -36,7 +35,7 @@ def dense_local(kernel, k, config):
     x, w = grid_and_weights(config, kernel.d)
     quadrature = config.quadrature if config.nodes is None else "trapezoid"
     V = kernel.sample_profile(x)
-    A = np.eye(x.size, dtype=complex) - _green_operator(x, w, k, quadrature) * V[None, :]
+    A = np.eye(x.size, dtype=complex) - green_operator(x, w, k, quadrature) * V[None, :]
     lu, piv = lu_factor(A)
     rcond, info = zgecon(lu, np.linalg.norm(A, 1))
     assert info == 0
@@ -129,7 +128,7 @@ def _exceptional_local_kernel(cfg, k):
     # Omega diag(V): I - Omega diag(V) is exactly singular.
     x, w = grid_and_weights(cfg, 1.0)
     profile = np.exp(-3 * x * x) + 0.2j * x
-    lam = np.linalg.eigvals(_green_operator(x, w, k, cfg.quadrature) * profile[None, :])
+    lam = np.linalg.eigvals(green_operator(x, w, k, cfg.quadrature) * profile[None, :])
     return SampledKernel(x, profile / lam[np.argmax(np.abs(lam))], is_local=True)
 
 

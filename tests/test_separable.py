@@ -3,7 +3,7 @@ a dense Nystrom reference built here.
 
 The reference samples the kernel on the solve grid with
 ``sample_matrix``, assembles the n x n matrix I - Omega V W from the
-dense Green's operator ``_green_operator``, solves it with
+dense Green's operator ``green_operator``, solves it with
 ``np.linalg.solve`` and reads the amplitudes off the post-form source
 V W psi.  Both solve one discrete problem, up to the rounding in which
 the factors PC Q^T reproduce the sampled matrix, and they must agree to
@@ -32,13 +32,12 @@ from asymscat.solver import (
     SolverConfig,
     _amplitudes_from_source,
     _apply_green,
-    _green_operator,
     grid_and_weights,
     k_sweep,
     scatter,
     scatter_all,
 )
-from conftest import PROFILE
+from conftest import PROFILE, green_operator, poly_to_sampled
 
 
 def _grid_config(grid: str, n: int, d: float, rng) -> SolverConfig:
@@ -77,7 +76,7 @@ def dense_reference(kernel, k, config, sides=("left", "right")):
     solved by np.linalg.solve."""
     x, w = grid_and_weights(config, kernel.d)
     V = kernel.sample_matrix(x, x)
-    A = np.eye(x.size) - _green_operator(x, w, k, config.quadrature) @ (V * w[None, :])
+    A = np.eye(x.size) - green_operator(x, w, k, config.quadrature) @ (V * w[None, :])
     phi = np.stack([np.exp((1j if side == "left" else -1j) * k * x) for side in sides], axis=1)
     psi = np.linalg.solve(A, phi)
     source = V @ (w[:, None] * psi)
@@ -233,7 +232,7 @@ def test_polynomial_kernel_beyond_support_matches_sampled_twin(rng, n):
     kernel = PolynomialKernel(rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
     cfg = SolverConfig(nodes=np.linspace(-1.5, 1.5, n))
     got = _eight(scatter_all(kernel, 1.0, cfg, include_adjoint=True))
-    want = _eight(scatter_all(kernel.to_sampled(101), 1.0, cfg, include_adjoint=True))
+    want = _eight(scatter_all(poly_to_sampled(kernel, 101), 1.0, cfg, include_adjoint=True))
     assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
 
@@ -338,7 +337,7 @@ def test_prefix_sum_green_matches_dense_operator(seed, grid, half, k, cols):
         x, w = grid_and_weights(SolverConfig(n_grid=n, quadrature=grid), 1.0)
         quadrature = grid
     M = rng.normal(size=(x.size, cols)) + 1j * rng.normal(size=(x.size, cols))
-    dense = _green_operator(x, w, k, quadrature) @ M
+    dense = green_operator(x, w, k, quadrature) @ M
     fast = _apply_green(x, w, k, quadrature, M)
     assert np.max(np.abs(fast - dense)) <= 1e-13 * np.max(np.abs(dense))
 
@@ -360,7 +359,7 @@ def _exceptional_rank_one_kernel(cfg, k):
     # computed on the dense operator: I - Omega V W is exactly singular.
     base = PolynomialKernel(np.outer([1.0, 0.3j, -2.0], [1.0, 0.5 - 0.2j]))
     x, w = grid_and_weights(cfg, base.d)
-    omega = _green_operator(x, w, k, cfg.quadrature)
+    omega = green_operator(x, w, k, cfg.quadrature)
     lam = np.linalg.eigvals(omega @ (base.sample_matrix(x, x) * w[None, :]))
     lam0 = lam[np.argmax(np.abs(lam))]
     return PolynomialKernel(base.coeffs / lam0)

@@ -21,6 +21,7 @@ from conftest import (
     PROFILE,
     draw_kernel,
     equivariance_problems,
+    green_operator,
     random_local_kernel,
     random_poly_surface,
     square_well_analytic,
@@ -289,10 +290,9 @@ class TestErrors:
         g = np.linspace(-1, 1, n)
         u = np.exp(-3 * g * g) + 0.2j * g
         base = SampledKernel(g, np.outer(u, u))
-        from asymscat.solver import _green_operator, grid_and_weights
 
         x, w = grid_and_weights(cfg, 1.0)
-        omega = _green_operator(x, w, k, "trapezoid")
+        omega = green_operator(x, w, k, "trapezoid")
         lam = np.linalg.eigvals(omega @ (np.outer(u, u) * w[None, :]))
         lam0 = lam[np.argmax(np.abs(lam))]
         ker = SampledKernel(g, np.outer(u, u) / lam0)
@@ -319,10 +319,9 @@ class TestSweep:
         cfg = SolverConfig(n_grid=n, quadrature="trapezoid")
         g = np.linspace(-1, 1, n)
         u = np.exp(-3 * g * g) + 0.2j * g
-        from asymscat.solver import _green_operator
 
         x, w = grid_and_weights(cfg, 1.0)
-        omega = _green_operator(x, w, k, "trapezoid")
+        omega = green_operator(x, w, k, "trapezoid")
         lam = np.linalg.eigvals(omega @ (np.outer(u, u) * w[None, :]))
         lam0 = lam[np.argmax(np.abs(lam))]
         ker = SampledKernel(g, np.outer(u, u) / lam0)
