@@ -1,4 +1,4 @@
-"""Inverse-design the five polynomial asymmetric devices.
+"""Inverse-design the six polynomial asymmetric devices.
 
 Each run finds a nonlocal kernel whose exact amplitudes at k0 d = 1 hit
 the device targets, verifies it with the forward solver, sweeps the
@@ -20,6 +20,7 @@ DEVICES = [
     ("T/A", "viii", "one-way T-filter"),
     ("TR/R", "viii", "mirror & one-way transmitter"),
     ("TR/T", "pt", "transparent one-way reflector (nonlocal PT)"),
+    ("R/A", "none", "one-way R-filter"),
 ]
 
 

@@ -43,12 +43,13 @@ from .solver import (
     scatter_all,
 )
 from .symmetry import (
+    DEVICE_CODES,
     allowed_devices,
     check_symmetries,
     predicted_amplitude_relations,
 )
 
-_DEVICE_FLAGS = {"tra": "TR/A", "tr": "T/R", "ta": "T/A", "trr": "TR/R", "trt": "TR/T"}
+_DEVICE_FLAGS = {code.replace("/", "").lower(): code for code in DEVICE_CODES}
 
 
 def _solver_config(args) -> SolverConfig:

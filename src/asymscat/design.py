@@ -1,4 +1,4 @@
-"""Inverse design of polynomial nonlocal kernels for asymmetric devices.
+"""Inverse design of polynomial nonlocal kernels for all six asymmetric devices.
 
 Strategy: assume degree-5 polynomials for the interior wavefunctions of
 both incidence sides and a finite polynomial kernel V(x, y), insert them
@@ -327,20 +327,13 @@ def design_device(spec: DeviceSpec, seed: int = 0, restarts: int = 16,
     The returned kernel is verified with an independent forward solve
     (801-point Simpson); a residual above 1e-6 per amplitude raises
     DesignError.  Designs a symmetry forbids are rejected when the spec
-    is built (``DeviceSpec`` raises ForbiddenDeviceError), and the
-    R/A device is classification-only (it needs an external absorber
-    construction rather than this polynomial ansatz).
+    is built (``DeviceSpec`` raises ForbiddenDeviceError).
 
     ``max_nfev`` caps the residual evaluations of each restart.  On the
     exact Jacobian converged restarts take tens of evaluations, while a
     restart stuck in a nonzero local minimum creeps on for thousands;
     the default stops those without cutting any restart that converges.
     """
-    if spec.code == "R/A":
-        raise DesignError(
-            "R/A is not designable with the polynomial ansatz; build it from "
-            "a perfect absorber backed by an infinite barrier (classification-only here)"
-        )
     problem = _DesignProblem(spec)
     u, design_residual, trace = problem.solve(seed, restarts, max_nfev)
     if design_residual > 1e-9:

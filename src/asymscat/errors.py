@@ -57,11 +57,10 @@ class DesignError(AsymscatError):
     """The inverse-design root find did not converge.
 
     ``restarts`` is the restart trace of the failed design (one
-    ``design.Restart`` per trust-region run), empty when no restart ran.
+    ``design.Restart`` per trust-region run).
     """
 
-    def __init__(self, message: str, best_residual: float = float("nan"),
-                 restarts: tuple = ()):
+    def __init__(self, message: str, best_residual: float, restarts: tuple):
         self.best_residual = best_residual
         self.restarts = restarts
         super().__init__(message)

@@ -403,10 +403,6 @@ class RegularizedInverseSquare:
     def sample_profile(self, nodes: np.ndarray) -> np.ndarray:
         return np.asarray(self.evaluate(nodes))
 
-    def to_sampled(self, n: int = 401) -> SampledKernel:
-        g = np.linspace(-self.d, self.d, n)
-        return SampledKernel(g, self.sample_profile(g), is_local=True)
-
     def transform(self, which: str) -> "RegularizedInverseSquare":
         # Flipping x and conjugating each send epsilon -> -epsilon; .T is the identity.
         flip, _, conj = transform_flags(which)

@@ -455,7 +455,11 @@ def scatter_all(kernel, k: float, config: SolverConfig | None = None,
 
     The hatted quadruple comes from an independent solve with the
     adjoint kernel V(y, x)*, not from the algebraic inversion of the
-    generalized-unitarity relations.
+    generalized-unitarity relations.  Where T^l T^r = R^l R^r (the k0 of
+    a designed TR/A, T/R, T/A or R/A kernel) the adjoint problem has a
+    pole: this returns |hatted| of 1e9-1e12 that fail generalized
+    unitarity, or raises SingularSystemError; ``hatted_from_unhatted``
+    raises AdjointDivergenceError there.
     """
     config = config or SolverConfig()
     quadruple = _quadruple(kernel, k, config)

@@ -65,8 +65,9 @@ def check_symmetries(kernel, tol: float = 1e-9) -> SymmetryReport:
     the stored representation, normalized by the sup-norm of V.
 
     Polynomial kernels are checked through their coefficient relations
-    (e.g. VIII holds iff v_ij = (-1)^{i+j} v_ji); everything else through
-    the sampled representation.  Local kernels satisfy VI identically.
+    (e.g. VIII holds iff v_ij = (-1)^{i+j} v_ji), inverse-square kernels
+    exactly from (alpha, epsilon, d), sampled kernels through their
+    samples.  Local kernels satisfy VI identically.
     Raises ValueError unless ``tol`` is positive and finite.
     """
     if not 0 < tol < np.inf:
@@ -74,9 +75,14 @@ def check_symmetries(kernel, tol: float = 1e-9) -> SymmetryReport:
     if isinstance(kernel, PolynomialKernel):
         square = PolynomialKernel(kernel._square_coeffs(), d=kernel.d)
         residuals = _residuals(square.coeffs, lambda code: square.transform(code).coeffs)
+    elif isinstance(kernel, RegularizedInverseSquare):
+        # A transform returns V or its twin with eps -> -eps; with t = |x / eps|,
+        # |V - twin| / max|V| = 4t / (1 + t^2)^2, largest at t = min(d / |eps|, 1 / sqrt(3)).
+        t = min(kernel.d / abs(kernel.epsilon), 3.0 ** -0.5)
+        twin = 0.0 if kernel.alpha == 0 else 4.0 * t / (1.0 + t * t) ** 2
+        residuals = {c: 0.0 if kernel.transform(c) == kernel else twin for c in SYMMETRY_CODES}
     else:
-        sampled = kernel.to_sampled() if isinstance(kernel, RegularizedInverseSquare) else kernel
-        residuals = _residuals(sampled.values, lambda code: sampled.transform(code).values)
+        residuals = _residuals(kernel.values, lambda code: kernel.transform(code).values)
     verdicts = {code: residuals[code] < tol for code in SYMMETRY_CODES}
     return SymmetryReport(residuals, verdicts, tol)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from asymscat.kernel_io import load_kernel, save_kernel
-from asymscat.kernels import SampledKernel
+from asymscat.kernels import RegularizedInverseSquare, SampledKernel
 from asymscat.symmetry import symmetrize
 from conftest import cli_env, random_poly_surface
 
@@ -126,6 +126,31 @@ class TestClassify:
         assert doc["forbidden_by"]["TR/A"] == ["II"]
 
 
+    def test_tuned_reflector_is_not_reported_fully_symmetric(self, tmp_path):
+        # a 401-point resampling used to report all eight symmetries here
+        made = run_cli(["born-design", "--alpha", "0.0976", "--epsilon", "1e-5",
+                        "--out", "r.json"], tmp_path)
+        assert made.returncode == 0, made.stderr
+        res = run_cli(["classify", "--kernel", "r.json"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        doc = json.loads(res.stdout)
+        assert [c for c, v in doc["verdicts"].items() if v] == ["I", "IV", "VI", "VII"]
+        assert [c for c, v in doc["allowed_devices"].items() if v] == ["TR/T"]
+        assert doc["residuals"]["II"] == pytest.approx(9.0 / (4.0 * np.sqrt(3.0)), rel=1e-14)
+
+    @pytest.mark.parametrize("alpha, epsilon, satisfied", [
+        (0.0976, -1e-8, ["I", "IV", "VI", "VII"]),
+        (0.0976, 10.0, ["I", "IV", "VI", "VII"]),
+        (0.0, 1e-4, ["I", "II", "III", "IV", "V", "VI", "VII", "VIII"]),
+    ])
+    def test_inverse_square_verdicts(self, tmp_path, alpha, epsilon, satisfied):
+        save_kernel(RegularizedInverseSquare(alpha, epsilon, d=4.0), tmp_path / "r.json")
+        res = run_cli(["classify", "--kernel", "r.json"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        doc = json.loads(res.stdout)
+        assert [c for c, v in doc["verdicts"].items() if v] == satisfied
+        assert doc["allowed_devices"]["TR/T"] is (alpha != 0.0)
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
     def test_tolerance_must_be_positive_and_finite(self, tmp_path, hermitian_kernel_file, tol):
         res = run_cli(["classify", "--kernel", str(hermitian_kernel_file), f"--tol={tol}"],
@@ -146,6 +171,30 @@ class TestDesignCommand:
         assert kernel.coeffs.shape == (6, 2)
         assert (tmp_path / "tra.verify.csv").exists()
         assert (tmp_path / "tra.json.manifest.json").exists()
+
+    def test_one_way_r_filter(self, tmp_path):
+        res = run_cli(["design", "--device", "ra", "--out", "ra.json"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        doc = json.loads(res.stdout)
+        assert doc["device"] == "R/A"
+        assert doc["residual"] < 1e-6
+        assert load_kernel(tmp_path / "ra.json").coeffs.shape == (6, 2)
+        assert (tmp_path / "ra.verify.csv").exists()
+        assert (tmp_path / "ra.json.manifest.json").exists()
+
+    @pytest.mark.parametrize("constraint, symmetry", [("pt", b"VII"), ("viii", b"VIII")])
+    def test_forbidden_r_filter_constraints_are_input_errors(self, tmp_path, constraint,
+                                                            symmetry):
+        res = run_cli(["design", "--device", "ra", "--constraint", constraint,
+                       "--out", "ra.json"], tmp_path)
+        assert res.returncode == 1
+        assert b"device R/A is forbidden by symmetry " + symmetry + b";" in res.stderr
+        assert not list(tmp_path.iterdir())
+
+    def test_help_lists_all_six_devices(self, tmp_path):
+        res = run_cli(["design", "--help"], tmp_path)
+        assert res.returncode == 0
+        assert b"{ra,ta,tr,tra,trr,trt}" in res.stdout
 
     @pytest.mark.parametrize("k0", ["nan", "inf"])
     def test_non_finite_momentum_is_input_error(self, tmp_path, k0):
@@ -347,6 +396,13 @@ class TestDeterminism:
              "--out", "k.json", "--verify-points", "3"],
             tmp_path,
             ["k.json", "k.verify.csv", "k.json.manifest.json"],
+        )
+
+    def test_r_filter_design_runs_are_byte_identical(self, tmp_path):
+        self._twice(
+            ["design", "--device", "ra", "--out", "ra.json"],
+            tmp_path,
+            ["ra.json", "ra.verify.csv", "ra.json.manifest.json"],
         )
 
     def test_sweep_runs_are_byte_identical(self, tmp_path, zero_kernel_file):

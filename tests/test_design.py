@@ -13,7 +13,7 @@ from asymscat.design import (
 )
 from asymscat.errors import AdjointDivergenceError, DesignError, ForbiddenDeviceError, VerificationError
 from asymscat.kernels import PolynomialKernel
-from asymscat.solver import SolverConfig, hatted_from_unhatted, scatter_all
+from asymscat.solver import SolverConfig, hatted_from_unhatted, scatter_all, scatter_oracle_all
 from asymscat.symmetry import check_symmetries
 from conftest import PROFILE, poly_edge_max, poly_max_abs
 
@@ -23,7 +23,11 @@ DEVICES = [
     ("T/A", "viii"),
     ("TR/R", "viii"),
     ("TR/T", "pt"),
+    ("R/A", "none"),
 ]
+
+# The one-way R-filter across restart seeds and design momenta.
+RA_MOMENTA = (0.5, 1.0, 1.5, 2.0, 3.0)
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +37,29 @@ def designs():
         spec = DeviceSpec(code=code, constraint=constraint)
         out[code] = design_device(spec, seed=0, restarts=8)
     return out
+
+
+@pytest.fixture(scope="module")
+def ra_designs():
+    return [design_device(DeviceSpec(code="R/A", k0=k0), seed=seed)
+            for k0 in RA_MOMENTA for seed in range(4)]
+
+
+def assert_wave_matches_boundary_form(result):
+    """The polynomial interior wave joins the exterior plane waves with
+    the target amplitudes, C^1 at both edges x = -1 and x = 1."""
+    k0 = result.spec.k0
+    Tl, Tr, Rl, Rr = result.spec.targets
+    cl, cr = result.wave_coeffs
+    poly_l = np.polynomial.polynomial.Polynomial(cl)
+    dpoly_l = poly_l.deriv()
+    up, dn = np.exp(1j * k0), np.exp(-1j * k0)
+    assert poly_l(-1.0) == pytest.approx(dn + Rl * up, abs=1e-9)
+    assert dpoly_l(-1.0) == pytest.approx(1j * k0 * (dn - Rl * up), abs=1e-9)
+    assert poly_l(1.0) == pytest.approx(Tl * up, abs=1e-9)
+    poly_r = np.polynomial.polynomial.Polynomial(cr)
+    assert poly_r(1.0) == pytest.approx(dn + Rr * up, abs=1e-9)
+    assert poly_r(-1.0) == pytest.approx(Tr * up, abs=1e-9)
 
 
 class TestDeviceSpec:
@@ -79,7 +106,7 @@ class TestDesignDevice:
 
     def test_unconstrained_devices_satisfy_nothing(self, designs):
         # the broken-symmetry devices cannot satisfy any nontrivial code
-        for code in ("TR/A", "T/R"):
+        for code in ("TR/A", "T/R", "R/A"):
             report = check_symmetries(designs[code].kernel)
             assert report.satisfied() == ("I",)
 
@@ -94,10 +121,6 @@ class TestDesignDevice:
         with pytest.raises(ForbiddenDeviceError, match="VII"):
             design_device(DeviceSpec(code="T/A", targets=(1.0, 0.0, 0.0, 0.0),
                                      constraint="pt"))
-
-    def test_ra_device_is_classification_only(self):
-        with pytest.raises(DesignError):
-            design_device(DeviceSpec(code="R/A"))
 
     def test_deterministic_given_seed(self):
         spec = DeviceSpec(code="TR/A")
@@ -160,14 +183,64 @@ class TestRestartTrace:
         assert all(r.nfev <= 2 for r in trace)
         assert err.value.best_residual == min(r.residual for r in trace)
 
-    def test_classification_only_device_has_no_trace(self):
-        with pytest.raises(DesignError) as err:
-            design_device(DeviceSpec(code="R/A"))
-        assert err.value.restarts == ()
+
+class TestOneWayRFilter:
+    """R/A, (T^l, T^r, R^l, R^r) = (0, 0, -1, 0): seeds 0-3 at each of
+    ``RA_MOMENTA``, designed by the same path as the other devices."""
+
+    def test_converges_with_one_chosen_restart(self, ra_designs):
+        for result in ra_designs:
+            trace = result.restarts
+            assert len(trace) == 17
+            chosen = [r for r in trace if r.chosen]
+            assert len(chosen) == 1
+            assert chosen[0].residual == result.design_residual <= 1e-9
+
+    def test_forward_verifies_at_k0(self, ra_designs):
+        want = np.array(DEFAULT_TARGETS["R/A"], dtype=complex)
+        for result in ra_designs:
+            assert result.residual < 1e-6
+            assert np.max(np.abs(np.array(result.verification.quadruple) - want)) < 1e-6
+
+    def test_oracle_agrees_at_k0(self, ra_designs):
+        # the finite-difference oracle on criterion 2's grid
+        want = np.array(DEFAULT_TARGETS["R/A"], dtype=complex)
+        for result in ra_designs:
+            got = np.array(scatter_oracle_all(result.kernel, result.spec.k0, 401))
+            assert np.max(np.abs(got - want)) < 1e-6, result.spec.k0
+
+    def test_verify_design_passes(self, ra_designs):
+        # raises VerificationError on a miss at k0 or a jump in the window
+        for result in ra_designs[::4]:  # seed 0 at each momentum
+            k0 = result.spec.k0
+            verify_design(result, (0.8 * k0, 1.2 * k0), n_points=21)
+
+    def test_edge_rows_vanish(self, ra_designs):
+        for result in ra_designs:
+            assert poly_edge_max(result.kernel) < 1e-9 * poly_max_abs(result.kernel)
+
+    def test_wave_coefficients_match_boundary_form(self, ra_designs):
+        for result in ra_designs:
+            assert_wave_matches_boundary_form(result)
+
+    def test_satisfies_only_symmetry_i(self, ra_designs):
+        for result in ra_designs:
+            assert check_symmetries(result.kernel).satisfied() == ("I",)
+
+    def test_adjoint_diverges_at_k0(self, ra_designs):
+        # T^l T^r - R^l R^r = 0 at the targets
+        for result in ra_designs:
+            with pytest.raises(AdjointDivergenceError):
+                hatted_from_unhatted(result.verification, tol=1e-4)
+
+    @pytest.mark.parametrize("constraint, symmetry", [("pt", "VII"), ("viii", "VIII")])
+    def test_forbidden_constraints_rejected_upfront(self, constraint, symmetry):
+        with pytest.raises(ForbiddenDeviceError, match=f"symmetry {symmetry};"):
+            design_device(DeviceSpec(code="R/A", constraint=constraint))
 
 
 class TestAdjointDivergence:
-    @pytest.mark.parametrize("code", ["TR/A", "T/R", "T/A"])
+    @pytest.mark.parametrize("code", ["TR/A", "T/R", "T/A", "R/A"])
     def test_divergence_at_k0(self, designs, code):
         # T^l T^r - R^l R^r -> 0 for these devices: the adjoint problem
         # genuinely diverges at the design momentum
@@ -226,18 +299,4 @@ class TestVerifyDesign:
 class TestWaveCoefficients:
     @pytest.mark.parametrize("code,constraint", DEVICES)
     def test_interior_wave_matches_boundary_form(self, designs, code, constraint):
-        # the polynomial interior wave must join the exterior plane waves
-        # with the target amplitudes, C^1 at both edges
-        result = designs[code]
-        k0 = result.spec.k0
-        Tl, Tr, Rl, Rr = result.spec.targets
-        cl, cr = result.wave_coeffs
-        poly_l = np.polynomial.polynomial.Polynomial(cl)
-        dpoly_l = poly_l.deriv()
-        up, dn = np.exp(1j * k0), np.exp(-1j * k0)
-        assert poly_l(-1.0) == pytest.approx(dn + Rl * up, abs=1e-9)
-        assert dpoly_l(-1.0) == pytest.approx(1j * k0 * (dn - Rl * up), abs=1e-9)
-        assert poly_l(1.0) == pytest.approx(Tl * up, abs=1e-9)
-        poly_r = np.polynomial.polynomial.Polynomial(cr)
-        assert poly_r(1.0) == pytest.approx(dn + Rr * up, abs=1e-9)
-        assert poly_r(-1.0) == pytest.approx(Tr * up, abs=1e-9)
+        assert_wave_matches_boundary_form(designs[code])

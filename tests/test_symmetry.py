@@ -98,6 +98,41 @@ class TestCheckSymmetries:
         assert all(report.verdicts.values())
 
 
+class TestInverseSquareClassification:
+    # Decided from (alpha, epsilon, d).  Resampled onto 401 points over
+    # [-d, d], the eps-scale difference between V and its eps -> -eps twin
+    # fell below tol, and every symmetry was reported, once |eps| was below
+    # about 6e-4 of the sample spacing (1.3e-5 at d = 4, 3e-6 at d = 1).
+
+    @staticmethod
+    def dense_residual(pot, code):
+        """max |V - transform(V)| / max |V| on a grid that resolves eps."""
+        d, eps = pot.d, abs(pot.epsilon)
+        near = eps * np.linspace(-3.0, 3.0, 6001)
+        x = np.concatenate([np.linspace(-d, d, 20001), near[np.abs(near) <= d]])
+        v = pot.evaluate(x)
+        return np.max(np.abs(v - pot.transform(code).evaluate(x))) / np.max(np.abs(v))
+
+    @pytest.mark.parametrize("d", [1.0, 4.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("epsilon", [1e-8, 1e-6, 1e-5, 1e-4, 1e-2, 0.3, 1.0, 5.0, 10.0])
+    def test_pt_profile_satisfies_exactly_i_iv_vi_vii(self, epsilon, sign, d):
+        pot = RegularizedInverseSquare(0.0976, sign * epsilon, d)
+        report = check_symmetries(pot)
+        assert report.satisfied() == ("I", "IV", "VI", "VII")
+        assert [c for c, v in allowed_devices(report).items() if v.allowed] == ["TR/T"]
+        for code in SYMMETRY_CODES:
+            want = self.dense_residual(pot, code)
+            assert report.residuals[code] == pytest.approx(want, rel=1e-5, abs=1e-15), code
+
+    @pytest.mark.parametrize("epsilon", [1e-8, -1e-4, 10.0])
+    def test_zero_potential_satisfies_everything(self, epsilon):
+        report = check_symmetries(RegularizedInverseSquare(0.0, epsilon))
+        assert all(report.verdicts.values())
+        assert set(report.residuals.values()) == {0.0}
+        assert not any(v.allowed for v in allowed_devices(report).values())
+
+
 class TestEquivalenceTable:
     def test_hermitian_parity_symmetric_kernel(self, rng):
         ker = symmetrize(symmetrize(random_poly_surface(rng, n=41), "II"), "III")
