@@ -266,7 +266,12 @@ def _config_value(action: argparse.Action, key: str, value: str):
         except KeyError:
             raise KernelFormatError(
                 f"config key {key!r} takes true or false, got {value!r}") from None
-    return action.type(value) if action.type else value
+    converted = action.type(value) if action.type else value
+    if action.choices is not None and converted not in action.choices:
+        raise KernelFormatError(
+            f"config key {key!r} takes one of {', '.join(map(str, action.choices))}, "
+            f"got {value!r}")
+    return converted
 
 
 def _apply_config_file(argv: list[str], options: dict[str, list]) -> list[str]:
@@ -274,8 +279,10 @@ def _apply_config_file(argv: list[str], options: dict[str, list]) -> list[str]:
 
     Keys are option names of any subcommand (dashes or underscores);
     ``options`` maps each name to its (subcommand parser, action) pairs,
-    as ``build_parser`` collects them.  Unknown keys and non-boolean
-    values for on/off flags are input errors.
+    as ``build_parser`` collects them.  An option the file sets is no
+    longer required on the command line, which still overrides it.
+    Unknown keys, non-boolean values for on/off flags and values outside
+    an option's choices are input errors.
     """
     if "--config" not in argv:
         return argv
@@ -299,6 +306,7 @@ def _apply_config_file(argv: list[str], options: dict[str, list]) -> list[str]:
     for key, value in overrides.items():
         for sub, action in options[key]:
             sub.set_defaults(**{key: _config_value(action, key, value)})
+            action.required = False
     return argv[:idx] + argv[idx + 2:]
 
 

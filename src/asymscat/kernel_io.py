@@ -5,12 +5,9 @@ serialization goes through Python's shortest-repr float printing, so a
 kernel round-trips bit-exactly through its JSON file.
 
 A kernel file is the document ``json.dumps(kernel_to_dict(kernel),
-indent=2, sort_keys=True) + "\n"``.  The json module encodes in pure
-Python whenever ``indent`` is set, so ``save_kernel`` streams the same
-bytes itself: each scalar field through ``json.dumps``, and the [re, im]
-pairs through one template per pair, formatted with ``%r`` (the float
-repr json uses) a fixed-size chunk at a time.  No string of the whole
-document is built: beside the pair list, writing holds one chunk's text.
+sort_keys=True) + "\n"``.  Without ``indent`` the json module encodes
+in C; files in the older ``indent=2`` layout hold the same values and
+load bit for bit.
 
 ``save_kernel`` and ``load_kernel`` run with the cyclic garbage
 collector paused.  A 401 x 401 kernel is 160,801 pair lists; allocating
@@ -111,8 +108,12 @@ def kernel_from_dict(data: dict):
         raise KernelFormatError("kernel document must be a JSON object")
     ktype = _require(data, "type", str)
     d = _require_finite(float(_require(data, "d", (int, float))), "d")
+    if d <= 0:
+        raise KernelFormatError(f"field 'd' must be positive, got {d!r}")
     if ktype == "sampled":
         n = int(_require(data, "n", int))
+        if n < 4:  # the cubic splines of SampledKernel need 4 points
+            raise KernelFormatError(f"field 'n' must be at least 4, got {n}")
         is_local = bool(_require(data, "is_local", bool))
         values = _unpairs(_require(data, "values"), "values")
         expected = n if is_local else n * n
@@ -153,44 +154,15 @@ def _collector_paused():
             gc.enable()
 
 
-# One [re, im] pair as json.dumps(..., indent=2) lays it out in the
-# list of a top-level field, and a chunk of them joined as json joins
-# list items.
-_PAIR = "    [\n      %r,\n      %r\n    ]"
-_CHUNK = 4096
-_CHUNK_TEMPLATE = ",\n".join([_PAIR] * _CHUNK)
-
-
-def _write_pairs(fh, pairs: list) -> None:
-    if not pairs:
-        fh.write("[]")
-        return
-    fh.write("[\n")
-    for start in range(0, len(pairs), _CHUNK):
-        chunk = pairs[start:start + _CHUNK]
-        template = _CHUNK_TEMPLATE if len(chunk) == _CHUNK else ",\n".join([_PAIR] * len(chunk))
-        if start:
-            fh.write(",\n")
-        fh.write(template % tuple(chain.from_iterable(chunk)))
-    fh.write("\n  ]")
-
-
 def save_kernel(kernel, path) -> None:
-    """Write ``json.dumps(kernel_to_dict(kernel), indent=2,
-    sort_keys=True) + "\n"`` to ``path``, streamed (see the module
-    docstring)."""
+    """Write ``json.dumps(kernel_to_dict(kernel), sort_keys=True) + "\n"``
+    to ``path``."""
     with _collector_paused():
-        doc = kernel_to_dict(kernel)
+        # the kernel dict is a tree, so the cycle check finds nothing
+        text = json.dumps(kernel_to_dict(kernel), sort_keys=True, check_circular=False)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            separator = "{\n  "
-            for key, value in sorted(doc.items()):
-                fh.write(separator + json.dumps(key) + ": ")
-                separator = ",\n  "
-                if isinstance(value, list):
-                    _write_pairs(fh, value)
-                else:
-                    fh.write(json.dumps(value))
-            fh.write("\n}\n")
+            fh.write(text)
+            fh.write("\n")
 
 
 def load_kernel(path):

@@ -301,6 +301,8 @@ class PolynomialKernel:
 
     def __post_init__(self):
         c = np.atleast_2d(np.asarray(self.coeffs, dtype=complex))
+        if c.size == 0:
+            raise ValueError(f"coeffs must hold at least one coefficient, got shape {c.shape}")
         if c.shape[0] > 6 or c.shape[1] > 6:
             raise ValueError("polynomial degrees are capped at 5 in each variable")
         _check_finite(c, "coeffs")
@@ -407,9 +409,6 @@ class RegularizedInverseSquare:
         # Flipping x and conjugating each send epsilon -> -epsilon; .T is the identity.
         flip, _, conj = transform_flags(which)
         return self if flip == conj else RegularizedInverseSquare(self.alpha, -self.epsilon, self.d)
-
-
-PotentialKernel = SampledKernel | PolynomialKernel | RegularizedInverseSquare
 
 
 def adjoint(kernel):

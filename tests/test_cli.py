@@ -376,6 +376,55 @@ class TestConfigFile:
         assert res.returncode == 1
         assert b"bogus_key" in res.stderr
 
+    def test_config_supplies_the_required_device(self, tmp_path):
+        # argparse used to demand --device before it read the file's defaults
+        outputs = ["ra.json", "ra.verify.csv", "ra.json.manifest.json"]
+        flags, config = tmp_path / "flags", tmp_path / "config"
+        flags.mkdir()
+        config.mkdir()
+        (config / "ra.cfg").write_text("device = ra\n", encoding="utf-8")
+        by_flag = run_cli(["design", "--device", "ra", "--out", "ra.json"], flags)
+        by_file = run_cli(["design", "--config", "ra.cfg", "--out", "ra.json"], config)
+        assert by_flag.returncode == 0, by_flag.stderr
+        assert by_file.returncode == 0, by_file.stderr
+        assert by_file.stdout == by_flag.stdout
+        for name in outputs:
+            assert (config / name).read_bytes() == (flags / name).read_bytes(), name
+
+    def test_config_supplies_solve_kernel_and_momentum(self, tmp_path, zero_kernel_file):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"kernel = {zero_kernel_file}\nk = 1.5\n", encoding="utf-8")
+        by_flag = run_cli(["solve", "--kernel", str(zero_kernel_file), "--k", "1.5"], tmp_path)
+        by_file = run_cli(["solve", "--config", str(cfg)], tmp_path)
+        assert by_file.returncode == 0, by_file.stderr
+        assert by_file.stdout == by_flag.stdout
+        assert json.loads(by_file.stdout)["k"] == 1.5
+
+    def test_command_line_overrides_a_required_option(self, tmp_path, zero_kernel_file):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"kernel = {zero_kernel_file}\nk = 1.5\n", encoding="utf-8")
+        res = run_cli(["solve", "--config", str(cfg), "--k", "0.75"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["k"] == 0.75
+
+    @pytest.mark.parametrize("line, args", [
+        ("claim = IX", ["verify", "--kernel", "K"]),  # used to end in a KeyError
+        ("device = zz", ["design", "--out", "x.json"]),
+        ("constraint = bogus", ["design", "--device", "tra", "--out", "x.json"]),
+        ("quadrature = gauss", ["solve", "--kernel", "K", "--k", "1.0"]),
+    ], ids=["claim", "device", "constraint", "quadrature"])
+    def test_value_outside_choices_is_input_error(self, tmp_path, zero_kernel_file,
+                                                  line, args):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        args = [str(zero_kernel_file) if a == "K" else a for a in args]
+        res = run_cli([*args, "--config", str(cfg)], tmp_path)
+        key = line.split(" = ")[0].encode()
+        assert res.returncode == 1
+        assert b"input error: config key '" + key + b"'" in res.stderr
+        assert b"Traceback" not in res.stderr
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestDeterminism:
     def _twice(self, args, wd, outputs):

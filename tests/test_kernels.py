@@ -246,6 +246,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             PolynomialKernel(np.zeros((7, 2)))
 
+    @pytest.mark.parametrize("shape", [(1, 0), (0, 3), (0,)], ids=["1x0", "0x3", "flat"])
+    def test_empty_coefficients_are_rejected(self, shape):
+        # (1, 0) used to construct with jmax -1; its file did not load
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            PolynomialKernel(np.zeros(shape))
+
+    def test_empty_coefficient_file_is_a_format_error(self, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"type": "polynomial", "d": 1.0, "imax": 0, "jmax": -1,
+                                    "coeffs": []}), encoding="utf-8")
+        with pytest.raises(KernelFormatError, match="field 'coeffs'"):
+            load_kernel(path)
+
     def test_epsilon_positive(self):
         with pytest.raises(ValueError):
             RegularizedInverseSquare(alpha=1.0, epsilon=0.0)
@@ -316,13 +329,39 @@ class TestJsonRoundTrip:
     def test_wrong_length_is_reported(self):
         with pytest.raises(KernelFormatError, match="values"):
             kernel_from_dict({
-                "type": "sampled", "d": 1.0, "n": 3, "is_local": False,
+                "type": "sampled", "d": 1.0, "n": 4, "is_local": False,
                 "values": [[0.0, 0.0]] * 5,
             })
 
     @pytest.mark.parametrize("field, doc", [
-        ("values", {"type": "sampled", "d": 1.0, "n": 3, "is_local": True,
-                    "values": [[0.0, 0.0], [float("nan"), 0.0], [0.0, 0.0]]}),
+        # n * n = 4 pairs, so only n itself is wrong; numpy used to fail
+        # with "Number of samples, -2, must be non-negative."
+        ("n", {"type": "sampled", "d": 1.0, "n": -2, "is_local": False,
+               "values": [[0.0, 0.0]] * 4}),
+        ("n", {"type": "sampled", "d": 1.0, "n": 0, "is_local": True, "values": []}),
+        ("n", {"type": "sampled", "d": 1.0, "n": 3, "is_local": True,
+               "values": [[0.0, 0.0]] * 3}),
+        # used to fail with "grid must be strictly increasing"
+        ("d", {"type": "sampled", "d": -1.0, "n": 4, "is_local": True,
+               "values": [[0.0, 0.0]] * 4}),
+        ("d", {"type": "sampled", "d": 0.0, "n": 4, "is_local": True,
+               "values": [[0.0, 0.0]] * 4}),
+        ("d", {"type": "polynomial", "d": -1.0, "imax": 0, "jmax": 0,
+               "coeffs": [[1.0, 0.0]]}),
+        ("d", {"type": "inverse_square", "d": 0, "alpha": 1.0, "epsilon": 1e-4}),
+    ], ids=["n-negative", "n-zero", "n-three", "d-negative", "d-zero", "poly-d",
+            "inverse-square-d"])
+    def test_out_of_range_size_is_named(self, tmp_path, field, doc):
+        with pytest.raises(KernelFormatError, match=f"^field '{field}' must be"):
+            kernel_from_dict(doc)
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(KernelFormatError, match=f"^field '{field}' must be"):
+            load_kernel(path)
+
+    @pytest.mark.parametrize("field, doc", [
+        ("values", {"type": "sampled", "d": 1.0, "n": 4, "is_local": True,
+                    "values": [[0.0, 0.0], [float("nan"), 0.0], [0.0, 0.0], [0.0, 0.0]]}),
         ("coeffs", {"type": "polynomial", "d": 1.0, "imax": 0, "jmax": 1,
                     "coeffs": [[1.0, 0.0], [0.0, float("inf")]]}),
         ("d", {"type": "polynomial", "d": float("inf"), "imax": 0, "jmax": 0,
@@ -424,8 +463,8 @@ def kernels_to_write(draw):
     return RegularizedInverseSquare(float(alpha), float(epsilon) or 1.0, d)
 
 
-def _indented_document(kernel) -> bytes:
-    return (json.dumps(kernel_to_dict(kernel), indent=2, sort_keys=True) + "\n").encode("utf-8")
+def _document(kernel, **layout) -> str:
+    return json.dumps(kernel_to_dict(kernel), sort_keys=True, **layout) + "\n"
 
 
 _FIELDS = {SampledKernel: ("grid", "values", "is_local"),
@@ -433,32 +472,37 @@ _FIELDS = {SampledKernel: ("grid", "values", "is_local"),
            RegularizedInverseSquare: ("alpha", "epsilon", "d")}
 
 
+def _assert_bit_identical(back, kernel):
+    assert type(back) is type(kernel)
+    for field in _FIELDS[type(kernel)]:  # bit for bit, so -0.0 is not 0.0
+        assert (np.asarray(getattr(back, field)).tobytes()
+                == np.asarray(getattr(kernel, field)).tobytes()), field
+
+
 class TestKernelWriter:
     @PROFILE
     @given(kernels_to_write())
-    def test_bytes_are_the_indented_json_document(self, tmp_path_factory, kernel):
+    def test_bytes_are_the_json_document(self, tmp_path_factory, kernel):
         path = tmp_path_factory.mktemp("writer") / "k.json"
         save_kernel(kernel, path)
-        assert path.read_bytes() == _indented_document(kernel)
-        back = load_kernel(path)
-        assert type(back) is type(kernel)
-        for field in _FIELDS[type(kernel)]:  # bit for bit, so -0.0 is not 0.0
-            assert (np.asarray(getattr(back, field)).tobytes()
-                    == np.asarray(getattr(kernel, field)).tobytes()), field
+        assert path.read_bytes() == _document(kernel).encode("utf-8")
+        _assert_bit_identical(load_kernel(path), kernel)
 
-    def test_pairs_span_several_chunks(self, rng, tmp_path):
-        # 401 x 401 pairs fill whole chunks and end in a partial one
+    @PROFILE
+    @given(kernels_to_write())
+    def test_indented_layout_still_loads(self, tmp_path_factory, kernel):
+        # files written before the writer dropped indent=2
+        path = tmp_path_factory.mktemp("indented") / "k.json"
+        path.write_text(_document(kernel, indent=2), encoding="utf-8")
+        _assert_bit_identical(load_kernel(path), kernel)
+
+    def test_401_squared_kernel_round_trips(self, rng, tmp_path):
         g = np.linspace(-1, 1, 401)
         kernel = SampledKernel(g, rng.normal(size=(401, 401)) + 1j * rng.normal(size=(401, 401)))
         path = tmp_path / "k.json"
         save_kernel(kernel, path)
-        assert path.read_bytes() == _indented_document(kernel)
-
-    def test_empty_pair_list(self, tmp_path):
-        kernel = PolynomialKernel(np.zeros((1, 0)))
-        path = tmp_path / "k.json"
-        save_kernel(kernel, path)
-        assert path.read_bytes() == _indented_document(kernel)
+        assert path.read_bytes() == _document(kernel).encode("utf-8")
+        _assert_bit_identical(load_kernel(path), kernel)
 
 
 class TestCollectorPause:
