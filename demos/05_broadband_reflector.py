@@ -24,7 +24,7 @@ EPS = 1e-4
 
 def main():
     cfg = reflector_config(EPS)
-    alpha = tune_alpha(EPS, k_ref=1.0, config=cfg)
+    alpha = tune_alpha(EPS, k_ref=1.0)
     print(f"tuned alpha = {alpha:.6f} = {alpha * 4 * np.pi:.4f} / (4 pi)"
           f"   [Born estimate: 1/(4 pi)]")
 

@@ -133,36 +133,31 @@ def reflector_config(epsilon: float, window: float = 4.0 * HALF_WIDTH,
                         nodes=nodes, weights=weights)
 
 
-def tune_alpha(epsilon: float, k_ref: float, target: float = 1.0,
-               window: float = 4.0 * HALF_WIDTH,
-               config: SolverConfig | None = None) -> float:
-    """Bisect alpha so the exact solver gives |R^l(k_ref)|^2 = target.
+def tune_alpha(epsilon: float, k_ref: float, window: float = 4.0 * HALF_WIDTH) -> float:
+    """Bisect alpha so the exact solver gives |R^l(k_ref)|^2 = 1.
 
-    The Born estimate alpha = 1/(4 pi) under-reflects once the exact
-    dynamics are included; bisection on [0, 1/pi] to 1e-4 in |R^l|^2
-    absorbs that.  Raises BracketingError (with the scan trace) if the
-    interval does not bracket the target or 80 steps do not suffice.
+    The solve runs on ``reflector_config(epsilon, window, k_max=max(5,
+    k_ref))``.  The Born estimate alpha = 1/(4 pi) under-reflects once
+    the exact dynamics are included; bisection on [0, 1/pi] to 1e-4 in
+    |R^l|^2 absorbs that.  Raises BracketingError (with the scan trace)
+    if the interval does not bracket 1 or 80 steps do not suffice.
     """
     if not 0 < k_ref < np.inf:
         raise ValueError(f"reference wavenumber must be positive and finite, got {k_ref!r}")
-    if target == 0.0:
-        return 0.0
-    config = config or reflector_config(epsilon, window, k_max=max(5.0, k_ref))
+    config = reflector_config(epsilon, window, k_max=max(5.0, k_ref))
     trace = []
 
     def objective(alpha: float) -> float:
         pot = RegularizedInverseSquare(alpha=alpha, epsilon=epsilon, d=window)
         res = scatter(pot, k_ref, "left", config)
-        value = abs(res.R) ** 2 - target
-        trace.append((alpha, value + target))
+        value = abs(res.R) ** 2 - 1.0
+        trace.append((alpha, value + 1.0))
         return value
 
     lo, hi = 0.0, 4.0 / (4.0 * np.pi)
-    f_lo, f_hi = -target, objective(hi)
+    f_lo, f_hi = -1.0, objective(hi)
     if f_lo * f_hi > 0:
-        raise BracketingError(
-            f"|R^l|^2 - {target} does not change sign on [0, {hi}]", trace
-        )
+        raise BracketingError(f"|R^l|^2 - 1 does not change sign on [0, {hi}]", trace)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         f_mid = objective(mid)
@@ -172,7 +167,4 @@ def tune_alpha(epsilon: float, k_ref: float, target: float = 1.0,
             hi, f_hi = mid, f_mid
         else:
             lo, f_lo = mid, f_mid
-    raise BracketingError(
-        f"bisection did not reach |{target} - |R^l|^2| <= 0.0001 in 80 steps",
-        trace,
-    )
+    raise BracketingError("bisection did not reach |1 - |R^l|^2| <= 0.0001 in 80 steps", trace)

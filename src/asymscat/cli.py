@@ -266,7 +266,11 @@ def _config_value(action: argparse.Action, key: str, value: str):
         except KeyError:
             raise KernelFormatError(
                 f"config key {key!r} takes true or false, got {value!r}") from None
-    converted = action.type(value) if action.type else value
+    try:
+        converted = action.type(value) if action.type else value
+    except ValueError:
+        raise KernelFormatError(
+            f"config key {key!r} takes a {action.type.__name__} value, got {value!r}") from None
     if action.choices is not None and converted not in action.choices:
         raise KernelFormatError(
             f"config key {key!r} takes one of {', '.join(map(str, action.choices))}, "

@@ -52,57 +52,39 @@ DEFAULT_TARGETS = {
 
 _CONSTRAINT_SYMMETRY = {"none": None, "viii": "VIII", "pt": "VII"}
 
-
-def _code_pattern(code: str) -> tuple[float, float, float, float]:
-    """Target moduli (|T^l|, |T^r|, |R^l|, |R^r|) encoded by a device code."""
-    left, right = code.split("/")
-    return (
-        1.0 if "T" in left else 0.0,
-        1.0 if "T" in right else 0.0,
-        1.0 if "R" in left else 0.0,
-        1.0 if "R" in right else 0.0,
-    )
+# Residual evaluations per restart.  On the exact Jacobian converged
+# restarts take tens of evaluations, while a restart stuck in a nonzero
+# local minimum creeps on for thousands; this stops those without
+# cutting any restart that converges.
+_MAX_NFEV = 1000
 
 
 @dataclass(frozen=True)
 class DeviceSpec:
-    """A device code with explicit target amplitudes at one momentum.
+    """A device code, its design momentum and its kernel constraint mode.
 
-    ``code=None`` carries bare amplitude targets with no 0/1 pattern
-    attached (used e.g. for trivial free-space verification)."""
+    ``targets`` is the code's canonical amplitude quadruple,
+    ``DEFAULT_TARGETS[code]``."""
 
-    code: str | None
+    code: str
     k0: float = 1.0 / HALF_WIDTH
-    targets: tuple[complex, complex, complex, complex] | None = None
     constraint: str = "none"
 
     def __post_init__(self):
-        if self.code is not None and self.code not in DEVICE_CODES:
+        if self.code not in DEVICE_CODES:
             raise ValueError(f"unknown device code {self.code!r}; expected one of {DEVICE_CODES}")
         if self.constraint not in _CONSTRAINT_SYMMETRY:
             raise ValueError("constraint must be 'none', 'viii' or 'pt'")
         if not 0 < self.k0 < np.inf:
             raise ValueError(f"design momentum k0 must be positive and finite, got {self.k0!r}")
         symmetry = _CONSTRAINT_SYMMETRY[self.constraint]
-        if self.code is not None and symmetry is not None \
-                and symmetry in FORBIDDING_SYMMETRIES[self.code]:
+        if symmetry in FORBIDDING_SYMMETRIES[self.code]:
             raise ForbiddenDeviceError(self.code, symmetry)
-        targets = self.targets
-        if targets is None:
-            if self.code is None:
-                raise ValueError("bare specs need explicit targets")
-            targets = DEFAULT_TARGETS[self.code]
-        targets = tuple(complex(t) for t in targets)
-        if self.code is not None:
-            pattern = _code_pattern(self.code)
-            for value, want in zip(targets, pattern):
-                if abs(abs(value) - want) > 1e-9:
-                    raise ValueError(
-                        f"targets {targets} do not match the moduli pattern of {self.code}"
-                    )
-        if self.constraint == "viii" and abs(targets[2] - targets[3]) > 1e-9:
-            raise ValueError("symmetry-VIII designs require R^l = R^r")
-        object.__setattr__(self, "targets", targets)
+
+    @property
+    def targets(self) -> tuple[complex, complex, complex, complex]:
+        """(T^l, T^r, R^l, R^r) at k0."""
+        return tuple(complex(t) for t in DEFAULT_TARGETS[self.code])
 
 
 @dataclass(frozen=True)
@@ -282,7 +264,7 @@ class _DesignProblem:
         return np.linalg.lstsq(np.concatenate([A.real, A.imag]),
                                np.concatenate([b.real, b.imag]), rcond=None)[0]
 
-    def solve(self, seed: int, restarts: int, max_nfev: int):
+    def solve(self, seed: int, restarts: int):
         """Run every restart; return the selected solution vector, its max
         |residual| and the restart trace.
 
@@ -304,7 +286,7 @@ class _DesignProblem:
             # (the MINPACK driver carries call-to-call state)
             sol = least_squares(
                 self.residuals, u0, jac=self.jacobian, method="trf", xtol=1e-15,
-                ftol=1e-15, gtol=1e-15, max_nfev=max_nfev,
+                ftol=1e-15, gtol=1e-15, max_nfev=_MAX_NFEV,
             )
             knorm = float(np.linalg.norm(self.vparam.unpack(sol.x[self.n_c_real :])))
             xs.append(sol.x)
@@ -320,22 +302,16 @@ class _DesignProblem:
         return xs[best], trace[best].residual, trace
 
 
-def design_device(spec: DeviceSpec, seed: int = 0, restarts: int = 16,
-                  max_nfev: int = 1000) -> DesignResult:
+def design_device(spec: DeviceSpec, seed: int = 0, restarts: int = 16) -> DesignResult:
     """Find a polynomial kernel realizing ``spec.targets`` at k0.
 
     The returned kernel is verified with an independent forward solve
     (801-point Simpson); a residual above 1e-6 per amplitude raises
     DesignError.  Designs a symmetry forbids are rejected when the spec
     is built (``DeviceSpec`` raises ForbiddenDeviceError).
-
-    ``max_nfev`` caps the residual evaluations of each restart.  On the
-    exact Jacobian converged restarts take tens of evaluations, while a
-    restart stuck in a nonzero local minimum creeps on for thousands;
-    the default stops those without cutting any restart that converges.
     """
     problem = _DesignProblem(spec)
-    u, design_residual, trace = problem.solve(seed, restarts, max_nfev)
+    u, design_residual, trace = problem.solve(seed, restarts)
     if design_residual > 1e-9:
         raise DesignError(
             f"design for {spec.code} (constraint {spec.constraint}) did not "

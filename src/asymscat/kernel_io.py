@@ -76,6 +76,14 @@ def _require(data: dict, field: str, kind=None):
     return value
 
 
+def _scalar(data: dict, field: str) -> float:
+    try:
+        value = float(_require(data, field, (int, float)))
+    except OverflowError as exc:  # an integer literal beyond the double range
+        raise KernelFormatError(f"field {field!r} must be finite") from exc
+    return _require_finite(value, field)
+
+
 def kernel_to_dict(kernel) -> dict:
     if isinstance(kernel, SampledKernel):
         return {
@@ -107,7 +115,7 @@ def kernel_from_dict(data: dict):
     if not isinstance(data, dict):
         raise KernelFormatError("kernel document must be a JSON object")
     ktype = _require(data, "type", str)
-    d = _require_finite(float(_require(data, "d", (int, float))), "d")
+    d = _scalar(data, "d")
     if d <= 0:
         raise KernelFormatError(f"field 'd' must be positive, got {d!r}")
     if ktype == "sampled":
@@ -135,9 +143,8 @@ def kernel_from_dict(data: dict):
             )
         return PolynomialKernel(coeffs.reshape(imax + 1, jmax + 1), d=d)
     if ktype == "inverse_square":
-        alpha = _require_finite(float(_require(data, "alpha", (int, float))), "alpha")
-        epsilon = _require_finite(float(_require(data, "epsilon", (int, float))), "epsilon")
-        return RegularizedInverseSquare(alpha=alpha, epsilon=epsilon, d=d)
+        return RegularizedInverseSquare(alpha=_scalar(data, "alpha"),
+                                        epsilon=_scalar(data, "epsilon"), d=d)
     raise KernelFormatError(f"unknown kernel type {ktype!r}")
 
 

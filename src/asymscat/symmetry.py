@@ -152,12 +152,13 @@ class AmplitudeRelation:
 
     ``residual`` evaluates |lhs - rhs| on a ScatteringAmplitudes value;
     conditional (phase) relations apply only when the amplitudes show the
-    0/1 pattern of ``condition`` (to 1e-2) and report 0 otherwise.
+    0/1 pattern of ``condition`` (to 1e-2) and report 0 otherwise.  A
+    relation of a conjugating code reads ``amps.hatted`` through
+    ``transformed_amplitudes``, which raises ValueError without it.
     """
 
     symmetry: str
     description: str
-    needs_hatted: bool
     _residual: Callable
     condition: str | None = None
     _applies: Callable | None = None
@@ -168,11 +169,6 @@ class AmplitudeRelation:
         return self._applies(amps)
 
     def residual(self, amps: ScatteringAmplitudes) -> float:
-        if self.needs_hatted and amps.hatted is None:
-            raise ValueError(
-                f"relation {self.description!r} needs hatted amplitudes; "
-                f"solve with include_adjoint=True"
-            )
         if not self.applies(amps):
             return 0.0
         return float(self._residual(amps))
@@ -208,7 +204,7 @@ def _equalities(code: str) -> list[AmplitudeRelation]:
     names = _NAMES.quadruple
     return [
         AmplitudeRelation(
-            code, f"{lhs} = {rhs}", reads_hatted,
+            code, f"{lhs} = {rhs}",
             lambda a, i=i: abs(a.quadruple[i] - transformed_amplitudes(a, code).quadruple[i]))
         for i, (lhs, rhs) in enumerate(zip(names, transformed_amplitudes(_NAMES, code).quadruple))
         if reads_hatted or names.index(rhs) > i
@@ -226,24 +222,24 @@ def _refl_asym(a: ScatteringAmplitudes) -> bool:
 # Listed after the equalities; these do not follow from the amplitude action.
 _MODULUS_AND_PHASE = {
     "II": [
-        AmplitudeRelation("II", "|T^l| = |T^r|", False, lambda a: abs(abs(a.Tl) - abs(a.Tr))),
-        AmplitudeRelation("II", "|R^l| = |R^r|", False, lambda a: abs(abs(a.Rl) - abs(a.Rr))),
+        AmplitudeRelation("II", "|T^l| = |T^r|", lambda a: abs(abs(a.Tl) - abs(a.Tr))),
+        AmplitudeRelation("II", "|R^l| = |R^r|", lambda a: abs(abs(a.Rl) - abs(a.Rr))),
     ],
     "IV": [
-        AmplitudeRelation("IV", "R^r conj(R^l) = 1", False, lambda a: abs(a.Rr * np.conj(a.Rl) - 1.0),
+        AmplitudeRelation("IV", "R^r conj(R^l) = 1", lambda a: abs(a.Rr * np.conj(a.Rl) - 1.0),
                           "perfect transmission asymmetry", _trans_asym),
-        AmplitudeRelation("IV", "T^r conj(T^l) = 1", False, lambda a: abs(a.Tr * np.conj(a.Tl) - 1.0),
+        AmplitudeRelation("IV", "T^r conj(T^l) = 1", lambda a: abs(a.Tr * np.conj(a.Tl) - 1.0),
                           "perfect reflection asymmetry", _refl_asym),
     ],
     "V": [
-        AmplitudeRelation("V", "|R^l| = |R^r|", False, lambda a: abs(abs(a.Rl) - abs(a.Rr))),
-        AmplitudeRelation("V", "|R^l| = |R^r| = 1", False,
+        AmplitudeRelation("V", "|R^l| = |R^r|", lambda a: abs(abs(a.Rl) - abs(a.Rr))),
+        AmplitudeRelation("V", "|R^l| = |R^r| = 1",
                           lambda a: max(abs(abs(a.Rl) - 1.0), abs(abs(a.Rr) - 1.0)),
                           "perfect transmission asymmetry", _trans_asym),
     ],
     "VII": [
-        AmplitudeRelation("VII", "|T^l| = |T^r|", False, lambda a: abs(abs(a.Tl) - abs(a.Tr))),
-        AmplitudeRelation("VII", "|T^l| = |T^r| = 1", False,
+        AmplitudeRelation("VII", "|T^l| = |T^r|", lambda a: abs(abs(a.Tl) - abs(a.Tr))),
+        AmplitudeRelation("VII", "|T^l| = |T^r| = 1",
                           lambda a: max(abs(abs(a.Tl) - 1.0), abs(abs(a.Tr) - 1.0)),
                           "perfect reflection asymmetry", _refl_asym),
     ],

@@ -229,7 +229,7 @@ def test_criterion_10_broadband_reflector():
     t0 = time.time()
     eps = 1e-4
     cfg = reflector_config(eps)
-    alpha = tune_alpha(eps, 1.0, config=cfg)
+    alpha = tune_alpha(eps, 1.0)
     rel = abs(alpha * 4.0 * np.pi - 1.225) / 1.225
     pot = design_broadband_reflector(alpha, eps, d=4.0)
     table = k_sweep(pot, np.linspace(0.5, 5.0, 40), cfg)

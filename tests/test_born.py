@@ -136,17 +136,17 @@ class TestPTCharacter:
 
 
 class TestTuneAlpha:
-    def test_reproduces_reference_strength(self, config):
-        alpha = tune_alpha(EPS, 1.0, config=config)
+    def test_reproduces_reference_strength(self):
+        alpha = tune_alpha(EPS, 1.0)
         assert alpha * 4.0 * np.pi == pytest.approx(1.225, rel=0.05)
 
-    def test_zero_target(self):
-        assert tune_alpha(EPS, 1.0, target=0.0) == 0.0
-
-    def test_unbracketable_target_raises_with_trace(self, config):
-        with pytest.raises(BracketingError) as err:
-            tune_alpha(EPS, 1.0, target=50.0, config=config)
+    def test_unbracketable_target_raises_with_trace(self):
+        # at eps = 0.5 the peak is so wide that |R^l|^2 is 0.52 at
+        # alpha = 1/pi, the top of the bisection interval
+        with pytest.raises(BracketingError, match="does not change sign") as err:
+            tune_alpha(0.5, 1.0)
         assert err.value.trace  # scan trace for diagnosis
+        assert err.value.trace[0][1] < 1.0
 
     def test_rejects_nonpositive_kref(self):
         with pytest.raises(ValueError):
@@ -160,7 +160,7 @@ class TestTuneAlpha:
 
 class TestBroadbandReflector:
     def test_tuned_sweep_stays_in_band(self, config):
-        alpha = tune_alpha(EPS, 1.0, config=config)
+        alpha = tune_alpha(EPS, 1.0)
         pot = design_broadband_reflector(alpha, EPS, d=4.0)
         table = k_sweep(pot, np.linspace(0.5, 5.0, 10), config)
         rl2 = table.column("abs2_Rl")
@@ -171,7 +171,7 @@ class TestBroadbandReflector:
         assert np.all((tl2 > 0.95) & (tl2 < 1.05))
 
     def test_transparency_matches_unitarity_estimate(self, config):
-        alpha = tune_alpha(EPS, 1.0, config=config)
+        alpha = tune_alpha(EPS, 1.0)
         pot = design_broadband_reflector(alpha, EPS, d=4.0)
         for k in (0.8, 2.0):
             amps = scatter_all(pot, k, config)

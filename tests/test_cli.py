@@ -104,6 +104,16 @@ class TestSolve:
         assert res.returncode == 1
         assert b"input error:" in res.stderr and b"at least 4" in res.stderr
 
+    @pytest.mark.parametrize("field", ["d", "alpha", "epsilon"])
+    def test_integer_beyond_double_range_is_input_error(self, tmp_path, field):
+        doc = {"type": "inverse_square", "d": 1.0, "alpha": 0.1, "epsilon": 0.01, field: 10**400}
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        res = run_cli(["classify", "--kernel", str(bad)], tmp_path)
+        assert res.returncode == 1
+        assert f"input error: field '{field}' must be finite".encode() in res.stderr
+        assert b"Traceback" not in res.stderr
+
 
 class TestSweepCommand:
     def test_csv_output(self, tmp_path, zero_kernel_file):
@@ -422,6 +432,24 @@ class TestConfigFile:
         key = line.split(" = ")[0].encode()
         assert res.returncode == 1
         assert b"input error: config key '" + key + b"'" in res.stderr
+        assert b"Traceback" not in res.stderr
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("line, args", [
+        ("k = abc", ["solve", "--kernel", "K"]),
+        ("n_grid = 2.5", ["solve", "--kernel", "K", "--k", "1.0"]),
+        ("n = x", ["sweep", "--kernel", "K", "--kmin", "0.5", "--kmax", "1.0"]),
+        ("seed = 1.5", ["design", "--device", "tra"]),
+    ], ids=["k", "n_grid", "n", "seed"])
+    def test_value_of_wrong_type_is_input_error(self, tmp_path, zero_kernel_file, line, args):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        args = [str(zero_kernel_file) if a == "K" else a for a in args]
+        res = run_cli([*args, "--out", "x.json", "--config", str(cfg)], tmp_path)
+        key, value = line.split(" = ")
+        assert res.returncode == 1
+        assert f"input error: config key '{key}'".encode() in res.stderr
+        assert repr(value).encode() in res.stderr
         assert b"Traceback" not in res.stderr
         assert not (tmp_path / "x.json").exists()
 

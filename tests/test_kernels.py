@@ -372,6 +372,10 @@ class TestJsonRoundTrip:
                      "epsilon": float("-inf")}),
         ("coeffs", {"type": "polynomial", "d": 1.0, "imax": 0, "jmax": 0,
                     "coeffs": [[10**400, 0]]}),  # an integer beyond the double range
+        # float() raises OverflowError on these, not ValueError
+        ("d", {"type": "inverse_square", "d": 10**400, "alpha": 0.1, "epsilon": 0.01}),
+        ("alpha", {"type": "inverse_square", "d": 1.0, "alpha": -10**400, "epsilon": 0.01}),
+        ("epsilon", {"type": "inverse_square", "d": 1.0, "alpha": 0.1, "epsilon": 10**400}),
     ])
     def test_non_finite_field_is_named(self, tmp_path, field, doc):
         with pytest.raises(KernelFormatError, match=f"'{field}' must be finite"):

@@ -259,9 +259,8 @@ class TestPredictedRelations:
         from asymscat.solver import ScatteringAmplitudes
 
         amps = ScatteringAmplitudes(1.0, 1.0, 1.0, 0.0, 0.0)
-        needing = [r for r in rels if r.needs_hatted]
-        with pytest.raises(ValueError):
-            needing[0].residual(amps)
+        with pytest.raises(ValueError, match="hatted"):
+            rels[0].residual(amps)
 
 
 class TestTransformedAmplitudes:
