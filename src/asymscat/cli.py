@@ -8,6 +8,7 @@ can byte-compare repeated runs.  Exit codes: 0 success, 1 input error,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -25,16 +26,7 @@ from .errors import (
     SingularSystemError,
     VerificationError,
 )
-from .kernel_io import (
-    amplitudes_to_dict,
-    build_manifest,
-    complex_pair,
-    dumps_json,
-    kernel_to_dict,
-    load_kernel,
-    save_kernel,
-    sha256_path,
-)
+from .kernel_io import complex_pair, kernel_to_dict, load_kernel, save_kernel, sha256_path
 from .kernels import SYMMETRY_CODES
 from .solver import (
     SolverConfig,
@@ -61,7 +53,29 @@ def _add_solver_flags(add) -> None:
     add("--quadrature", choices=("trapezoid", "simpson"), default="trapezoid")
 
 
+_AMPLITUDE_NAMES = ("Tl", "Tr", "Rl", "Rr")
+
+
+def _quadruple_pairs(amps) -> dict:
+    return {name: complex_pair(z) for name, z in zip(_AMPLITUDE_NAMES, amps.quadruple)}
+
+
+def amplitudes_to_dict(amps, unitarity=None) -> dict:
+    out = {"k": amps.k, **_quadruple_pairs(amps), "abs2": dict(zip(_AMPLITUDE_NAMES, amps.abs2))}
+    if amps.hatted is not None:
+        out["hatted"] = _quadruple_pairs(amps.hatted)
+    if unitarity is not None:
+        out["unitarity_residuals"] = [float(r) for r in unitarity]
+    return out
+
+
+def dumps_json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def _write_output(text: str, path: str | None) -> None:
+    """Write a report, CSV table or manifest to ``path`` with LF line
+    endings, or to stdout when ``path`` is None."""
     if path is None:
         sys.stdout.write(text)
     else:
@@ -69,18 +83,20 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _emit_manifest(command: str, args, inputs: dict, outputs: dict) -> None:
+    """Reproducibility record beside ``--out``: identical manifests imply
+    bit-identical outputs (all randomness is seeded, nothing depends on
+    time)."""
     out = getattr(args, "out", None)
     if out is None:
         return
-    flags = {
-        key: value
-        for key, value in sorted(vars(args).items())
-        if key not in ("func", "config") and not callable(value)
+    manifest = {
+        "command": command,
+        "flags": {key: value for key, value in vars(args).items() if key != "func"},
+        "version": __version__,
+        "input_digests": {k: sha256_path(v) for k, v in inputs.items()},
+        "output_digests": {k: sha256_path(v) for k, v in outputs.items()},
     }
-    manifest = build_manifest(command, flags, __version__,
-                              {k: sha256_path(v) for k, v in inputs.items()},
-                              {k: sha256_path(v) for k, v in outputs.items()})
-    Path(str(out) + ".manifest.json").write_text(dumps_json(manifest), encoding="utf-8")
+    _write_output(dumps_json(manifest), str(out) + ".manifest.json")
 
 
 def _cmd_solve(args) -> int:
@@ -165,11 +181,10 @@ def _cmd_design(args) -> int:
                       constraint=args.constraint)
     result = design_device(spec, seed=args.seed)
     save_kernel(result.kernel, args.out)
-    lo, hi = 0.8 * args.k0, 1.2 * args.k0
-    table = verify_design(result, (lo, hi), n_points=args.verify_points)
+    table = verify_design(result, n_points=args.verify_points)
     verify_path = str(Path(args.out).with_suffix("")) + ".verify.csv"
-    table.write_csv(verify_path)
-    sys.stdout.write(dumps_json(_design_result_doc(result)))
+    _write_output(table.to_csv_text(), verify_path)
+    _write_output(dumps_json(_design_result_doc(result)), None)
     _emit_manifest("design", args, {}, {"kernel": args.out, "verify": verify_path})
     return 0
 
@@ -196,7 +211,7 @@ def _cmd_born_design(args) -> int:
                                   k_max=float(np.max(grid)))
         table = k_sweep(pot, grid, config)
         sweep_path = str(Path(args.out).with_suffix("")) + ".sweep.csv"
-        table.write_csv(sweep_path)
+        _write_output(table.to_csv_text(), sweep_path)
         outputs["sweep"] = sweep_path
         born = born_prediction(pot, float(grid[0]))
         doc["born_at_kmin"] = {
@@ -204,7 +219,7 @@ def _cmd_born_design(args) -> int:
             "Rr": complex_pair(born.Rr),
             "T_abs2": born.T_abs2,
         }
-    sys.stdout.write(dumps_json(doc))
+    _write_output(dumps_json(doc), None)
     _emit_manifest("born-design", args, {}, outputs)
     return 0
 
@@ -405,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = _apply_config_file(argv, options)
         args = parser.parse_args(argv)
         return args.func(args)
-    except (KernelFormatError, FileNotFoundError, ForbiddenDeviceError, ValueError) as exc:
+    except (KernelFormatError, OSError, ForbiddenDeviceError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except (SingularSystemError, AdjointDivergenceError, DesignError, BracketingError) as exc:

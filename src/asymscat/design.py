@@ -332,9 +332,8 @@ def design_device(spec: DeviceSpec, seed: int = 0, restarts: int = 16) -> Design
     return DesignResult(kernel, (cl, cr), amps, residual, design_residual, spec, trace)
 
 
-def verify_design(result: DesignResult, k_window: tuple[float, float] = (0.8, 1.2),
-                  n_points: int = 41) -> SweepTable:
-    """Sweep the designed kernel across a momentum window.
+def verify_design(result: DesignResult, n_points: int = 41) -> SweepTable:
+    """Sweep the designed kernel across [0.8*k0, 1.2*k0].
 
     The sweep uses 401-point Simpson quadrature.  Asserts the targets
     are met to 1e-6 at k0 (which is inserted into the grid) and that the
@@ -343,7 +342,7 @@ def verify_design(result: DesignResult, k_window: tuple[float, float] = (0.8, 1.
     the sweep refines.  Returns the sweep table.
     """
     k0 = result.spec.k0
-    ks = np.linspace(k_window[0], k_window[1], n_points)
+    ks = np.linspace(0.8 * k0, 1.2 * k0, n_points)
     ks = np.unique(np.append(ks, k0))
     table = k_sweep(result.kernel, ks, SolverConfig(n_grid=401, quadrature="simpson"))
     at_k0 = next(row for row in table.rows if abs(row.k - k0) < 1e-12)

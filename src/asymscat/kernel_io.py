@@ -1,4 +1,4 @@
-"""JSON kernel files, CSV sweep tables, and run manifests.
+"""The JSON kernel file format.
 
 Complex numbers are stored as [re, im] pairs of IEEE-754 doubles;
 serialization goes through Python's shortest-repr float printing, so a
@@ -15,6 +15,10 @@ them sets off full collections that find nothing to free, since a
 parsed JSON document, like the dict written, is a tree: reference
 counting frees all of it.  Anything cyclic made meanwhile waits for
 the next collection after the caller's collector state is restored.
+
+Two helpers live beside the format: ``complex_pair``, the [re, im]
+encoding that the CLI's reports share with kernel files, and
+``sha256_path``, the file digest of run manifests.
 """
 from __future__ import annotations
 
@@ -186,42 +190,10 @@ def load_kernel(path):
 
 
 def complex_pair(z: complex) -> list:
+    """``z`` as the [re, im] pair that kernel files and reports store."""
     return [float(np.real(z)), float(np.imag(z))]
-
-
-_AMPLITUDE_NAMES = ("Tl", "Tr", "Rl", "Rr")
-
-
-def _quadruple_pairs(amps) -> dict:
-    return {name: complex_pair(z) for name, z in zip(_AMPLITUDE_NAMES, amps.quadruple)}
-
-
-def amplitudes_to_dict(amps, unitarity=None) -> dict:
-    out = {"k": amps.k, **_quadruple_pairs(amps), "abs2": dict(zip(_AMPLITUDE_NAMES, amps.abs2))}
-    if amps.hatted is not None:
-        out["hatted"] = _quadruple_pairs(amps.hatted)
-    if unitarity is not None:
-        out["unitarity_residuals"] = [float(r) for r in unitarity]
-    return out
-
-
-def dumps_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def sha256_path(path) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
-
-
-def build_manifest(command: str, flags: dict, version: str,
-                   inputs: dict, outputs: dict) -> dict:
-    """Reproducibility record: identical manifests imply bit-identical
-    outputs (all randomness is seeded, nothing depends on time)."""
-    return {
-        "command": command,
-        "flags": flags,
-        "version": version,
-        "input_digests": inputs,
-        "output_digests": outputs,
-    }

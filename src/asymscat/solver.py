@@ -611,10 +611,6 @@ class SweepTable:
             lines.append(",".join([f"{v:.17g}" for v in _csv_numbers(row)] + [error]))
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv_text())
-
 
 def k_sweep(kernel, k_grid, config: SolverConfig | None = None) -> SweepTable:
     """Tabulate amplitudes over a grid of incident momenta.

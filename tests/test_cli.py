@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from asymscat.kernel_io import load_kernel, save_kernel
+from asymscat.cli import build_parser
+from asymscat.kernel_io import load_kernel, save_kernel, sha256_path
 from asymscat.kernels import RegularizedInverseSquare, SampledKernel
 from asymscat.symmetry import symmetrize
 from conftest import cli_env, random_poly_surface
@@ -337,6 +338,58 @@ class TestExitCodes:
         res = run_cli(args, tmp_path)
         assert res.returncode == 0
         assert res.stdout
+
+    @pytest.mark.parametrize("args", [
+        ["classify", "--kernel", "a_dir"],
+        ["design", "--device", "tra", "--config", "a_dir", "--out", "x.json"],
+        ["design", "--device", "tra", "--out", "a_dir"],
+    ], ids=["kernel", "config", "out"])
+    def test_path_naming_a_directory_is_input_error(self, tmp_path, args):
+        (tmp_path / "a_dir").mkdir()
+        res = run_cli(args, tmp_path)
+        assert res.returncode == 1
+        assert b"input error:" in res.stderr and b"a_dir" in res.stderr
+        assert b"Traceback" not in res.stderr
+
+
+class TestManifest:
+    # each command runs in a directory of its own, so every file there
+    # is one it wrote
+    COMMANDS = {
+        "solve": ["solve", "--kernel", "{kernel}", "--k", "1.2", "--adjoint",
+                  "--out", "r.json"],
+        "sweep": ["sweep", "--kernel", "{kernel}", "--kmin", "0.8", "--kmax", "1.2",
+                  "--n", "3", "--out", "s.csv"],
+        "classify": ["classify", "--kernel", "{kernel}", "--out", "c.json"],
+        "verify": ["verify", "--kernel", "{kernel}", "--n", "2", "--out", "v.json"],
+        "design": ["design", "--device", "tra", "--verify-points", "3", "--out", "k.json"],
+        "born-design": ["born-design", "--alpha", "0.0975", "--epsilon", "1e-4",
+                        "--sweep", "0.8:1.2:3", "--out", "p.json"],
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_files_digests_and_flags(self, tmp_path, hermitian_kernel_file, command):
+        args = [a.format(kernel=hermitian_kernel_file) for a in self.COMMANDS[command]]
+        wd = tmp_path / "run"
+        wd.mkdir()
+        res = run_cli(args, wd)
+        assert res.returncode == 0, res.stderr
+        blobs = [f.read_bytes() for f in wd.iterdir()] + ([res.stdout] if res.stdout else [])
+        for blob in blobs:
+            assert b"\r" not in blob and blob.endswith(b"\n")
+
+        out = args[args.index("--out") + 1]
+        manifest_path = wd / (out + ".manifest.json")
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        assert manifest["command"] == command
+        written = sorted(sha256_path(f) for f in wd.iterdir() if f != manifest_path)
+        assert sorted(manifest["output_digests"].values()) == written
+        kernel_inputs = {"kernel": sha256_path(hermitian_kernel_file)} if "--kernel" in args else {}
+        assert manifest["input_digests"] == kernel_inputs
+
+        parsed = vars(build_parser()[0].parse_args(args))
+        del parsed["func"]
+        assert manifest["flags"] == parsed
 
 
 class TestConfigFile:

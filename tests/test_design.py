@@ -224,8 +224,7 @@ class TestOneWayRFilter:
     def test_verify_design_passes(self, ra_designs):
         # raises VerificationError on a miss at k0 or a jump in the window
         for result in ra_designs[::4]:  # seed 0 at each momentum
-            k0 = result.spec.k0
-            verify_design(result, (0.8 * k0, 1.2 * k0), n_points=21)
+            verify_design(result, n_points=21)
 
     def test_edge_rows_vanish(self, ra_designs):
         for result in ra_designs:
@@ -275,7 +274,7 @@ class TestAdjointDivergence:
 
 class TestVerifyDesign:
     def test_one_way_mirror_sweep(self, designs):
-        table = verify_design(designs["TR/A"], (0.9, 1.1), n_points=11)
+        table = verify_design(designs["TR/A"], n_points=11)
         k = table.column("k")
         rl2 = table.column("abs2_Rl")
         at_k0 = np.argmin(np.abs(k - 1.0))
@@ -283,10 +282,17 @@ class TestVerifyDesign:
 
     def test_viii_design_has_equal_reflections_across_window(self, designs):
         # symmetry-implied, not only at k0
-        table = verify_design(designs["T/A"], (0.8, 1.2), n_points=11)
+        table = verify_design(designs["T/A"], n_points=11)
         rl2 = table.column("abs2_Rl")
         rr2 = table.column("abs2_Rr")
         np.testing.assert_allclose(rl2, rr2, atol=1e-10)
+
+    def test_window_is_relative_to_k0(self):
+        # the jump check scales with the largest step, so a window that
+        # ignored k0 = 3 would leave a step too wide for it to fail
+        result = design_device(DeviceSpec(code="TR/A", k0=3.0), seed=0)
+        k = verify_design(result, n_points=5).column("k")
+        np.testing.assert_allclose(k, [2.4, 2.7, 3.0, 3.3, 3.6], rtol=0, atol=1e-15)
 
     def test_misses_raise_verification_error(self, designs):
         wrong_spec = DeviceSpec(code="T/R")
@@ -295,7 +301,7 @@ class TestVerifyDesign:
             designs["TR/A"].verification, designs["TR/A"].residual,
             designs["TR/A"].design_residual, wrong_spec)
         with pytest.raises(VerificationError):
-            verify_design(broken, (0.9, 1.1), n_points=5)
+            verify_design(broken, n_points=5)
 
 
 class TestWaveCoefficients:
