@@ -26,7 +26,7 @@ from .errors import (
     SingularSystemError,
     VerificationError,
 )
-from .kernel_io import complex_pair, kernel_to_dict, load_kernel, save_kernel, sha256_path
+from .kernel_io import kernel_to_dict, load_kernel, save_kernel, sha256_path
 from .kernels import SYMMETRY_CODES
 from .solver import (
     SolverConfig,
@@ -54,6 +54,11 @@ def _add_solver_flags(add) -> None:
 
 
 _AMPLITUDE_NAMES = ("Tl", "Tr", "Rl", "Rr")
+
+
+def complex_pair(z: complex) -> list:
+    """``z`` as the [re, im] pair that reports store."""
+    return [float(np.real(z)), float(np.imag(z))]
 
 
 def _quadruple_pairs(amps) -> dict:
@@ -180,11 +185,14 @@ def _cmd_design(args) -> int:
     spec = DeviceSpec(code=_DEVICE_FLAGS[args.device], k0=args.k0,
                       constraint=args.constraint)
     result = design_device(spec, seed=args.seed)
-    save_kernel(result.kernel, args.out)
+    # outputs are computed before the first write, and the kernel follows
+    # its tables, so a failure leaves no kernel without them
     table = verify_design(result, n_points=args.verify_points)
+    report = dumps_json(_design_result_doc(result))
     verify_path = str(Path(args.out).with_suffix("")) + ".verify.csv"
     _write_output(table.to_csv_text(), verify_path)
-    _write_output(dumps_json(_design_result_doc(result)), None)
+    save_kernel(result.kernel, args.out)
+    _write_output(report, None)
     _emit_manifest("design", args, {}, {"kernel": args.out, "verify": verify_path})
     return 0
 
@@ -204,21 +212,22 @@ def _cmd_born_design(args) -> int:
         "tuned": bool(args.tune),
     }
     outputs = {}
-    save_kernel(pot, args.out)
-    outputs["kernel"] = args.out
     if grid is not None:
         config = reflector_config(args.epsilon, window=args.window,
                                   k_max=float(np.max(grid)))
         table = k_sweep(pot, grid, config)
-        sweep_path = str(Path(args.out).with_suffix("")) + ".sweep.csv"
-        _write_output(table.to_csv_text(), sweep_path)
-        outputs["sweep"] = sweep_path
         born = born_prediction(pot, float(grid[0]))
         doc["born_at_kmin"] = {
             "Rl": complex_pair(born.Rl),
             "Rr": complex_pair(born.Rr),
             "T_abs2": born.T_abs2,
         }
+        # as in design: the table first, then the kernel, the manifest last
+        sweep_path = str(Path(args.out).with_suffix("")) + ".sweep.csv"
+        _write_output(table.to_csv_text(), sweep_path)
+        outputs["sweep"] = sweep_path
+    save_kernel(pot, args.out)
+    outputs["kernel"] = args.out
     _write_output(dumps_json(doc), None)
     _emit_manifest("born-design", args, {}, outputs)
     return 0

@@ -1,27 +1,31 @@
 """The JSON kernel file format.
 
-Complex numbers are stored as [re, im] pairs of IEEE-754 doubles;
-serialization goes through Python's shortest-repr float printing, so a
-kernel round-trips bit-exactly through its JSON file.
-
 A kernel file is the document ``json.dumps(kernel_to_dict(kernel),
-sort_keys=True) + "\n"``.  Without ``indent`` the json module encodes
-in C; files in the older ``indent=2`` layout hold the same values and
-load bit for bit.
+sort_keys=True) + "\n"``, format 2.  Its ``format`` field holds 2, and
+each complex array (``values``, ``coeffs``) is one standard base64
+string of little-endian complex128 in C order; ``n`` and ``is_local``,
+or ``imax`` and ``jmax``, give the shape.  The bytes are the doubles
+themselves, so a kernel round-trips bit for bit, signed zeros and
+subnormals included.
 
-``save_kernel`` and ``load_kernel`` run with the cyclic garbage
-collector paused.  A 401 x 401 kernel is 160,801 pair lists; allocating
-them sets off full collections that find nothing to free, since a
-parsed JSON document, like the dict written, is a tree: reference
-counting frees all of it.  Anything cyclic made meanwhile waits for
-the next collection after the caller's collector state is restored.
+A file without a ``format`` field is format 1, which stored each
+complex number as an [re, im] pair of JSON numbers, in the compact or
+the older ``indent=2`` layout.  Such files still load bit for bit;
+nothing writes them.
 
-Two helpers live beside the format: ``complex_pair``, the [re, im]
-encoding that the CLI's reports share with kernel files, and
-``sha256_path``, the file digest of run manifests.
+``load_kernel`` runs with the cyclic garbage collector paused.  A
+format-1 file of a 401 x 401 kernel parses into 160,801 pair lists;
+allocating them sets off full collections that find nothing to free,
+since a parsed JSON document is a tree: reference counting frees all of
+it.  Anything cyclic made meanwhile waits for the next collection after
+the caller's collector state is restored.
+
+``sha256_path``, the file digest of run manifests, lives beside the
+format.
 """
 from __future__ import annotations
 
+import base64
 import gc
 import hashlib
 import json
@@ -33,10 +37,42 @@ import numpy as np
 from .errors import KernelFormatError
 from .kernels import PolynomialKernel, RegularizedInverseSquare, SampledKernel
 
+_FORMAT = 2
+_COMPLEX128 = "<c16"
 
-def _pairs(values: np.ndarray) -> list:
-    flat = np.asarray(values, dtype=complex).ravel()
-    return np.stack([flat.real, flat.imag], axis=1).tolist()
+
+def _encode(values: np.ndarray) -> str:
+    raw = np.asarray(values, dtype=_COMPLEX128).tobytes(order="C")
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _decode(text: str, field: str) -> np.ndarray:
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise KernelFormatError(f"field {field!r} is not valid base64: {exc}") from exc
+    if len(raw) % 16:
+        raise KernelFormatError(
+            f"field {field!r} holds {len(raw)} bytes, not a whole number of "
+            f"16-byte complex128 entries")
+    return _require_finite(np.frombuffer(raw, dtype=_COMPLEX128), field)
+
+
+def _complex_array(data: dict, field: str, version: int) -> np.ndarray:
+    """The flat complex array stored in ``field``: a base64 string in
+    format 2, a list of [re, im] pairs in format 1."""
+    value = _require(data, field)
+    if version == 1:
+        if isinstance(value, str):
+            raise KernelFormatError(
+                f"field {field!r} is a string, but a file without a 'format' field "
+                f"stores [re, im] pairs")
+        return _unpairs(value, field)
+    if not isinstance(value, str):
+        raise KernelFormatError(
+            f"field {field!r} must be a base64 string in a format {_FORMAT} file, "
+            f"got {type(value).__name__}")
+    return _decode(value, field)
 
 
 def _unpairs(pairs, field: str) -> np.ndarray:
@@ -91,22 +127,25 @@ def _scalar(data: dict, field: str) -> float:
 def kernel_to_dict(kernel) -> dict:
     if isinstance(kernel, SampledKernel):
         return {
+            "format": _FORMAT,
             "type": "sampled",
             "d": kernel.d,
             "n": kernel.n,
             "is_local": bool(kernel.is_local),
-            "values": _pairs(kernel.values),
+            "values": _encode(kernel.values),
         }
     if isinstance(kernel, PolynomialKernel):
         return {
+            "format": _FORMAT,
             "type": "polynomial",
             "d": kernel.d,
             "imax": kernel.imax,
             "jmax": kernel.jmax,
-            "coeffs": _pairs(kernel.coeffs),
+            "coeffs": _encode(kernel.coeffs),
         }
     if isinstance(kernel, RegularizedInverseSquare):
         return {
+            "format": _FORMAT,
             "type": "inverse_square",
             "d": kernel.d,
             "alpha": kernel.alpha,
@@ -118,6 +157,11 @@ def kernel_to_dict(kernel) -> dict:
 def kernel_from_dict(data: dict):
     if not isinstance(data, dict):
         raise KernelFormatError("kernel document must be a JSON object")
+    version = 1  # files written before the format field existed
+    if "format" in data:
+        version = _require(data, "format", int)
+        if version != _FORMAT:
+            raise KernelFormatError(f"field 'format' must be {_FORMAT}, got {version}")
     ktype = _require(data, "type", str)
     d = _scalar(data, "d")
     if d <= 0:
@@ -127,7 +171,7 @@ def kernel_from_dict(data: dict):
         if n < 4:  # the cubic splines of SampledKernel need 4 points
             raise KernelFormatError(f"field 'n' must be at least 4, got {n}")
         is_local = bool(_require(data, "is_local", bool))
-        values = _unpairs(_require(data, "values"), "values")
+        values = _complex_array(data, "values", version)
         expected = n if is_local else n * n
         if values.size != expected:
             raise KernelFormatError(
@@ -139,7 +183,7 @@ def kernel_from_dict(data: dict):
     if ktype == "polynomial":
         imax = int(_require(data, "imax", int))
         jmax = int(_require(data, "jmax", int))
-        coeffs = _unpairs(_require(data, "coeffs"), "coeffs")
+        coeffs = _complex_array(data, "coeffs", version)
         expected = (imax + 1) * (jmax + 1)
         if coeffs.size != expected:
             raise KernelFormatError(
@@ -168,12 +212,10 @@ def _collector_paused():
 def save_kernel(kernel, path) -> None:
     """Write ``json.dumps(kernel_to_dict(kernel), sort_keys=True) + "\n"``
     to ``path``."""
-    with _collector_paused():
-        # the kernel dict is a tree, so the cycle check finds nothing
-        text = json.dumps(kernel_to_dict(kernel), sort_keys=True, check_circular=False)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-            fh.write("\n")
+    text = json.dumps(kernel_to_dict(kernel), sort_keys=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+        fh.write("\n")
 
 
 def load_kernel(path):
@@ -187,11 +229,6 @@ def load_kernel(path):
             return kernel_from_dict(data)
         except ValueError as exc:
             raise KernelFormatError(str(exc)) from exc
-
-
-def complex_pair(z: complex) -> list:
-    """``z`` as the [re, im] pair that kernel files and reports store."""
-    return [float(np.real(z)), float(np.imag(z))]
 
 
 def sha256_path(path) -> str:

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from asymscat import cli
 from asymscat.cli import build_parser
+from asymscat.errors import VerificationError
 from asymscat.kernel_io import load_kernel, save_kernel, sha256_path
 from asymscat.kernels import RegularizedInverseSquare, SampledKernel
 from asymscat.symmetry import symmetrize
@@ -13,6 +18,33 @@ from conftest import cli_env, random_poly_surface
 
 
 def run_cli(args, cwd):
+    """``asymscat ARGS`` run in this process with ``cwd`` as the working
+    directory: the exit code, and stdout and stderr as bytes.
+
+    ``cli.main`` is the whole program behind ``python -m asymscat``
+    (``sys.exit(main())``), so only start-up is skipped; ``TestProcess``
+    runs the real process.  An uncaught exception fails the test, as a
+    traceback on stderr would.
+    """
+    buffers = io.BytesIO(), io.BytesIO()
+    # text streams like a process's own, which encode UTF-8 on Linux
+    stdout, stderr = (io.TextIOWrapper(b, encoding="utf-8") for b in buffers)
+    cwd_before = os.getcwd()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(list(args))
+    except SystemExit as exc:  # argparse's --help, --version and usage errors
+        code = 0 if exc.code is None else exc.code
+    finally:
+        os.chdir(cwd_before)
+    stdout.flush()
+    stderr.flush()
+    return subprocess.CompletedProcess(args, code, *(b.getvalue() for b in buffers))
+
+
+def run_process(args, cwd):
+    """``python -m asymscat ARGS`` in a new process."""
     return subprocess.run(
         [sys.executable, "-m", "asymscat", *args],
         capture_output=True, cwd=cwd, text=False, env=cli_env(),
@@ -350,6 +382,64 @@ class TestExitCodes:
         assert res.returncode == 1
         assert b"input error:" in res.stderr and b"a_dir" in res.stderr
         assert b"Traceback" not in res.stderr
+
+
+class TestFailureLeavesNoKernel:
+    # every output is computed before the first write and the kernel is
+    # written after its table, so a failed run leaves no kernel behind
+
+    @pytest.mark.parametrize("args, table", [
+        (["design", "--device", "tra", "--verify-points", "3", "--out", "k.json"],
+         "k.verify.csv"),
+        (["born-design", "--alpha", "0.0975", "--epsilon", "1e-4", "--sweep", "0.8:1.2:3",
+          "--out", "k.json"], "k.sweep.csv"),
+    ], ids=["design", "born-design"])
+    def test_unwritable_table_is_input_error(self, tmp_path, args, table):
+        (tmp_path / table).mkdir()
+        res = run_cli(args, tmp_path)
+        assert res.returncode == 1
+        assert b"input error:" in res.stderr and table.encode() in res.stderr
+        assert [p.name for p in tmp_path.iterdir()] == [table]
+
+    def test_failed_verification_exits_3(self, tmp_path, monkeypatch):
+        def fail(result, n_points):
+            raise VerificationError("1 verification check(s) failed", ["forced failure"])
+
+        monkeypatch.setattr(cli, "verify_design", fail)
+        res = run_cli(["design", "--device", "tra", "--out", "k.json"], tmp_path)
+        assert res.returncode == 3
+        assert b"forced failure" in res.stderr
+        assert not list(tmp_path.iterdir())
+
+
+class TestProcess:
+    # what only a new process shows: start-up, and each exit code leaving
+    # through python -m asymscat's sys.exit(main())
+
+    def test_version(self, tmp_path):
+        res = run_process(["--version"], tmp_path)
+        assert res.returncode == 0
+        assert res.stdout == f"asymscat {cli.__version__}\n".encode()
+
+    @pytest.mark.parametrize("args, code, stderr", [
+        (["solve", "--kernel", "zero.json", "--k", "1.0"], 0, b""),
+        (["solve", "--kernel", "missing.json", "--k", "1.0"], 1, b"input error:"),
+        # at eps = 0.5 tune_alpha cannot bracket its target
+        (["born-design", "--epsilon", "0.5", "--tune", "--out", "r.json"], 2,
+         b"numerical failure:"),
+        (["verify", "--kernel", "plain.json", "--claim", "VIII", "--kmin", "1.0",
+          "--kmax", "1.0", "--n", "1"], 3, b"verification failed:"),
+    ], ids=["0", "1", "2", "3"])
+    def test_exit_code(self, tmp_path, zero_kernel_file, rng, args, code, stderr):
+        save_kernel(random_poly_surface(rng, n=61), tmp_path / "plain.json")
+        res = run_process(args, tmp_path)
+        assert res.returncode == code, res.stderr
+        assert res.stderr.startswith(stderr)
+        assert b"Traceback" not in res.stderr
+        if code == 0:
+            assert json.loads(res.stdout)["abs2"]["Tl"] == pytest.approx(1.0, abs=1e-14)
+        else:
+            assert not (tmp_path / "r.json").exists()
 
 
 class TestManifest:

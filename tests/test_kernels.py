@@ -1,3 +1,4 @@
+import base64
 import gc
 import json
 
@@ -471,6 +472,29 @@ def _document(kernel, **layout) -> str:
     return json.dumps(kernel_to_dict(kernel), sort_keys=True, **layout) + "\n"
 
 
+def _pairs(values) -> list:
+    return [[z.real, z.imag] for z in np.ravel(values).tolist()]
+
+
+def _format_1_document(kernel, **layout) -> str:
+    """The file that format 1 stored for ``kernel``: no format field, and
+    complex numbers as [re, im] pairs."""
+    if isinstance(kernel, SampledKernel):
+        doc = {"type": "sampled", "d": kernel.d, "n": kernel.n,
+               "is_local": bool(kernel.is_local), "values": _pairs(kernel.values)}
+    elif isinstance(kernel, PolynomialKernel):
+        doc = {"type": "polynomial", "d": kernel.d, "imax": kernel.imax,
+               "jmax": kernel.jmax, "coeffs": _pairs(kernel.coeffs)}
+    else:
+        doc = {"type": "inverse_square", "d": kernel.d, "alpha": kernel.alpha,
+               "epsilon": kernel.epsilon}
+    return json.dumps(doc, sort_keys=True, **layout) + "\n"
+
+
+def _b64(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<c16").tobytes()).decode("ascii")
+
+
 _FIELDS = {SampledKernel: ("grid", "values", "is_local"),
            PolynomialKernel: ("coeffs", "d"),
            RegularizedInverseSquare: ("alpha", "epsilon", "d")}
@@ -492,12 +516,23 @@ class TestKernelWriter:
         assert path.read_bytes() == _document(kernel).encode("utf-8")
         _assert_bit_identical(load_kernel(path), kernel)
 
+    @pytest.mark.parametrize("layout", [{}, {"indent": 2}], ids=["compact", "indented"])
     @PROFILE
-    @given(kernels_to_write())
-    def test_indented_layout_still_loads(self, tmp_path_factory, kernel):
-        # files written before the writer dropped indent=2
-        path = tmp_path_factory.mktemp("indented") / "k.json"
-        path.write_text(_document(kernel, indent=2), encoding="utf-8")
+    @given(kernel=kernels_to_write())
+    def test_format_1_files_load_bit_for_bit(self, tmp_path_factory, layout, kernel):
+        # files written before format 2, in the compact layout and in the
+        # indent=2 layout written before that
+        path = tmp_path_factory.mktemp("format1") / "k.json"
+        path.write_text(_format_1_document(kernel, **layout), encoding="utf-8")
+        _assert_bit_identical(load_kernel(path), kernel)
+
+    def test_awkward_floats_round_trip(self, tmp_path):
+        parts = np.array(_AWKWARD)  # -0.0, subnormals and +-max among them
+        values = np.stack([parts, parts[::-1]], axis=1).view(complex)[:, 0]
+        kernel = SampledKernel(np.linspace(-1, 1, values.size), values, is_local=True)
+        path = tmp_path / "k.json"
+        save_kernel(kernel, path)
+        assert json.loads(path.read_text(encoding="utf-8"))["values"] == _b64(values)
         _assert_bit_identical(load_kernel(path), kernel)
 
     def test_401_squared_kernel_round_trips(self, rng, tmp_path):
@@ -507,6 +542,49 @@ class TestKernelWriter:
         save_kernel(kernel, path)
         assert path.read_bytes() == _document(kernel).encode("utf-8")
         _assert_bit_identical(load_kernel(path), kernel)
+
+
+def _local(values, **fields) -> dict:
+    return {"format": 2, "type": "sampled", "d": 1.0, "n": 4, "is_local": True,
+            "values": values, **fields}
+
+
+def _poly(coeffs, **fields) -> dict:
+    return {"format": 2, "type": "polynomial", "d": 1.0, "imax": 0, "jmax": 1,
+            "coeffs": coeffs, **fields}
+
+
+class TestFormat2Checks:
+    @pytest.mark.parametrize("field, doc, message", [
+        ("values", _local(_b64(np.zeros(4))[:-1]), "is not valid base64"),
+        ("values", _local("*" + _b64(np.zeros(4))[1:]), "is not valid base64"),
+        ("values", _local(_b64(np.zeros(2)) + "\n" + _b64(np.zeros(2))),
+         "is not valid base64"),
+        ("coeffs", _poly("\u00e9" * 44), "is not valid base64"),
+        ("values", _local(base64.b64encode(bytes(56)).decode()),
+         "holds 56 bytes, not a whole number"),
+        ("values", _local(_b64(np.zeros(5))), "holds 5 entries, expected 4"),
+        ("coeffs", _poly(_b64(np.ones(3))), "holds 3 entries, expected 2"),
+        ("coeffs", _poly(""), "holds 0 entries, expected 2"),
+        ("values", _local(_b64([0, np.nan, 0, 0])), "must be finite"),
+        ("coeffs", _poly(_b64([1, complex(0, -np.inf)])), "must be finite"),
+        ("format", _poly(_b64([1, 1]), format=3), "must be 2, got 3"),
+        ("format", _poly(_b64([1, 1]), format=1), "must be 2, got 1"),
+        ("format", _poly(_b64([1, 1]), format=True), "has wrong type bool"),
+        ("format", _poly(_b64([1, 1]), format="2"), "has wrong type str"),
+        ("values", _local([[0.0, 0.0]] * 4), "must be a base64 string"),
+        ("coeffs", {k: v for k, v in _poly(_b64([1, 1])).items() if k != "format"},
+         "is a string"),
+    ], ids=["padding", "alphabet", "newline", "non-ascii", "truncated", "count-local",
+            "count-poly", "empty", "nan", "inf", "format-3", "format-1", "format-bool",
+            "format-str", "pairs-in-format-2", "string-in-format-1"])
+    def test_malformed_file_names_the_field(self, tmp_path, field, doc, message):
+        with pytest.raises(KernelFormatError, match=f"field '{field}' {message}"):
+            kernel_from_dict(doc)
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(KernelFormatError, match=f"field '{field}' {message}"):
+            load_kernel(path)
 
 
 class TestCollectorPause:
@@ -527,14 +605,13 @@ class TestCollectorPause:
                 return original(*args)
             return wrapped
 
-        monkeypatch.setattr(kernel_io, "kernel_to_dict", spy(kernel_io.kernel_to_dict))
         monkeypatch.setattr(kernel_io, "kernel_from_dict", spy(kernel_io.kernel_from_dict))
         path = tmp_path / "k.json"
         save_kernel(random_poly_surface(rng, n=11), path)
         assert gc.isenabled() is gc_state
         load_kernel(path)
         assert gc.isenabled() is gc_state
-        assert seen == [False, False]  # paused inside both
+        assert seen == [False]  # paused inside the load
 
     @pytest.mark.parametrize("text", ["{not json", '{"type": "sampled"}'],
                              ids=["bad-json", "missing-field"])
