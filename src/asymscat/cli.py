@@ -87,6 +87,18 @@ def _write_output(text: str, path: str | None) -> None:
         Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
+def _save_kernel_after(kernel, path: str, tables: list[str]) -> None:
+    """Save ``kernel`` to ``path`` after its already written ``tables``;
+    if the kernel cannot be written, remove the tables too, so a failed
+    run leaves no partial output."""
+    try:
+        save_kernel(kernel, path)
+    except BaseException:
+        for table in tables:
+            Path(table).unlink(missing_ok=True)
+        raise
+
+
 def _emit_manifest(command: str, args, inputs: dict, outputs: dict) -> None:
     """Reproducibility record beside ``--out``: identical manifests imply
     bit-identical outputs (all randomness is seeded, nothing depends on
@@ -191,7 +203,7 @@ def _cmd_design(args) -> int:
     report = dumps_json(_design_result_doc(result))
     verify_path = str(Path(args.out).with_suffix("")) + ".verify.csv"
     _write_output(table.to_csv_text(), verify_path)
-    save_kernel(result.kernel, args.out)
+    _save_kernel_after(result.kernel, args.out, [verify_path])
     _write_output(report, None)
     _emit_manifest("design", args, {}, {"kernel": args.out, "verify": verify_path})
     return 0
@@ -226,7 +238,7 @@ def _cmd_born_design(args) -> int:
         sweep_path = str(Path(args.out).with_suffix("")) + ".sweep.csv"
         _write_output(table.to_csv_text(), sweep_path)
         outputs["sweep"] = sweep_path
-    save_kernel(pot, args.out)
+    _save_kernel_after(pot, args.out, list(outputs.values()))
     outputs["kernel"] = args.out
     _write_output(dumps_json(doc), None)
     _emit_manifest("born-design", args, {}, outputs)

@@ -63,10 +63,6 @@ def _complex_array(data: dict, field: str, version: int) -> np.ndarray:
     format 2, a list of [re, im] pairs in format 1."""
     value = _require(data, field)
     if version == 1:
-        if isinstance(value, str):
-            raise KernelFormatError(
-                f"field {field!r} is a string, but a file without a 'format' field "
-                f"stores [re, im] pairs")
         return _unpairs(value, field)
     if not isinstance(value, str):
         raise KernelFormatError(

@@ -241,7 +241,9 @@ class TestDesignCommand:
 
     @pytest.mark.parametrize("k0", ["nan", "inf"])
     def test_non_finite_momentum_is_input_error(self, tmp_path, k0):
-        res = run_cli(["design", "--device", "tra", "--k0", k0,
+        # a new process: LAPACK prints its DLASCL errors to file descriptor 2,
+        # past the sys.stderr that run_cli captures
+        res = run_process(["design", "--device", "tra", "--k0", k0,
                        "--out", str(tmp_path / "x.json")], tmp_path)
         assert res.returncode == 1
         assert b"positive and finite" in res.stderr
@@ -400,6 +402,19 @@ class TestFailureLeavesNoKernel:
         assert res.returncode == 1
         assert b"input error:" in res.stderr and table.encode() in res.stderr
         assert [p.name for p in tmp_path.iterdir()] == [table]
+
+    @pytest.mark.parametrize("args, table", [
+        (["design", "--device", "tra", "--verify-points", "3", "--out", "k"], "k.verify.csv"),
+        (["born-design", "--alpha", "0.0975", "--epsilon", "1e-4", "--sweep", "0.8:1.2:3",
+          "--out", "k"], "k.sweep.csv"),
+    ], ids=["design", "born-design"])
+    def test_unwritable_kernel_removes_its_table(self, tmp_path, args, table):
+        (tmp_path / "k").mkdir()
+        res = run_cli(args, tmp_path)
+        assert res.returncode == 1
+        assert b"input error:" in res.stderr
+        assert not (tmp_path / table).exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["k"]
 
     def test_failed_verification_exits_3(self, tmp_path, monkeypatch):
         def fail(result, n_points):
