@@ -78,42 +78,49 @@ def dumps_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write_output(text: str, path: str | None) -> None:
-    """Write a report, CSV table or manifest to ``path`` with LF line
-    endings, or to stdout when ``path`` is None."""
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
+def _commit(command: str, args, inputs: dict, outputs: dict, stdout: str = "") -> None:
+    """Write a command's outputs: the files, then ``<out>.manifest.json``
+    with their digests, then ``stdout``, which cannot be taken back.
 
+    ``outputs`` maps each output's manifest name to (path, text or
+    kernel); text has LF line endings, and text whose path is None goes
+    to stdout.  If a write raises, the files this call opened are removed,
+    a part-written one too, and the error propagates, so a failed run
+    leaves no output.  A path that could not be opened, such as a
+    directory or a read-only file, is left as it was.  Identical
+    manifests imply bit-identical outputs (all randomness is seeded,
+    nothing depends on time).
+    """
+    files = {name: (path, data) for name, (path, data) in outputs.items() if path is not None}
+    printed = "".join(data for path, data in outputs.values() if path is None)
+    opened = []
 
-def _save_kernel_after(kernel, path: str, tables: list[str]) -> None:
-    """Save ``kernel`` to ``path`` after its already written ``tables``;
-    if the kernel cannot be written, remove the tables too, so a failed
-    run leaves no partial output."""
+    def write(path, data):
+        # a kernel's path is opened here as well, so the rollback knows it
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            opened.append(path)
+            if isinstance(data, str):
+                fh.write(data)
+        if not isinstance(data, str):
+            save_kernel(data, path)
+
     try:
-        save_kernel(kernel, path)
+        for path, data in files.values():
+            write(path, data)
+        if args.out is not None:
+            manifest = {
+                "command": command,
+                "flags": {key: value for key, value in vars(args).items() if key != "func"},
+                "version": __version__,
+                "input_digests": {name: sha256_path(path) for name, path in inputs.items()},
+                "output_digests": {name: sha256_path(path) for name, (path, _) in files.items()},
+            }
+            write(args.out + ".manifest.json", dumps_json(manifest))
     except BaseException:
-        for table in tables:
-            Path(table).unlink(missing_ok=True)
+        for path in opened:
+            Path(path).unlink(missing_ok=True)
         raise
-
-
-def _emit_manifest(command: str, args, inputs: dict, outputs: dict) -> None:
-    """Reproducibility record beside ``--out``: identical manifests imply
-    bit-identical outputs (all randomness is seeded, nothing depends on
-    time)."""
-    out = getattr(args, "out", None)
-    if out is None:
-        return
-    manifest = {
-        "command": command,
-        "flags": {key: value for key, value in vars(args).items() if key != "func"},
-        "version": __version__,
-        "input_digests": {k: sha256_path(v) for k, v in inputs.items()},
-        "output_digests": {k: sha256_path(v) for k, v in outputs.items()},
-    }
-    _write_output(dumps_json(manifest), str(out) + ".manifest.json")
+    sys.stdout.write(printed + stdout)
 
 
 def _cmd_solve(args) -> int:
@@ -122,8 +129,7 @@ def _cmd_solve(args) -> int:
     amps = scatter_all(kernel, args.k, config, include_adjoint=args.adjoint)
     unitarity = generalized_unitarity_residuals(amps) if args.adjoint else None
     text = dumps_json(amplitudes_to_dict(amps, unitarity))
-    _write_output(text, args.out)
-    _emit_manifest("solve", args, {"kernel": args.kernel}, {"amplitudes": args.out})
+    _commit("solve", args, {"kernel": args.kernel}, {"amplitudes": (args.out, text)})
     return 0
 
 
@@ -137,10 +143,10 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, n = spec.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError as exc:
-        raise KernelFormatError(f"bad grid spec {spec!r}; expected kmin:kmax:n") from exc
+        raise ValueError(f"bad grid spec {spec!r}; expected kmin:kmax:n") from exc
     if not (0 < lo < np.inf and 0 < hi < np.inf and n >= 1):
-        raise KernelFormatError(f"bad grid spec {spec!r}; expected positive finite "
-                                f"kmin and kmax and n >= 1")
+        raise ValueError(f"bad grid spec {spec!r}; expected positive finite "
+                         f"kmin and kmax and n >= 1")
     return np.linspace(lo, hi, n)
 
 
@@ -150,8 +156,7 @@ def _cmd_sweep(args) -> int:
     config = _solver_config(args)
     grid = np.linspace(args.kmin, args.kmax, args.n)
     table = k_sweep(kernel, grid, config)
-    _write_output(table.to_csv_text(), args.out)
-    _emit_manifest("sweep", args, {"kernel": args.kernel}, {"sweep": args.out})
+    _commit("sweep", args, {"kernel": args.kernel}, {"sweep": (args.out, table.to_csv_text())})
     return 0
 
 
@@ -171,8 +176,7 @@ def _cmd_classify(args) -> int:
             for r in relations
         ],
     }
-    _write_output(dumps_json(doc), args.out)
-    _emit_manifest("classify", args, {"kernel": args.kernel}, {"report": args.out})
+    _commit("classify", args, {"kernel": args.kernel}, {"report": (args.out, dumps_json(doc))})
     return 0
 
 
@@ -197,15 +201,11 @@ def _cmd_design(args) -> int:
     spec = DeviceSpec(code=_DEVICE_FLAGS[args.device], k0=args.k0,
                       constraint=args.constraint)
     result = design_device(spec, seed=args.seed)
-    # outputs are computed before the first write, and the kernel follows
-    # its tables, so a failure leaves no kernel without them
     table = verify_design(result, n_points=args.verify_points)
-    report = dumps_json(_design_result_doc(result))
     verify_path = str(Path(args.out).with_suffix("")) + ".verify.csv"
-    _write_output(table.to_csv_text(), verify_path)
-    _save_kernel_after(result.kernel, args.out, [verify_path])
-    _write_output(report, None)
-    _emit_manifest("design", args, {}, {"kernel": args.out, "verify": verify_path})
+    _commit("design", args, {}, {"verify": (verify_path, table.to_csv_text()),
+                                 "kernel": (args.out, result.kernel)},
+            stdout=dumps_json(_design_result_doc(result)))
     return 0
 
 
@@ -234,14 +234,10 @@ def _cmd_born_design(args) -> int:
             "Rr": complex_pair(born.Rr),
             "T_abs2": born.T_abs2,
         }
-        # as in design: the table first, then the kernel, the manifest last
         sweep_path = str(Path(args.out).with_suffix("")) + ".sweep.csv"
-        _write_output(table.to_csv_text(), sweep_path)
-        outputs["sweep"] = sweep_path
-    _save_kernel_after(pot, args.out, list(outputs.values()))
-    outputs["kernel"] = args.out
-    _write_output(dumps_json(doc), None)
-    _emit_manifest("born-design", args, {}, outputs)
+        outputs["sweep"] = (sweep_path, table.to_csv_text())
+    outputs["kernel"] = (args.out, pot)
+    _commit("born-design", args, {}, outputs, stdout=dumps_json(doc))
     return 0
 
 
@@ -282,8 +278,7 @@ def _cmd_verify(args) -> int:
         "max_relation_residual": max((c["residual"] for c in checks), default=0.0),
         "failures": failures,
     }
-    _write_output(dumps_json(doc), args.out)
-    _emit_manifest("verify", args, {"kernel": args.kernel}, {"report": args.out})
+    _commit("verify", args, {"kernel": args.kernel}, {"report": (args.out, dumps_json(doc))})
     if failures:
         raise VerificationError(f"{len(failures)} verification check(s) failed", failures)
     return 0
@@ -300,15 +295,14 @@ def _config_value(action: argparse.Action, key: str, value: str):
         try:
             return _BOOLEAN_WORDS[value.lower()]
         except KeyError:
-            raise KernelFormatError(
-                f"config key {key!r} takes true or false, got {value!r}") from None
+            raise ValueError(f"config key {key!r} takes true or false, got {value!r}") from None
     try:
         converted = action.type(value) if action.type else value
     except ValueError:
-        raise KernelFormatError(
+        raise ValueError(
             f"config key {key!r} takes a {action.type.__name__} value, got {value!r}") from None
     if action.choices is not None and converted not in action.choices:
-        raise KernelFormatError(
+        raise ValueError(
             f"config key {key!r} takes one of {', '.join(map(str, action.choices))}, "
             f"got {value!r}")
     return converted
@@ -330,19 +324,19 @@ def _apply_config_file(argv: list[str], options: dict[str, list]) -> list[str]:
     try:
         path = argv[idx + 1]
     except IndexError:
-        raise KernelFormatError("--config needs a file path")
+        raise ValueError("--config needs a file path")
     overrides = {}
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise KernelFormatError(f"bad config line {line!r}; expected key=value")
+            raise ValueError(f"bad config line {line!r}; expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
         overrides[key.replace("-", "_")] = value
     unknown = sorted(set(overrides) - set(options))
     if unknown:
-        raise KernelFormatError(f"unknown config key(s): {', '.join(unknown)}")
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     for key, value in overrides.items():
         for sub, action in options[key]:
             sub.set_defaults(**{key: _config_value(action, key, value)})

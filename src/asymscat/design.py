@@ -75,8 +75,10 @@ class DeviceSpec:
             raise ValueError(f"unknown device code {self.code!r}; expected one of {DEVICE_CODES}")
         if self.constraint not in _CONSTRAINT_SYMMETRY:
             raise ValueError("constraint must be 'none', 'viii' or 'pt'")
-        if not 0 < self.k0 < np.inf:
-            raise ValueError(f"design momentum k0 must be positive and finite, got {self.k0!r}")
+        # the design equations hold k0**2 / 2
+        if not (0 < self.k0 < np.inf and self.k0 * self.k0 < np.inf):
+            raise ValueError(f"design momentum k0 must be positive and finite, with a "
+                             f"finite square, got {self.k0!r}")
         symmetry = _CONSTRAINT_SYMMETRY[self.constraint]
         if symmetry in FORBIDDING_SYMMETRIES[self.code]:
             raise ForbiddenDeviceError(self.code, symmetry)

@@ -35,7 +35,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import KernelFormatError
-from .kernels import PolynomialKernel, RegularizedInverseSquare, SampledKernel
+from .kernels import MAX_DEGREE, PolynomialKernel, RegularizedInverseSquare, SampledKernel
 
 _FORMAT = 2
 _COMPLEX128 = "<c16"
@@ -120,6 +120,14 @@ def _scalar(data: dict, field: str) -> float:
     return _require_finite(value, field)
 
 
+def _degree(data: dict, field: str) -> int:
+    degree = _require(data, field, int)
+    if not 0 <= degree <= MAX_DEGREE:
+        raise KernelFormatError(f"field {field!r} must be between 0 and {MAX_DEGREE}, "
+                                f"got {degree}")
+    return degree
+
+
 def kernel_to_dict(kernel) -> dict:
     if isinstance(kernel, SampledKernel):
         return {
@@ -177,9 +185,8 @@ def kernel_from_dict(data: dict):
         shaped = values if is_local else values.reshape(n, n)
         return SampledKernel(grid, shaped, is_local=is_local)
     if ktype == "polynomial":
-        imax = int(_require(data, "imax", int))
-        jmax = int(_require(data, "jmax", int))
         coeffs = _complex_array(data, "coeffs", version)
+        imax, jmax = (_degree(data, field) for field in ("imax", "jmax"))
         expected = (imax + 1) * (jmax + 1)
         if coeffs.size != expected:
             raise KernelFormatError(

@@ -287,11 +287,15 @@ class SampledKernel:
         return out
 
 
+MAX_DEGREE = 5  # of a PolynomialKernel, in each variable
+
+
 @dataclass(frozen=True)
 class PolynomialKernel:
     """Nonlocal kernel V(x, y) = sum_ij v_ij x^i y^j on [-d, d]^2.
 
-    ``coeffs[i, j] = v_ij`` with both polynomial degrees capped at 5.
+    ``coeffs[i, j] = v_ij`` with both polynomial degrees capped at
+    ``MAX_DEGREE``.
     """
 
     coeffs: np.ndarray
@@ -303,8 +307,8 @@ class PolynomialKernel:
         c = np.atleast_2d(np.asarray(self.coeffs, dtype=complex))
         if c.size == 0:
             raise ValueError(f"coeffs must hold at least one coefficient, got shape {c.shape}")
-        if c.shape[0] > 6 or c.shape[1] > 6:
-            raise ValueError("polynomial degrees are capped at 5 in each variable")
+        if max(c.shape) > MAX_DEGREE + 1:
+            raise ValueError(f"polynomial degrees are capped at {MAX_DEGREE} in each variable")
         _check_finite(c, "coeffs")
         _check_finite(self.d, "d")
         if self.d <= 0:

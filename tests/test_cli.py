@@ -249,6 +249,15 @@ class TestDesignCommand:
         assert b"positive and finite" in res.stderr
         assert b"DLASCL" not in res.stderr
 
+    def test_momentum_with_infinite_square_is_input_error(self, tmp_path):
+        # 0.5 * k0**2 used to end in an OverflowError traceback
+        res = run_cli(["design", "--device", "tra", "--k0", "1e200", "--out", "x.json"],
+                      tmp_path)
+        assert res.returncode == 1
+        assert b"input error: design momentum k0" in res.stderr
+        assert b"Traceback" not in res.stderr
+        assert not list(tmp_path.iterdir())
+
     def test_forbidden_design_is_input_error(self, tmp_path):
         res = run_cli(["design", "--device", "tra", "--constraint", "viii",
                        "--out", str(tmp_path / "x.json")], tmp_path)
@@ -386,9 +395,23 @@ class TestExitCodes:
         assert b"Traceback" not in res.stderr
 
 
-class TestFailureLeavesNoKernel:
-    # every output is computed before the first write and the kernel is
-    # written after its table, so a failed run leaves no kernel behind
+# every command that takes --out, on the kernel file given as {kernel}
+OUT_COMMANDS = {
+    "solve": ["solve", "--kernel", "{kernel}", "--k", "1.2", "--adjoint",
+              "--out", "r.json"],
+    "sweep": ["sweep", "--kernel", "{kernel}", "--kmin", "0.8", "--kmax", "1.2",
+              "--n", "3", "--out", "s.csv"],
+    "classify": ["classify", "--kernel", "{kernel}", "--out", "c.json"],
+    "verify": ["verify", "--kernel", "{kernel}", "--n", "2", "--out", "v.json"],
+    "design": ["design", "--device", "tra", "--verify-points", "3", "--out", "k.json"],
+    "born-design": ["born-design", "--alpha", "0.0975", "--epsilon", "1e-4",
+                    "--sweep", "0.8:1.2:3", "--out", "p.json"],
+}
+
+
+class TestFailureLeavesNoOutput:
+    # every output is computed before the first write; if a write fails,
+    # the files already written are removed and nothing is printed
 
     @pytest.mark.parametrize("args, table", [
         (["design", "--device", "tra", "--verify-points", "3", "--out", "k.json"],
@@ -415,6 +438,34 @@ class TestFailureLeavesNoKernel:
         assert b"input error:" in res.stderr
         assert not (tmp_path / table).exists()
         assert [p.name for p in tmp_path.iterdir()] == ["k"]
+
+    @pytest.mark.parametrize("command", list(OUT_COMMANDS))
+    def test_unwritable_manifest_removes_every_output(self, tmp_path, hermitian_kernel_file,
+                                                      command):
+        args = [a.format(kernel=hermitian_kernel_file) for a in OUT_COMMANDS[command]]
+        manifest = args[args.index("--out") + 1] + ".manifest.json"
+        wd = tmp_path / "run"
+        wd.mkdir()
+        (wd / manifest).mkdir()
+        res = run_cli(args, wd)
+        assert res.returncode == 1
+        assert b"input error:" in res.stderr and manifest.encode() in res.stderr
+        assert [p.name for p in wd.iterdir()] == [manifest]
+        assert res.stdout == b""
+
+    def test_part_written_kernel_is_removed(self, tmp_path, monkeypatch):
+        def fail(kernel, path):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write('{"format": 2, "type"')
+            raise OSError(f"no space left on device: {path!r}")
+
+        monkeypatch.setattr(cli, "save_kernel", fail)
+        res = run_cli(["design", "--device", "tra", "--verify-points", "3", "--out", "k.json"],
+                      tmp_path)
+        assert res.returncode == 1
+        assert b"input error: no space left on device" in res.stderr
+        assert not list(tmp_path.iterdir())
+        assert res.stdout == b""
 
     def test_failed_verification_exits_3(self, tmp_path, monkeypatch):
         def fail(result, n_points):
@@ -460,21 +511,9 @@ class TestProcess:
 class TestManifest:
     # each command runs in a directory of its own, so every file there
     # is one it wrote
-    COMMANDS = {
-        "solve": ["solve", "--kernel", "{kernel}", "--k", "1.2", "--adjoint",
-                  "--out", "r.json"],
-        "sweep": ["sweep", "--kernel", "{kernel}", "--kmin", "0.8", "--kmax", "1.2",
-                  "--n", "3", "--out", "s.csv"],
-        "classify": ["classify", "--kernel", "{kernel}", "--out", "c.json"],
-        "verify": ["verify", "--kernel", "{kernel}", "--n", "2", "--out", "v.json"],
-        "design": ["design", "--device", "tra", "--verify-points", "3", "--out", "k.json"],
-        "born-design": ["born-design", "--alpha", "0.0975", "--epsilon", "1e-4",
-                        "--sweep", "0.8:1.2:3", "--out", "p.json"],
-    }
-
-    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("command", list(OUT_COMMANDS))
     def test_files_digests_and_flags(self, tmp_path, hermitian_kernel_file, command):
-        args = [a.format(kernel=hermitian_kernel_file) for a in self.COMMANDS[command]]
+        args = [a.format(kernel=hermitian_kernel_file) for a in OUT_COMMANDS[command]]
         wd = tmp_path / "run"
         wd.mkdir()
         res = run_cli(args, wd)

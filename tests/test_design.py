@@ -91,7 +91,8 @@ class TestDeviceSpec:
         with pytest.raises(ValueError):
             DeviceSpec(code="X/Y")
 
-    @pytest.mark.parametrize("k0", [0.0, np.nan, np.inf])
+    # 1e200 is finite, but the design equations hold its square
+    @pytest.mark.parametrize("k0", [0.0, np.nan, np.inf, 1e200])
     def test_design_momentum_must_be_positive_and_finite(self, k0):
         with pytest.raises(ValueError, match="positive and finite"):
             DeviceSpec(code="TR/A", k0=k0)

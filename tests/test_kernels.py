@@ -364,8 +364,21 @@ class TestJsonRoundTrip:
         ("d", {"type": "polynomial", "d": -1.0, "imax": 0, "jmax": 0,
                "coeffs": [[1.0, 0.0]]}),
         ("d", {"type": "inverse_square", "d": 0, "alpha": 1.0, "epsilon": 1e-4}),
+        # polynomial degrees outside 0..5 used to fail in numpy's reshape
+        # or in PolynomialKernel, without naming the field
+        ("imax", {"type": "polynomial", "d": 1.0, "imax": -2, "jmax": -2,
+                  "coeffs": [[1.0, 0.0]]}),
+        ("imax", {"format": 2, "type": "polynomial", "d": 1.0, "imax": -1, "jmax": -3,
+                  "coeffs": ""}),
+        ("jmax", {"format": 2, "type": "polynomial", "d": 1.0, "imax": 0, "jmax": -1,
+                  "coeffs": ""}),
+        ("imax", {"type": "polynomial", "d": 1.0, "imax": 6, "jmax": 0,
+                  "coeffs": [[1.0, 0.0]] * 7}),
+        ("jmax", {"type": "polynomial", "d": 1.0, "imax": 0, "jmax": 6,
+                  "coeffs": [[1.0, 0.0]] * 7}),
     ], ids=["n-negative", "n-zero", "n-three", "d-negative", "d-zero", "poly-d",
-            "inverse-square-d"])
+            "inverse-square-d", "degrees-negative", "degrees-empty", "jmax-negative",
+            "imax-six", "jmax-six"])
     def test_out_of_range_size_is_named(self, tmp_path, field, doc):
         with pytest.raises(KernelFormatError, match=f"^field '{field}' must be"):
             kernel_from_dict(doc)
