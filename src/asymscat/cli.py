@@ -78,7 +78,7 @@ def dumps_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _commit(command: str, args, inputs: dict, outputs: dict, stdout: str = "") -> None:
+def _commit(args, outputs: dict, stdout: str = "") -> None:
     """Write a command's outputs: the files, then ``<out>.manifest.json``
     with their digests, then ``stdout``, which cannot be taken back.
 
@@ -109,10 +109,10 @@ def _commit(command: str, args, inputs: dict, outputs: dict, stdout: str = "") -
             write(path, data)
         if args.out is not None:
             manifest = {
-                "command": command,
+                "command": args.command,
                 "flags": {key: value for key, value in vars(args).items() if key != "func"},
                 "version": __version__,
-                "input_digests": {name: sha256_path(path) for name, path in inputs.items()},
+                "input_digests": {"kernel": sha256_path(args.kernel)} if "kernel" in args else {},
                 "output_digests": {name: sha256_path(path) for name, (path, _) in files.items()},
             }
             write(args.out + ".manifest.json", dumps_json(manifest))
@@ -129,7 +129,7 @@ def _cmd_solve(args) -> int:
     amps = scatter_all(kernel, args.k, config, include_adjoint=args.adjoint)
     unitarity = generalized_unitarity_residuals(amps) if args.adjoint else None
     text = dumps_json(amplitudes_to_dict(amps, unitarity))
-    _commit("solve", args, {"kernel": args.kernel}, {"amplitudes": (args.out, text)})
+    _commit(args, {"amplitudes": (args.out, text)})
     return 0
 
 
@@ -156,7 +156,7 @@ def _cmd_sweep(args) -> int:
     config = _solver_config(args)
     grid = np.linspace(args.kmin, args.kmax, args.n)
     table = k_sweep(kernel, grid, config)
-    _commit("sweep", args, {"kernel": args.kernel}, {"sweep": (args.out, table.to_csv_text())})
+    _commit(args, {"sweep": (args.out, table.to_csv_text())})
     return 0
 
 
@@ -176,7 +176,7 @@ def _cmd_classify(args) -> int:
             for r in relations
         ],
     }
-    _commit("classify", args, {"kernel": args.kernel}, {"report": (args.out, dumps_json(doc))})
+    _commit(args, {"report": (args.out, dumps_json(doc))})
     return 0
 
 
@@ -203,8 +203,8 @@ def _cmd_design(args) -> int:
     result = design_device(spec, seed=args.seed)
     table = verify_design(result, n_points=args.verify_points)
     verify_path = str(Path(args.out).with_suffix("")) + ".verify.csv"
-    _commit("design", args, {}, {"verify": (verify_path, table.to_csv_text()),
-                                 "kernel": (args.out, result.kernel)},
+    _commit(args, {"verify": (verify_path, table.to_csv_text()),
+                   "kernel": (args.out, result.kernel)},
             stdout=dumps_json(_design_result_doc(result)))
     return 0
 
@@ -237,7 +237,7 @@ def _cmd_born_design(args) -> int:
         sweep_path = str(Path(args.out).with_suffix("")) + ".sweep.csv"
         outputs["sweep"] = (sweep_path, table.to_csv_text())
     outputs["kernel"] = (args.out, pot)
-    _commit("born-design", args, {}, outputs, stdout=dumps_json(doc))
+    _commit(args, outputs, stdout=dumps_json(doc))
     return 0
 
 
@@ -278,7 +278,7 @@ def _cmd_verify(args) -> int:
         "max_relation_residual": max((c["residual"] for c in checks), default=0.0),
         "failures": failures,
     }
-    _commit("verify", args, {"kernel": args.kernel}, {"report": (args.out, dumps_json(doc))})
+    _commit(args, {"report": (args.out, dumps_json(doc))})
     if failures:
         raise VerificationError(f"{len(failures)} verification check(s) failed", failures)
     return 0

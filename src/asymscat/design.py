@@ -279,11 +279,18 @@ class _DesignProblem:
                 u_c = np.zeros(self.n_c_real)
             else:
                 u_c = rng.normal(scale=1.0, size=self.n_c_real)
-            cl, cr = self.waves(u_c)
-            u_v = self.warm_start_v(cl, cr)
-            if attempt > 0:
-                u_v = u_v + rng.normal(scale=0.2, size=u_v.size)
-            u0 = np.concatenate([u_c, u_v])
+            # k0**2 / 2 in Beta can overflow the warm start or its
+            # residuals, which least_squares cannot start from
+            with np.errstate(over="ignore", invalid="ignore"):
+                u_v = self.warm_start_v(*self.waves(u_c))
+                if attempt > 0:
+                    u_v = u_v + rng.normal(scale=0.2, size=u_v.size)
+                u0 = np.concatenate([u_c, u_v])
+                start = self.residuals(u0)
+                finite = all(np.all(np.isfinite(a)) for a in (u0, start, start @ start))
+            if not finite:
+                raise ValueError(f"design momentum k0 = {self.k!r} is too large: the design "
+                                 f"equations are not finite at the start of restart {attempt}")
             # trf rather than lm: bit-reproducible across repeated calls
             # (the MINPACK driver carries call-to-call state)
             sol = least_squares(
@@ -310,7 +317,8 @@ def design_device(spec: DeviceSpec, seed: int = 0, restarts: int = 16) -> Design
     The returned kernel is verified with an independent forward solve
     (801-point Simpson); a residual above 1e-6 per amplitude raises
     DesignError.  Designs a symmetry forbids are rejected when the spec
-    is built (``DeviceSpec`` raises ForbiddenDeviceError).
+    is built (``DeviceSpec`` raises ForbiddenDeviceError).  A k0 too
+    large for the design equations to stay finite raises ValueError.
     """
     problem = _DesignProblem(spec)
     u, design_residual, trace = problem.solve(seed, restarts)
@@ -341,8 +349,11 @@ def verify_design(result: DesignResult, n_points: int = 41) -> SweepTable:
     are met to 1e-6 at k0 (which is inserted into the grid) and that the
     scattering coefficients vary continuously: adjacent-row jumps must
     stay below 15 times the largest grid step, so the check tightens as
-    the sweep refines.  Returns the sweep table.
+    the sweep refines.  Returns the sweep table; n_points below 1 raises
+    ValueError.
     """
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points}")
     k0 = result.spec.k0
     ks = np.linspace(0.8 * k0, 1.2 * k0, n_points)
     ks = np.unique(np.append(ks, k0))

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
+from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import zgecon
 
 from asymscat.kernels import PolynomialKernel, RegularizedInverseSquare, SampledKernel
-from asymscat.solver import SolverConfig, _simpson_kink_delta
+from asymscat.solver import SolverConfig, _simpson_kink_delta, grid_and_weights
 
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -98,6 +100,59 @@ def green_operator(x, w, k, quadrature):
         for i in range(1, x.size - 1, 2):
             omega[i, i - 1 : i + 2] += delta
     return omega
+
+
+# The dense Nystrom reference.  Every solve path (banded local, separable
+# through any factor form) reduces to the n x n system below; the tests
+# check each path against it, and place exceptional points with it.
+
+def dense_system(kernel, k, config):
+    """The matrix I - Omega V W, or I - Omega diag(V) for a local kernel."""
+    x, w = grid_and_weights(config, kernel.d)
+    omega = green_operator(x, w, k, config.quadrature)
+    if kernel.is_local:
+        return np.eye(x.size) - omega * kernel.sample_profile(x)[None, :]
+    return np.eye(x.size) - omega @ (kernel.sample_matrix(x, x) * w[None, :])
+
+
+def dense_solve(kernel, k, config):
+    """LU solve of ``dense_system`` for both incidence sides.
+
+    Returns (psi, (Tl, Tr, Rl, Rr), rcond): psi has one column per side,
+    left then right; the amplitudes are the post-form integrals
+    T = 1 + (1/ik) int e^{-+ikx} s and R = (1/ik) int e^{+-ikx} s of the
+    source s(x) = int V(x, y) psi(y) dy, in the grid's weights; rcond is
+    the LAPACK zgecon estimate in the 1-norm."""
+    x, w = grid_and_weights(config, kernel.d)
+    A = dense_system(kernel, k, config)
+    lu, piv = lu_factor(A)
+    rcond, info = zgecon(lu, np.linalg.norm(A, 1))
+    assert info == 0
+    phi = np.stack([np.exp(1j * k * x), np.exp(-1j * k * x)], axis=1)
+    psi = lu_solve((lu, piv), phi)
+    if kernel.is_local:
+        source = kernel.sample_profile(x)[:, None] * psi
+    else:
+        source = kernel.sample_matrix(x, x) @ (w[:, None] * psi)
+    weighted = w[:, None] * source / (1j * k)
+    plus, minus = np.exp(1j * k * x) @ weighted, np.exp(-1j * k * x) @ weighted
+    return psi, np.array([1.0 + minus[0], 1.0 + plus[1], plus[0], minus[1]]), float(rcond)
+
+
+def singular_at(kernel, k_s, config):
+    """The kernel divided by the largest eigenvalue of Omega V W at k_s,
+    so that ``dense_system`` is exactly singular there.  Sampled kernels
+    divide their stored values; on the solve grid the scaling is exact,
+    and off it the spline is linear in the values, so it is exact up to
+    rounding."""
+    x, _ = grid_and_weights(config, kernel.d)
+    lam = np.linalg.eigvals(np.eye(x.size) - dense_system(kernel, k_s, config))
+    lam = lam[np.argmax(np.abs(lam))]
+    if isinstance(kernel, PolynomialKernel):
+        return PolynomialKernel(kernel.coeffs / lam, d=kernel.d)
+    if kernel.is_local:
+        return SampledKernel(x, kernel.sample_profile(x) / lam, is_local=True)
+    return SampledKernel(kernel.grid, kernel.values / lam)
 
 
 def poly_to_sampled(kernel, n):

@@ -249,10 +249,12 @@ class TestDesignCommand:
         assert b"positive and finite" in res.stderr
         assert b"DLASCL" not in res.stderr
 
-    def test_momentum_with_infinite_square_is_input_error(self, tmp_path):
-        # 0.5 * k0**2 used to end in an OverflowError traceback
-        res = run_cli(["design", "--device", "tra", "--k0", "1e200", "--out", "x.json"],
-                      tmp_path)
+    # 0.5 * k0**2 used to end in an OverflowError traceback (1e200), in
+    # scipy's "Initial guess is outside of provided bounds" (1e154), or in
+    # 16 overflowing restarts and exit 2 (1e100)
+    @pytest.mark.parametrize("k0", ["1e200", "1e154", "1e100"])
+    def test_momentum_with_infinite_square_is_input_error(self, tmp_path, k0):
+        res = run_cli(["design", "--device", "tra", "--k0", k0, "--out", "x.json"], tmp_path)
         assert res.returncode == 1
         assert b"input error: design momentum k0" in res.stderr
         assert b"Traceback" not in res.stderr

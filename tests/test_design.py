@@ -91,11 +91,13 @@ class TestDeviceSpec:
         with pytest.raises(ValueError):
             DeviceSpec(code="X/Y")
 
-    # 1e200 is finite, but the design equations hold its square
-    @pytest.mark.parametrize("k0", [0.0, np.nan, np.inf, 1e200])
+    # 1e200 is finite, but the design equations hold its square; at 1e154
+    # and 1e100 the square is finite, but the least-squares start is not
+    @pytest.mark.parametrize("k0", [0.0, np.nan, np.inf, 1e200, 1e154, 1e100])
     def test_design_momentum_must_be_positive_and_finite(self, k0):
-        with pytest.raises(ValueError, match="positive and finite"):
-            DeviceSpec(code="TR/A", k0=k0)
+        match = r"design momentum k0 (must be positive and finite|= \S+ is too large)"
+        with pytest.raises(ValueError, match=match):
+            design_device(DeviceSpec(code="TR/A", k0=k0))
 
 
 class TestDesignDevice:
@@ -294,6 +296,12 @@ class TestVerifyDesign:
         result = design_device(DeviceSpec(code="TR/A", k0=3.0), seed=0)
         k = verify_design(result, n_points=5).column("k")
         np.testing.assert_allclose(k, [2.4, 2.7, 3.0, 3.3, 3.6], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n_points", [0, -1])
+    def test_n_points_below_one_is_named(self, designs, n_points):
+        # 0 used to end in numpy's "zero-size array to reduction operation"
+        with pytest.raises(ValueError, match="n_points must be at least 1"):
+            verify_design(designs["TR/A"], n_points=n_points)
 
     def test_misses_raise_verification_error(self, designs):
         wrong_spec = DeviceSpec(code="T/R")

@@ -1,26 +1,30 @@
-"""Solves near exceptional points: loud failure or intact invariants.
+"""Solves at and near exceptional points: loud failure or intact
+invariants.
 
-Each kernel is scaled so that 1 is an eigenvalue of Omega V W at a
-momentum k_s, which makes the discrete system I - Omega V W exactly
-singular there (the eigenvalue-scaling trick of test_local_banded.py).
+Each kernel comes from ``singular_at`` (conftest.py), which scales it so
+that 1 is an eigenvalue of Omega V W at a momentum k_s: the dense
+system I - Omega V W of ``dense_system`` is then exactly singular there.
 The kernels cover the banded local path and each factor form of the
-separable path, the r x r spline capacitance matrix included.
-The solve then runs at k = k_s (1 + delta) for |delta| from 1e-16 to
-about 1e-1, and at k_s itself on each solve path.  It must either raise
-SingularSystemError, or return amplitudes whose generalized unitarity
-and transform relations hold to the accuracy the conditioning allows,
-1e-12 + 100 eps / rcond, with rcond the smaller zgecon estimate of the
-H and H-dagger systems; below rcond = 1e-16 it must raise.  The
-algebraic adjoint either raises AdjointDivergenceError or matches the
-adjoint solve to the same accuracy.  Grids are trapezoid, where both
-invariants are exact for the discrete problem.
+separable path: the sampled matrix with Q = I, a compressed pair L R^T,
+the r x r spline capacitance matrix and monomial factors.
+
+At k_s itself every entry point must report the singular system, on
+trapezoid and Simpson grids, and a sweep must record the row and go on.
+Near it, at k = k_s (1 + delta) for |delta| from 1e-16 to about 1e-1, a
+solve must either raise SingularSystemError, or return amplitudes whose
+generalized unitarity and transform relations hold to the accuracy the
+conditioning allows, 1e-12 + 100 eps / rcond, with rcond the smaller
+zgecon estimate of the H and H-dagger systems from ``dense_solve``;
+below rcond = 1e-16 it must raise.  The algebraic adjoint either raises
+AdjointDivergenceError or matches the adjoint solve to the same
+accuracy.  Those grids are trapezoid, where both invariants are exact
+for the discrete problem.
 """
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.linalg import lu_factor
-from scipy.linalg.lapack import zgecon
+from scipy import sparse
 
 from asymscat.errors import AdjointDivergenceError, SingularSystemError
 from asymscat.kernels import SYMMETRY_CODES, PolynomialKernel, SampledKernel, adjoint
@@ -29,57 +33,34 @@ from asymscat.solver import (
     generalized_unitarity_residuals,
     grid_and_weights,
     hatted_from_unhatted,
+    k_sweep,
+    scatter,
     scatter_all,
 )
 from asymscat.symmetry import transformed_amplitudes
-from conftest import PROFILE, green_operator
+from conftest import PROFILE, dense_solve, singular_at
 
 EPS = np.finfo(float).eps
 
 
-def dense_system(kernel, k, config):
-    """The n x n matrix I - Omega V W that every solve path reduces to."""
-    x, w = grid_and_weights(config, kernel.d)
-    omega = green_operator(x, w, k, config.quadrature)
-    if kernel.is_local:
-        return np.eye(x.size) - omega * kernel.sample_profile(x)[None, :]
-    return np.eye(x.size) - omega @ (kernel.sample_matrix(x, x) * w[None, :])
-
-
-def dense_rcond(A):
-    lu, _ = lu_factor(A)
-    rcond, info = zgecon(lu, np.linalg.norm(A, 1))
-    assert info == 0
-    return float(rcond)
-
-
-def singular_at(kernel, k_s, config):
-    """The kernel divided by the largest eigenvalue of Omega V W at k_s,
-    so that I - Omega V W is exactly singular there.  Sampled kernels
-    divide their stored values; on the solve grid the scaling is exact,
-    and off it the spline is linear in the values, so it is exact up to
-    rounding."""
-    x, _ = grid_and_weights(config, kernel.d)
-    lam = np.linalg.eigvals(np.eye(x.size) - dense_system(kernel, k_s, config))
-    lam = lam[np.argmax(np.abs(lam))]
-    if isinstance(kernel, PolynomialKernel):
-        return PolynomialKernel(kernel.coeffs / lam, d=kernel.d)
-    if kernel.is_local:
-        return SampledKernel(x, kernel.sample_profile(x) / lam, is_local=True)
-    return SampledKernel(kernel.grid, kernel.values / lam)
+def _complex_normal(rng, size):
+    return rng.normal(size=size) + 1j * rng.normal(size=size)
 
 
 def random_kernel(rng, family, x, size):
     """A random kernel of ``family``; the sampled ones live on the solve
-    grid x, except "spline", stored on size[0] < x.size nodes."""
+    grid x, except "spline", stored on size[0] < x.size nodes.  A
+    "low-rank" kernel is the sum of size[0] outer products."""
     n = x.size
     if family == "local":
-        return SampledKernel(x, rng.normal(size=n) + 1j * rng.normal(size=n), is_local=True)
+        return SampledKernel(x, _complex_normal(rng, n), is_local=True)
+    if family == "low-rank":
+        a, b = (_complex_normal(rng, (n, size[0])) for _ in range(2))
+        return SampledKernel(x, a @ b.T)
     if family in ("sampled", "spline"):
         g = x if family == "sampled" else np.linspace(x[0], x[-1], size[0])
-        return SampledKernel(g, rng.normal(size=(g.size,) * 2) + 1j * rng.normal(size=(g.size,) * 2))
-    c = rng.normal(size=size) + 1j * rng.normal(size=size)
-    return PolynomialKernel(c, d=float(x[-1]))
+        return SampledKernel(g, _complex_normal(rng, (g.size,) * 2))
+    return PolynomialKernel(_complex_normal(rng, size), d=float(x[-1]))
 
 
 @st.composite
@@ -114,8 +95,7 @@ def _relative(got, want):
 @given(problem=near_exceptional_problems())
 def test_loud_failure_or_invariants_hold(problem):
     kernel, k, config = problem
-    rcond = min(dense_rcond(dense_system(kernel, k, config)),
-                dense_rcond(dense_system(adjoint(kernel), k, config)))
+    rcond = min(dense_solve(kernel, k, config)[2], dense_solve(adjoint(kernel), k, config)[2])
     try:
         amps = scatter_all(kernel, k, config, include_adjoint=True)
     except SingularSystemError:
@@ -142,20 +122,51 @@ def test_loud_failure_or_invariants_hold(problem):
     assert _relative(algebraic.quadruple, hatted) <= bound
 
 
-@pytest.mark.parametrize("family, size", [("local", None), ("sampled", None), ("spline", (21, None)),
+def _assert_factor_form(family, size, kernel, x):
+    """The separable factors on the solve nodes x take the form that
+    ``family`` stands for."""
+    if family == "local":
+        return
+    pc, q = kernel.factors(x)
+    if family == "sampled":
+        # samples that do not compress: PC is the sampled matrix, Q = I
+        assert sparse.issparse(q) and np.array_equal(q.toarray(), np.eye(x.size))
+    elif family == "spline":
+        assert sparse.issparse(q) and q.shape == (x.size, size[0])
+    elif family == "low-rank":
+        assert not sparse.issparse(q) and pc.shape == q.shape == (x.size, size[0])
+    else:
+        assert pc.shape == q.shape == (x.size, size[1])
+
+
+@pytest.mark.parametrize("n", [61, 201])
+@pytest.mark.parametrize("quadrature", ["trapezoid", "simpson"])
+@pytest.mark.parametrize("family, size", [("local", None), ("sampled", None),
+                                          ("low-rank", (3, None)), ("spline", (21, None)),
                                           ("polynomial", (3, 3)), ("polynomial", (3, 1))],
-                         ids=["local", "sampled", "spline", "polynomial", "polynomial-rank1"])
-def test_exactly_singular_systems_are_reported(family, size):
+                         ids=["local", "sampled", "low-rank", "spline", "polynomial",
+                              "polynomial-rank1"])
+def test_exactly_singular_systems_are_reported(family, size, quadrature, n):
     # delta = 0 on each solve path: the system is singular to rounding.
     # A 21-node sampled kernel has a 21 x 21 spline capacitance matrix on
-    # the 61 solve nodes, a (3, 1) polynomial a 1 x 1 one.
-    config = SolverConfig(n_grid=61, quadrature="trapezoid")
+    # the solve nodes, a sum of three outer products a 3 x 3 one and a
+    # (3, 1) polynomial a 1 x 1 one.  Every entry point
+    # raises; a sweep records the row and solves the momenta around it.
+    k_s = 1.3
+    config = SolverConfig(n_grid=n, quadrature=quadrature)
     x, _ = grid_and_weights(config, 1.0)
-    kernel = singular_at(random_kernel(np.random.default_rng(11), family, x, size), 1.3, config)
-    assert dense_rcond(dense_system(kernel, 1.3, config)) < 1e-15
+    kernel = singular_at(random_kernel(np.random.default_rng(11), family, x, size), k_s, config)
+    _assert_factor_form(family, size, kernel, x)
+    assert dense_solve(kernel, k_s, config)[2] < 1e-15
     with pytest.raises(SingularSystemError) as err:
-        scatter_all(kernel, 1.3, config)
+        scatter_all(kernel, k_s, config)
     assert err.value.rcond < 1e-14
+    for side in ("left", "right"):
+        with pytest.raises(SingularSystemError):
+            scatter(kernel, k_s, side, config)
+    table = k_sweep(kernel, [0.5 * k_s, k_s, 1.5 * k_s], config)
+    assert [row.amps is None for row in table.rows] == [False, True, False]
+    assert "non-invertible" in table.rows[1].error
 
 
 def test_adjoint_near_a_pole_of_s_is_finite():
@@ -171,7 +182,6 @@ def test_adjoint_near_a_pole_of_s_is_finite():
     hatted = np.array(amps.hatted.quadruple)
     assert np.max(np.abs(amps.quadruple)) > 1e10
     assert np.max(np.abs(hatted)) < 1.0
-    rcond = min(dense_rcond(dense_system(kernel, k, config)),
-                dense_rcond(dense_system(adjoint(kernel), k, config)))
+    rcond = min(dense_solve(kernel, k, config)[2], dense_solve(adjoint(kernel), k, config)[2])
     algebraic = hatted_from_unhatted(amps)
     assert _relative(algebraic.quadruple, hatted) <= 1e-12 + 100.0 * EPS / rcond

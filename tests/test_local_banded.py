@@ -1,21 +1,20 @@
 """The O(n) banded solve of local potentials against the dense Nystrom
 reference.
 
-The reference is built here from the dense Green's operator: the n x n
-matrix I - Omega diag(V) is LU-factored and its reciprocal condition
-number estimated by LAPACK zgecon.  Both solve one discrete problem, so
+The reference is ``dense_solve`` (conftest.py): the n x n matrix
+I - Omega diag(V) of ``dense_system`` is LU-factored, its reciprocal
+condition number estimated by LAPACK zgecon, and the amplitudes read
+off its own post-form integrals.  Both solve one discrete problem, so
 they agree to within the rounding its conditioning allows,
-1e-12 + 100 eps / rcond.
+1e-12 + 100 eps / rcond.  Singular local systems are tested with every
+other solve path in test_exceptional.py.
 """
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import zgecon
 
 from asymscat.born import reflector_config, tune_alpha
-from asymscat.errors import SingularSystemError
 from asymscat.kernels import RegularizedInverseSquare, SampledKernel, adjoint
 from asymscat.solver import (
     SolverConfig,
@@ -25,27 +24,9 @@ from asymscat.solver import (
     scatter,
     scatter_all,
 )
-from conftest import PROFILE, green_operator
+from conftest import PROFILE, dense_solve
 
 EPS = np.finfo(float).eps
-
-
-def dense_local(kernel, k, config):
-    """Dense solve of both incidence sides: (psi, (Tl, Tr, Rl, Rr), rcond)."""
-    x, w = grid_and_weights(config, kernel.d)
-    quadrature = config.quadrature if config.nodes is None else "trapezoid"
-    V = kernel.sample_profile(x)
-    A = np.eye(x.size, dtype=complex) - green_operator(x, w, k, quadrature) * V[None, :]
-    lu, piv = lu_factor(A)
-    rcond, info = zgecon(lu, np.linalg.norm(A, 1))
-    assert info == 0
-    phi = np.stack([np.exp(1j * k * x), np.exp(-1j * k * x)], axis=1)
-    psi = lu_solve((lu, piv), phi)
-    source = w[:, None] * V[:, None] * psi
-    plus = np.exp(1j * k * x) @ source / (1j * k)
-    minus = np.exp(-1j * k * x) @ source / (1j * k)
-    quadruple = (1.0 + minus[0], 1.0 + plus[1], plus[0], minus[1])
-    return psi, np.array(quadruple), float(rcond)
 
 
 def _bound(rcond):
@@ -77,10 +58,10 @@ def local_problems(draw):
 def test_banded_amplitudes_match_dense(problem, include_adjoint):
     kernel, k, config = problem
     amps = scatter_all(kernel, k, config, include_adjoint=include_adjoint)
-    _, want, rcond = dense_local(kernel, k, config)
+    _, want, rcond = dense_solve(kernel, k, config)
     got = np.array(amps.quadruple)
     if include_adjoint:
-        _, want_hat, rcond_hat = dense_local(adjoint(kernel), k, config)
+        _, want_hat, rcond_hat = dense_solve(adjoint(kernel), k, config)
         want = np.concatenate([want, want_hat])
         got = np.concatenate([got, amps.hatted.quadruple])
         rcond = min(rcond, rcond_hat)
@@ -91,7 +72,7 @@ def test_banded_amplitudes_match_dense(problem, include_adjoint):
 @given(local_problems())
 def test_banded_psi_matches_dense(problem):
     kernel, k, config = problem
-    psi, _, rcond = dense_local(kernel, k, config)
+    psi, _, rcond = dense_solve(kernel, k, config)
     for column, side in enumerate(("left", "right")):
         res = scatter(kernel, k, side, config)
         want = psi[:, column]
@@ -117,33 +98,9 @@ def _rcond_cases():
 @pytest.mark.parametrize("kernel, k, config", _rcond_cases())
 def test_banded_rcond_matches_dense_zgecon(kernel, k, config):
     x, w = grid_and_weights(config, kernel.d)
-    quadrature = config.quadrature if config.nodes is None else "trapezoid"
-    _, rcond = _local_factor(x, w, k, quadrature, kernel.sample_profile(x))
-    _, _, rcond_dense = dense_local(kernel, k, config)
+    _, rcond = _local_factor(x, w, k, config.quadrature, kernel.sample_profile(x))
+    _, _, rcond_dense = dense_solve(kernel, k, config)
     assert 0.5 <= rcond / rcond_dense <= 2.0
-
-
-def _exceptional_local_kernel(cfg, k):
-    # A profile on the solve grid scaled so that 1 is an eigenvalue of
-    # Omega diag(V): I - Omega diag(V) is exactly singular.
-    x, w = grid_and_weights(cfg, 1.0)
-    profile = np.exp(-3 * x * x) + 0.2j * x
-    lam = np.linalg.eigvals(green_operator(x, w, k, cfg.quadrature) * profile[None, :])
-    return SampledKernel(x, profile / lam[np.argmax(np.abs(lam))], is_local=True)
-
-
-@pytest.mark.parametrize("quadrature", ["trapezoid", "simpson"])
-def test_singular_local_system_is_reported(quadrature):
-    cfg = SolverConfig(n_grid=201, quadrature=quadrature)
-    ker = _exceptional_local_kernel(cfg, 1.0)
-    with pytest.raises(SingularSystemError) as err:
-        scatter(ker, 1.0, "left", cfg)
-    assert err.value.rcond < 1e-14
-    table = k_sweep(ker, [0.5, 1.0, 1.5], cfg)
-    assert table.rows[1].amps is None
-    assert "non-invertible" in table.rows[1].error
-    assert table.rows[0].amps is not None
-    assert table.rows[2].amps is not None
 
 
 def test_reflector_sweep_matches_dense():
@@ -157,5 +114,5 @@ def test_reflector_sweep_matches_dense():
     config = reflector_config(epsilon, window=window, k_max=5.0)
     table = k_sweep(pot, grid, config)
     for row in table.rows:
-        _, want, _ = dense_local(pot, row.k, config)
+        _, want, _ = dense_solve(pot, row.k, config)
         assert np.max(np.abs(np.array(row.amps.quadruple) - want)) <= 1e-6

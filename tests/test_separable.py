@@ -1,26 +1,26 @@
 """The separable (capacitance-matrix) solve of nonlocal kernels against
-a dense Nystrom reference built here.
+the dense Nystrom reference.
 
-The reference samples the kernel on the solve grid with
-``sample_matrix``, assembles the n x n matrix I - Omega V W from the
-dense Green's operator ``green_operator``, solves it with
-``np.linalg.solve`` and reads the amplitudes off the post-form source
-V W psi.  Both solve one discrete problem, up to the rounding in which
-the factors PC Q^T reproduce the sampled matrix, and they must agree to
-rounding.  Polynomial kernels go through their monomial factors.
-Sampled kernels whose samples compress go through the factors L R^T of
-the compression on the stored grid and through their fitted splines
-B fit(L), B fit(R) on any other nodes; there the two problems differ by
-at most _COMPRESSION_TOL * max|V| in the kernel.  Other sampled kernels
-go through their exact spline factors off the stored grid, or through
-the sampled matrix with Q = I on it and on fewer nodes.
+The reference is ``dense_solve`` (conftest.py): it samples the kernel on
+the solve grid with ``sample_matrix``, LU-factors the n x n matrix
+I - Omega V W of ``dense_system`` and reads the amplitudes off its own
+post-form integrals of the source V W psi.  Both solve one discrete
+problem, up to the rounding in which the factors PC Q^T reproduce the
+sampled matrix, and they must agree to rounding.  Polynomial kernels go
+through their monomial factors.  Sampled kernels whose samples compress
+go through the factors L R^T of the compression on the stored grid and
+through their fitted splines B fit(L), B fit(R) on any other nodes;
+there the two problems differ by at most _COMPRESSION_TOL * max|V| in
+the kernel.  Other sampled kernels go through their exact spline
+factors off the stored grid, or through the sampled matrix with Q = I
+on it and on fewer nodes.  Exceptional points of every factor form are
+tested in test_exceptional.py.
 """
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from asymscat.errors import SingularSystemError
 from asymscat.kernels import (
     _COMPRESSION_TOL,
     SYMMETRY_CODES,
@@ -30,14 +30,12 @@ from asymscat.kernels import (
 )
 from asymscat.solver import (
     SolverConfig,
-    _amplitudes_from_source,
     _apply_green,
     grid_and_weights,
-    k_sweep,
     scatter,
     scatter_all,
 )
-from conftest import PROFILE, green_operator, poly_to_sampled
+from conftest import PROFILE, dense_solve, green_operator, poly_to_sampled
 
 
 def _grid_config(grid: str, n: int, d: float, rng) -> SolverConfig:
@@ -71,28 +69,6 @@ def polynomial_problems(draw):
     return PolynomialKernel(c, d=d), k, _grid_config(grid, n, d, rng)
 
 
-def dense_reference(kernel, k, config, sides=("left", "right")):
-    """([(T, R) per side], psi) from I - Omega V W, assembled densely and
-    solved by np.linalg.solve."""
-    x, w = grid_and_weights(config, kernel.d)
-    V = kernel.sample_matrix(x, x)
-    A = np.eye(x.size) - green_operator(x, w, k, config.quadrature) @ (V * w[None, :])
-    phi = np.stack([np.exp((1j if side == "left" else -1j) * k * x) for side in sides], axis=1)
-    psi = np.linalg.solve(A, phi)
-    source = V @ (w[:, None] * psi)
-    return [_amplitudes_from_source(source[:, c], x, w, k, side)
-            for c, side in enumerate(sides)], psi
-
-
-def dense_eight(kernel, k, config, include_adjoint):
-    """The reference (Tl, Tr, Rl, Rr), followed by the adjoint's if asked."""
-    out = []
-    for ker in (kernel, adjoint(kernel)) if include_adjoint else (kernel,):
-        [(Tl, Rl), (Tr, Rr)], _ = dense_reference(ker, k, config)
-        out += [Tl, Tr, Rl, Rr]
-    return np.array(out)
-
-
 def _eight(amps):
     return np.array(amps.quadruple + (amps.hatted.quadruple if amps.hatted else ()))
 
@@ -102,7 +78,8 @@ def _eight(amps):
 def test_separable_amplitudes_match_dense(problem, include_adjoint):
     kernel, k, config = problem
     fast = _eight(scatter_all(kernel, k, config, include_adjoint=include_adjoint))
-    dense = dense_eight(kernel, k, config, include_adjoint)
+    kernels = (kernel, adjoint(kernel)) if include_adjoint else (kernel,)
+    dense = np.concatenate([dense_solve(ker, k, config)[1] for ker in kernels])
     assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
@@ -111,9 +88,10 @@ def test_separable_amplitudes_match_dense(problem, include_adjoint):
 def test_separable_psi_matches_dense(problem, side):
     kernel, k, config = problem
     fast = scatter(kernel, k, side, config)
-    [(T, R)], psi = dense_reference(kernel, k, config, (side,))
+    psi, (Tl, Tr, Rl, Rr), _ = dense_solve(kernel, k, config)
+    psi, T, R = (psi[:, 0], Tl, Rl) if side == "left" else (psi[:, 1], Tr, Rr)
     assert np.array_equal(fast.nodes, grid_and_weights(config, kernel.d)[0])
-    assert np.max(np.abs(fast.psi - psi[:, 0])) <= 1e-12 * np.max(np.abs(psi))
+    assert np.max(np.abs(fast.psi - psi)) <= 1e-12 * np.max(np.abs(psi))
     assert abs(fast.T - T) <= 1e-12 * max(abs(T), abs(R))
     assert abs(fast.R - R) <= 1e-12 * max(abs(T), abs(R))
 
@@ -188,7 +166,8 @@ def sampled_problems(draw, placement):
 def test_sampled_amplitudes_match_dense(placement, data, include_adjoint):
     kernel, k, config = data.draw(sampled_problems(placement))
     fast = _eight(scatter_all(kernel, k, config, include_adjoint=include_adjoint))
-    dense = dense_eight(kernel, k, config, include_adjoint)
+    kernels = (kernel, adjoint(kernel)) if include_adjoint else (kernel,)
+    dense = np.concatenate([dense_solve(ker, k, config)[1] for ker in kernels])
     assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
@@ -352,39 +331,3 @@ def test_polynomial_sampling_matches_pointwise_evaluation(rng):
     assert np.allclose(sampled, kernel.evaluate(X, Y), rtol=1e-14, atol=1e-14)
     pc, q = kernel.factors(x)
     assert pc.shape == q.shape == (41, 4)
-
-
-def _exceptional_rank_one_kernel(cfg, k):
-    # V(x, y) = p(x) q(y) scaled so that 1 is an eigenvalue of Omega V W,
-    # computed on the dense operator: I - Omega V W is exactly singular.
-    base = PolynomialKernel(np.outer([1.0, 0.3j, -2.0], [1.0, 0.5 - 0.2j]))
-    x, w = grid_and_weights(cfg, base.d)
-    omega = green_operator(x, w, k, cfg.quadrature)
-    lam = np.linalg.eigvals(omega @ (base.sample_matrix(x, x) * w[None, :]))
-    lam0 = lam[np.argmax(np.abs(lam))]
-    return PolynomialKernel(base.coeffs / lam0)
-
-
-@pytest.mark.parametrize("quadrature", ["trapezoid", "simpson"])
-def test_capacitance_matrix_flags_exceptional_point(quadrature):
-    cfg = SolverConfig(n_grid=201, quadrature=quadrature)
-    ker = _exceptional_rank_one_kernel(cfg, 1.0)
-    with pytest.raises(SingularSystemError) as err:
-        scatter_all(ker, 1.0, cfg)
-    assert err.value.rcond < 1e-14
-    with pytest.raises(SingularSystemError):
-        scatter(ker, 1.0, "right", cfg)
-    # the same matrix as a sampled kernel on the solve grid: full rank, Q = I
-    x, _ = grid_and_weights(cfg, ker.d)
-    with pytest.raises(SingularSystemError):
-        scatter_all(SampledKernel(x, ker.sample_matrix(x, x)), 1.0, cfg)
-
-
-def test_sweep_records_exceptional_row_and_continues():
-    cfg = SolverConfig(n_grid=201, quadrature="trapezoid")
-    ker = _exceptional_rank_one_kernel(cfg, 1.0)
-    table = k_sweep(ker, [0.5, 1.0, 1.5], cfg)
-    assert table.rows[1].amps is None
-    assert "non-invertible" in table.rows[1].error
-    assert table.rows[0].amps is not None
-    assert table.rows[2].amps is not None
