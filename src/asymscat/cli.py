@@ -284,66 +284,6 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-_BOOLEAN_WORDS = {"true": True, "yes": True, "on": True, "1": True,
-                  "false": False, "no": False, "off": False, "0": False}
-
-
-def _config_value(action: argparse.Action, key: str, value: str):
-    """Convert one config value the way the command line would."""
-    if action.nargs == 0:
-        # on/off flags: the value is the flag's state, not a string
-        try:
-            return _BOOLEAN_WORDS[value.lower()]
-        except KeyError:
-            raise ValueError(f"config key {key!r} takes true or false, got {value!r}") from None
-    try:
-        converted = action.type(value) if action.type else value
-    except ValueError:
-        raise ValueError(
-            f"config key {key!r} takes a {action.type.__name__} value, got {value!r}") from None
-    if action.choices is not None and converted not in action.choices:
-        raise ValueError(
-            f"config key {key!r} takes one of {', '.join(map(str, action.choices))}, "
-            f"got {value!r}")
-    return converted
-
-
-def _apply_config_file(argv: list[str], options: dict[str, list]) -> list[str]:
-    """--config FILE holds key=value lines that become parser defaults.
-
-    Keys are option names of any subcommand (dashes or underscores);
-    ``options`` maps each name to its (subcommand parser, action) pairs,
-    as ``build_parser`` collects them.  An option the file sets is no
-    longer required on the command line, which still overrides it.
-    Unknown keys, non-boolean values for on/off flags and values outside
-    an option's choices are input errors.
-    """
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    try:
-        path = argv[idx + 1]
-    except IndexError:
-        raise ValueError("--config needs a file path")
-    overrides = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad config line {line!r}; expected key=value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        overrides[key.replace("-", "_")] = value
-    unknown = sorted(set(overrides) - set(options))
-    if unknown:
-        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-    for key, value in overrides.items():
-        for sub, action in options[key]:
-            sub.set_defaults(**{key: _config_value(action, key, value)})
-            action.required = False
-    return argv[:idx] + argv[idx + 2:]
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on a usage error, the code this CLI gives
     numerical failures; usage errors are input errors and exit 1.
@@ -354,27 +294,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, list]]:
-    """The argument parser, and for each option name (argparse ``dest``)
-    the (subcommand parser, action) pairs that ``--config`` may set."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser.  An argument ``@FILE`` stands for the lines of
+    FILE, one argument per line, read in its place."""
     parser = _Parser(
         prog="asymscat",
         description="1D scattering by complex nonlocal potentials: solve, "
                     "classify Klein-group symmetries, design asymmetric devices.",
+        fromfile_prefix_chars="@",
     )
     parser.add_argument("--version", action="version", version=f"asymscat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    options: dict[str, list] = {}
 
     def subcommand(name: str, help: str, func):
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
-
-        def add(*flags, **kwargs):
-            action = p.add_argument(*flags, **kwargs)
-            options.setdefault(action.dest, []).append((p, action))
-
-        return add
+        return p.add_argument
 
     add = subcommand("solve", "amplitudes at one momentum", _cmd_solve)
     add("--kernel", required=True, help="kernel JSON file")
@@ -425,14 +360,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, list]]:
     _add_solver_flags(add)
     add("--out", default=None)
 
-    return parser, options
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser, options = build_parser()
+    parser = build_parser()
     try:
-        argv = _apply_config_file(argv, options)
         args = parser.parse_args(argv)
         return args.func(args)
     except (KernelFormatError, OSError, ForbiddenDeviceError, ValueError) as exc:

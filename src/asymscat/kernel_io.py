@@ -13,23 +13,14 @@ complex number as an [re, im] pair of JSON numbers, in the compact or
 the older ``indent=2`` layout.  Such files still load bit for bit;
 nothing writes them.
 
-``load_kernel`` runs with the cyclic garbage collector paused.  A
-format-1 file of a 401 x 401 kernel parses into 160,801 pair lists;
-allocating them sets off full collections that find nothing to free,
-since a parsed JSON document is a tree: reference counting frees all of
-it.  Anything cyclic made meanwhile waits for the next collection after
-the caller's collector state is restored.
-
 ``sha256_path``, the file digest of run manifests, lives beside the
 format.
 """
 from __future__ import annotations
 
 import base64
-import gc
 import hashlib
 import json
-from contextlib import contextmanager
 from itertools import chain
 
 import numpy as np
@@ -199,19 +190,6 @@ def kernel_from_dict(data: dict):
     raise KernelFormatError(f"unknown kernel type {ktype!r}")
 
 
-@contextmanager
-def _collector_paused():
-    """Disable the cyclic garbage collector for the block, then restore
-    the state the caller had, also when the block raises."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def save_kernel(kernel, path) -> None:
     """Write ``json.dumps(kernel_to_dict(kernel), sort_keys=True) + "\n"``
     to ``path``."""
@@ -222,16 +200,15 @@ def save_kernel(kernel, path) -> None:
 
 
 def load_kernel(path):
-    with _collector_paused():
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise KernelFormatError(f"invalid JSON in kernel file: {exc}") from exc
-        try:
-            return kernel_from_dict(data)
-        except ValueError as exc:
-            raise KernelFormatError(str(exc)) from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise KernelFormatError(f"invalid JSON in kernel file: {exc}") from exc
+    try:
+        return kernel_from_dict(data)
+    except ValueError as exc:
+        raise KernelFormatError(str(exc)) from exc
 
 
 def sha256_path(path) -> str:

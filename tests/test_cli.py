@@ -88,7 +88,7 @@ class TestSolve:
                        encoding="utf-8")
         res = run_cli(["solve", "--kernel", str(bad), "--k", "1.0"], tmp_path)
         assert res.returncode == 1
-        assert b"values" in res.stderr
+        assert res.stderr == b"input error: missing required field 'values'\n"
 
     def test_nonpositive_momentum_is_input_error(self, tmp_path, zero_kernel_file):
         res = run_cli(["solve", "--kernel", str(zero_kernel_file), "--k", "-1.0"], tmp_path)
@@ -100,52 +100,6 @@ class TestSolve:
         res = run_cli(["solve", "--kernel", str(zero_kernel_file), "--k", k], tmp_path)
         assert res.returncode == 1
         assert b"finite" in res.stderr
-
-    def test_non_finite_kernel_file_is_input_error(self, tmp_path):
-        bad = tmp_path / "nan.json"
-        bad.write_text('{"type": "inverse_square", "d": 1.0, "alpha": NaN, "epsilon": 0.01}',
-                       encoding="utf-8")
-        res = run_cli(["solve", "--kernel", str(bad), "--k", "1.0"], tmp_path)
-        assert res.returncode == 1
-        assert b"'alpha' must be finite" in res.stderr
-
-    def test_boolean_kernel_field_is_input_error(self, tmp_path):
-        bad = tmp_path / "bool.json"
-        bad.write_text('{"type": "inverse_square", "d": true, "alpha": 1.0, "epsilon": 0.01}',
-                       encoding="utf-8")
-        res = run_cli(["solve", "--kernel", str(bad), "--k", "1.0"], tmp_path)
-        assert res.returncode == 1
-        assert b"'d' has wrong type bool" in res.stderr
-
-    def test_non_number_kernel_pair_is_input_error(self, tmp_path):
-        bad = tmp_path / "pairs.json"
-        bad.write_text(json.dumps({"type": "sampled", "d": 1.0, "n": 4, "is_local": True,
-                                   "values": [[True, 0.5]] + [[0.0, 0.0]] * 3}),
-                       encoding="utf-8")
-        res = run_cli(["solve", "--kernel", str(bad), "--k", "1.0"], tmp_path)
-        assert res.returncode == 1
-        assert b"'values' has wrong type bool" in res.stderr
-
-    @pytest.mark.parametrize("is_local", [True, False], ids=["local", "nonlocal"])
-    def test_three_point_kernel_file_is_input_error(self, tmp_path, is_local):
-        values = [[0.5, 0.0]] * (3 if is_local else 9)
-        bad = tmp_path / "three.json"
-        bad.write_text(json.dumps({"type": "sampled", "d": 1.0, "n": 3,
-                                   "is_local": is_local, "values": values}),
-                       encoding="utf-8")
-        res = run_cli(["solve", "--kernel", str(bad), "--k", "1.0"], tmp_path)
-        assert res.returncode == 1
-        assert b"input error:" in res.stderr and b"at least 4" in res.stderr
-
-    @pytest.mark.parametrize("field", ["d", "alpha", "epsilon"])
-    def test_integer_beyond_double_range_is_input_error(self, tmp_path, field):
-        doc = {"type": "inverse_square", "d": 1.0, "alpha": 0.1, "epsilon": 0.01, field: 10**400}
-        bad = tmp_path / "huge.json"
-        bad.write_text(json.dumps(doc), encoding="utf-8")
-        res = run_cli(["classify", "--kernel", str(bad)], tmp_path)
-        assert res.returncode == 1
-        assert f"input error: field '{field}' must be finite".encode() in res.stderr
-        assert b"Traceback" not in res.stderr
 
 
 class TestSweepCommand:
@@ -251,8 +205,9 @@ class TestDesignCommand:
 
     # 0.5 * k0**2 used to end in an OverflowError traceback (1e200), in
     # scipy's "Initial guess is outside of provided bounds" (1e154), or in
-    # 16 overflowing restarts and exit 2 (1e100)
-    @pytest.mark.parametrize("k0", ["1e200", "1e154", "1e100"])
+    # 16 overflowing restarts and exit 2 (1e100, 1e30); 1e4 exited 2 after
+    # seconds of restarts
+    @pytest.mark.parametrize("k0", ["1e200", "1e154", "1e100", "1e30", "1e4"])
     def test_momentum_with_infinite_square_is_input_error(self, tmp_path, k0):
         res = run_cli(["design", "--device", "tra", "--k0", k0, "--out", "x.json"], tmp_path)
         assert res.returncode == 1
@@ -386,9 +341,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("args", [
         ["classify", "--kernel", "a_dir"],
-        ["design", "--device", "tra", "--config", "a_dir", "--out", "x.json"],
         ["design", "--device", "tra", "--out", "a_dir"],
-    ], ids=["kernel", "config", "out"])
+    ], ids=["kernel", "out"])
     def test_path_naming_a_directory_is_input_error(self, tmp_path, args):
         (tmp_path / "a_dir").mkdir()
         res = run_cli(args, tmp_path)
@@ -533,124 +487,124 @@ class TestManifest:
         kernel_inputs = {"kernel": sha256_path(hermitian_kernel_file)} if "--kernel" in args else {}
         assert manifest["input_digests"] == kernel_inputs
 
-        parsed = vars(build_parser()[0].parse_args(args))
+        parsed = vars(build_parser().parse_args(args))
         del parsed["func"]
         assert manifest["flags"] == parsed
 
 
-class TestConfigFile:
-    def test_key_value_file_sets_defaults(self, tmp_path, zero_kernel_file):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("n_grid=201\nquadrature=simpson\n", encoding="utf-8")
-        res = run_cli(["solve", "--kernel", str(zero_kernel_file), "--k", "1.0",
-                       "--config", str(cfg)], tmp_path)
-        assert res.returncode == 0
+class TestArgumentFile:
+    # @FILE stands for the lines of FILE, one argument each, read in place
 
-    def test_bad_config_line_is_input_error(self, tmp_path, zero_kernel_file):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("whatisthis\n", encoding="utf-8")
-        res = run_cli(["solve", "--kernel", str(zero_kernel_file), "--k", "1.0",
-                       "--config", str(cfg)], tmp_path)
-        assert res.returncode == 1
-
-    def test_false_flag_stays_off(self, tmp_path, zero_kernel_file):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("adjoint=false\n", encoding="utf-8")
-        res = run_cli(["solve", "--kernel", str(zero_kernel_file), "--k", "1.0",
-                       "--config", str(cfg)], tmp_path)
-        assert res.returncode == 0, res.stderr
-        assert "hatted" not in json.loads(res.stdout)
-
-    def test_true_flag_turns_on(self, tmp_path, zero_kernel_file):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("adjoint=true\n", encoding="utf-8")
-        res = run_cli(["solve", "--kernel", str(zero_kernel_file), "--k", "1.0",
-                       "--config", str(cfg)], tmp_path)
-        assert res.returncode == 0, res.stderr
-        assert "hatted" in json.loads(res.stdout)
-
-    def test_non_boolean_flag_value_is_input_error(self, tmp_path, zero_kernel_file):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("adjoint=maybe\n", encoding="utf-8")
-        res = run_cli(["solve", "--kernel", str(zero_kernel_file), "--k", "1.0",
-                       "--config", str(cfg)], tmp_path)
-        assert res.returncode == 1
-        assert b"adjoint" in res.stderr
-
-    def test_unknown_key_is_input_error(self, tmp_path, zero_kernel_file):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("n_grid=201\nbogus_key=3\n", encoding="utf-8")
-        res = run_cli(["solve", "--kernel", str(zero_kernel_file), "--k", "1.0",
-                       "--config", str(cfg)], tmp_path)
-        assert res.returncode == 1
-        assert b"bogus_key" in res.stderr
-
-    def test_config_supplies_the_required_device(self, tmp_path):
-        # argparse used to demand --device before it read the file's defaults
+    def test_file_supplies_the_required_device(self, tmp_path):
         outputs = ["ra.json", "ra.verify.csv", "ra.json.manifest.json"]
-        flags, config = tmp_path / "flags", tmp_path / "config"
+        flags, by_file_dir = tmp_path / "flags", tmp_path / "file"
         flags.mkdir()
-        config.mkdir()
-        (config / "ra.cfg").write_text("device = ra\n", encoding="utf-8")
+        by_file_dir.mkdir()
+        (tmp_path / "ra.args").write_text("--device=ra\n", encoding="utf-8")
         by_flag = run_cli(["design", "--device", "ra", "--out", "ra.json"], flags)
-        by_file = run_cli(["design", "--config", "ra.cfg", "--out", "ra.json"], config)
+        by_file = run_cli(["design", "@../ra.args", "--out", "ra.json"], by_file_dir)
         assert by_flag.returncode == 0, by_flag.stderr
         assert by_file.returncode == 0, by_file.stderr
         assert by_file.stdout == by_flag.stdout
+        assert sorted(p.name for p in by_file_dir.iterdir()) == sorted(outputs)
         for name in outputs:
-            assert (config / name).read_bytes() == (flags / name).read_bytes(), name
+            assert (by_file_dir / name).read_bytes() == (flags / name).read_bytes(), name
 
-    def test_config_supplies_solve_kernel_and_momentum(self, tmp_path, zero_kernel_file):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"kernel = {zero_kernel_file}\nk = 1.5\n", encoding="utf-8")
-        by_flag = run_cli(["solve", "--kernel", str(zero_kernel_file), "--k", "1.5"], tmp_path)
-        by_file = run_cli(["solve", "--config", str(cfg)], tmp_path)
+    @pytest.mark.parametrize("command", list(OUT_COMMANDS))
+    def test_every_command_reads_its_arguments_from_a_file(self, tmp_path,
+                                                           hermitian_kernel_file, command):
+        args = [a.format(kernel=hermitian_kernel_file) for a in OUT_COMMANDS[command]]
+        (tmp_path / "all.args").write_text("".join(a + "\n" for a in args[1:]),
+                                           encoding="utf-8")
+        flags, by_file_dir = tmp_path / "flags", tmp_path / "file"
+        flags.mkdir()
+        by_file_dir.mkdir()
+        by_flag = run_cli(args, flags)
+        by_file = run_cli([command, "@../all.args"], by_file_dir)
+        assert by_flag.returncode == 0, by_flag.stderr
         assert by_file.returncode == 0, by_file.stderr
         assert by_file.stdout == by_flag.stdout
+        outputs = sorted(p.name for p in flags.iterdir())
+        assert sorted(p.name for p in by_file_dir.iterdir()) == outputs
+        for name in outputs:
+            assert (by_file_dir / name).read_bytes() == (flags / name).read_bytes(), name
+
+    def test_file_may_name_another_file(self, tmp_path):
+        (tmp_path / "outer.args").write_text("@inner.args\n--out=ra.json\n", encoding="utf-8")
+        (tmp_path / "inner.args").write_text("--device=ra\n", encoding="utf-8")
+        res = run_cli(["design", "@outer.args"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert (tmp_path / "ra.json").exists()
+
+    def test_value_starting_with_at_names_a_file(self, tmp_path):
+        # no option value may start with @: argparse reads it as a file name
+        res = run_cli(["design", "--device", "tra", "--out", "@k.json"], tmp_path)
+        assert res.returncode == 1
+        assert b"usage:" in res.stderr and b"error: [Errno" in res.stderr
+        assert b"k.json" in res.stderr
+        assert not list(tmp_path.iterdir())
+
+    def test_file_supplies_solve_kernel_and_momentum(self, tmp_path, zero_kernel_file):
+        (tmp_path / "run.args").write_text(f"--kernel={zero_kernel_file}\n--k=1.5\n",
+                                           encoding="utf-8")
+        by_flag = run_cli(["solve", "--kernel", str(zero_kernel_file), "--k", "1.5"], tmp_path)
+        by_file = run_cli(["solve", "@run.args"], tmp_path)
+        assert by_file.returncode == 0, by_file.stderr
+        assert (by_file.stdout, by_file.stderr) == (by_flag.stdout, by_flag.stderr)
         assert json.loads(by_file.stdout)["k"] == 1.5
 
-    def test_command_line_overrides_a_required_option(self, tmp_path, zero_kernel_file):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"kernel = {zero_kernel_file}\nk = 1.5\n", encoding="utf-8")
-        res = run_cli(["solve", "--config", str(cfg), "--k", "0.75"], tmp_path)
+    @pytest.mark.parametrize("args, k", [
+        (["solve", "@run.args", "--k", "0.75"], 0.75),
+        (["solve", "--k", "0.75", "@run.args"], 1.5),
+    ], ids=["after", "before"])
+    def test_later_arguments_override_earlier_ones(self, tmp_path, zero_kernel_file, args, k):
+        (tmp_path / "run.args").write_text(f"--kernel\n{zero_kernel_file}\n--k\n1.5\n",
+                                           encoding="utf-8")
+        res = run_cli(args, tmp_path)
         assert res.returncode == 0, res.stderr
-        assert json.loads(res.stdout)["k"] == 0.75
+        assert json.loads(res.stdout)["k"] == k
 
-    @pytest.mark.parametrize("line, args", [
-        ("claim = IX", ["verify", "--kernel", "K"]),  # used to end in a KeyError
-        ("device = zz", ["design", "--out", "x.json"]),
-        ("constraint = bogus", ["design", "--device", "tra", "--out", "x.json"]),
-        ("quadrature = gauss", ["solve", "--kernel", "K", "--k", "1.0"]),
-    ], ids=["claim", "device", "constraint", "quadrature"])
-    def test_value_outside_choices_is_input_error(self, tmp_path, zero_kernel_file,
-                                                  line, args):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(line + "\n", encoding="utf-8")
-        args = [str(zero_kernel_file) if a == "K" else a for a in args]
-        res = run_cli([*args, "--config", str(cfg)], tmp_path)
-        key = line.split(" = ")[0].encode()
-        assert res.returncode == 1
-        assert b"input error: config key '" + key + b"'" in res.stderr
-        assert b"Traceback" not in res.stderr
-        assert not (tmp_path / "x.json").exists()
+    def test_flag_line_turns_the_flag_on(self, tmp_path, zero_kernel_file):
+        (tmp_path / "run.args").write_text("--adjoint\n", encoding="utf-8")
+        res = run_cli(["solve", "--kernel", str(zero_kernel_file), "--k", "1.0", "@run.args"],
+                      tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert "hatted" in json.loads(res.stdout)
 
-    @pytest.mark.parametrize("line, args", [
-        ("k = abc", ["solve", "--kernel", "K"]),
-        ("n_grid = 2.5", ["solve", "--kernel", "K", "--k", "1.0"]),
-        ("n = x", ["sweep", "--kernel", "K", "--kmin", "0.5", "--kmax", "1.0"]),
-        ("seed = 1.5", ["design", "--device", "tra"]),
-    ], ids=["k", "n_grid", "n", "seed"])
-    def test_value_of_wrong_type_is_input_error(self, tmp_path, zero_kernel_file, line, args):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(line + "\n", encoding="utf-8")
+    @pytest.mark.parametrize("lines, args, named", [
+        (["--bogus-key=3"], ["solve", "--kernel", "K", "--k", "1.0"], "--bogus-key"),
+        (["--k=abc"], ["solve", "--kernel", "K"], "'abc'"),
+        (["--n-grid=2.5"], ["solve", "--kernel", "K", "--k", "1.0"], "'2.5'"),
+        (["--n=x"], ["sweep", "--kernel", "K", "--kmin", "0.5", "--kmax", "1.0"], "'x'"),
+        (["--seed=1.5"], ["design", "--device", "tra"], "'1.5'"),
+        (["--claim=IX"], ["verify", "--kernel", "K"], "'IX'"),
+        (["--device=zz"], ["design"], "'zz'"),
+        (["--constraint", "bogus"], ["design", "--device", "tra"], "'bogus'"),
+        (["--quadrature=gauss"], ["solve", "--kernel", "K", "--k", "1.0"], "'gauss'"),
+        (["--device=tra", ""], ["design"], "unrecognized arguments"),
+        (["# a comment", "--device=tra"], ["design"], "# a comment"),
+        (["--seed 3"], ["design", "--device", "tra"], "--seed 3"),
+    ], ids=["unknown", "k", "n-grid", "n", "seed", "claim", "device", "constraint",
+            "quadrature", "blank-line", "comment", "flag-and-value-on-one-line"])
+    def test_bad_argument_in_file_is_usage_error(self, tmp_path, zero_kernel_file, lines,
+                                                 args, named):
+        (tmp_path / "bad.args").write_text("".join(line + "\n" for line in lines),
+                                           encoding="utf-8")
         args = [str(zero_kernel_file) if a == "K" else a for a in args]
-        res = run_cli([*args, "--out", "x.json", "--config", str(cfg)], tmp_path)
-        key, value = line.split(" = ")
+        res = run_cli([*args, "@bad.args", "--out", "x.json"], tmp_path)
         assert res.returncode == 1
-        assert f"input error: config key '{key}'".encode() in res.stderr
-        assert repr(value).encode() in res.stderr
+        assert b"usage:" in res.stderr and named.encode() in res.stderr
         assert b"Traceback" not in res.stderr
-        assert not (tmp_path / "x.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.args", zero_kernel_file.name]
+
+    @pytest.mark.parametrize("name", ["a_dir", "missing.args"])
+    def test_file_that_cannot_be_read_is_usage_error(self, tmp_path, name):
+        (tmp_path / "a_dir").mkdir()
+        res = run_cli(["design", "--device", "tra", f"@{name}", "--out", "x.json"], tmp_path)
+        assert res.returncode == 1
+        assert b"usage:" in res.stderr and b"error: [Errno" in res.stderr
+        assert name.encode() in res.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["a_dir"]
 
 
 class TestDeterminism:

@@ -1,5 +1,4 @@
 import base64
-import gc
 import json
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from asymscat import kernel_io
 from asymscat.errors import KernelFormatError
 from asymscat.kernel_io import kernel_from_dict, kernel_to_dict, load_kernel, save_kernel
 from asymscat.kernels import (
@@ -356,6 +354,8 @@ class TestJsonRoundTrip:
         ("n", {"type": "sampled", "d": 1.0, "n": 0, "is_local": True, "values": []}),
         ("n", {"type": "sampled", "d": 1.0, "n": 3, "is_local": True,
                "values": [[0.0, 0.0]] * 3}),
+        ("n", {"type": "sampled", "d": 1.0, "n": 3, "is_local": False,
+               "values": [[0.0, 0.0]] * 9}),
         # used to fail with "grid must be strictly increasing"
         ("d", {"type": "sampled", "d": -1.0, "n": 4, "is_local": True,
                "values": [[0.0, 0.0]] * 4}),
@@ -376,8 +376,8 @@ class TestJsonRoundTrip:
                   "coeffs": [[1.0, 0.0]] * 7}),
         ("jmax", {"type": "polynomial", "d": 1.0, "imax": 0, "jmax": 6,
                   "coeffs": [[1.0, 0.0]] * 7}),
-    ], ids=["n-negative", "n-zero", "n-three", "d-negative", "d-zero", "poly-d",
-            "inverse-square-d", "degrees-negative", "degrees-empty", "jmax-negative",
+    ], ids=["n-negative", "n-zero", "n-three", "n-three-nonlocal", "d-negative", "d-zero",
+            "poly-d", "inverse-square-d", "degrees-negative", "degrees-empty", "jmax-negative",
             "imax-six", "jmax-six"])
     def test_out_of_range_size_is_named(self, tmp_path, field, doc):
         with pytest.raises(KernelFormatError, match=f"^field '{field}' must be"):
@@ -599,39 +599,3 @@ class TestFormat2Checks:
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(KernelFormatError, match=f"field '{field}' {message}"):
             load_kernel(path)
-
-
-class TestCollectorPause:
-    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
-    def gc_state(self, request):
-        was = gc.isenabled()
-        (gc.enable if request.param else gc.disable)()
-        yield request.param
-        (gc.enable if was else gc.disable)()
-
-    def test_save_and_load_restore_the_callers_state(self, gc_state, rng, tmp_path,
-                                                      monkeypatch):
-        seen = []
-
-        def spy(original):
-            def wrapped(*args):
-                seen.append(gc.isenabled())
-                return original(*args)
-            return wrapped
-
-        monkeypatch.setattr(kernel_io, "kernel_from_dict", spy(kernel_io.kernel_from_dict))
-        path = tmp_path / "k.json"
-        save_kernel(random_poly_surface(rng, n=11), path)
-        assert gc.isenabled() is gc_state
-        load_kernel(path)
-        assert gc.isenabled() is gc_state
-        assert seen == [False]  # paused inside the load
-
-    @pytest.mark.parametrize("text", ["{not json", '{"type": "sampled"}'],
-                             ids=["bad-json", "missing-field"])
-    def test_failed_load_restores_the_callers_state(self, gc_state, tmp_path, text):
-        path = tmp_path / "broken.json"
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(KernelFormatError):
-            load_kernel(path)
-        assert gc.isenabled() is gc_state
