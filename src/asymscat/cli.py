@@ -87,12 +87,20 @@ def _commit(args, outputs: dict, stdout: str = "") -> None:
     to stdout.  If a write raises, the files this call opened are removed,
     a part-written one too, and the error propagates, so a failed run
     leaves no output.  A path that could not be opened, such as a
-    directory or a read-only file, is left as it was.  Identical
-    manifests imply bit-identical outputs (all randomness is seeded,
-    nothing depends on time).
+    directory or a read-only file, is left as it was.  An output path
+    that names the input kernel file raises ValueError before any write.
+    Identical manifests imply bit-identical outputs (all randomness is
+    seeded, nothing depends on time).
     """
     files = {name: (path, data) for name, (path, data) in outputs.items() if path is not None}
     printed = "".join(data for path, data in outputs.values() if path is None)
+    manifest_path = None if args.out is None else args.out + ".manifest.json"
+    # writing over the kernel would lose it, and the manifest would give
+    # the output's digest as the kernel's
+    if "kernel" in args:
+        for path in [path for path, _ in files.values()] + [manifest_path]:
+            if path is not None and Path(path).exists() and Path(path).samefile(args.kernel):
+                raise ValueError(f"output path {path!r} names the input kernel file")
     opened = []
 
     def write(path, data):
@@ -107,7 +115,7 @@ def _commit(args, outputs: dict, stdout: str = "") -> None:
     try:
         for path, data in files.values():
             write(path, data)
-        if args.out is not None:
+        if manifest_path is not None:
             manifest = {
                 "command": args.command,
                 "flags": {key: value for key, value in vars(args).items() if key != "func"},
@@ -115,7 +123,7 @@ def _commit(args, outputs: dict, stdout: str = "") -> None:
                 "input_digests": {"kernel": sha256_path(args.kernel)} if "kernel" in args else {},
                 "output_digests": {name: sha256_path(path) for name, (path, _) in files.items()},
             }
-            write(args.out + ".manifest.json", dumps_json(manifest))
+            write(manifest_path, dumps_json(manifest))
     except BaseException:
         for path in opened:
             Path(path).unlink(missing_ok=True)

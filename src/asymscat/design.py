@@ -317,8 +317,11 @@ def design_device(spec: DeviceSpec, seed: int = 0, restarts: int = 16) -> Design
     DesignError.  Designs a symmetry forbids are rejected when the spec
     is built (``DeviceSpec`` raises ForbiddenDeviceError), and so is a
     k0 above about 3.0e3, where the rounding error of k0**2 / 2 alone
-    exceeds the 1e-9 residual a design must reach (ValueError).
+    exceeds the 1e-9 residual a design must reach (ValueError).  A
+    negative seed raises ValueError.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     problem = _DesignProblem(spec)
     u, design_residual, trace = problem.solve(seed, restarts)
     if design_residual > _DESIGN_RESIDUAL:

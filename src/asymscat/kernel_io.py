@@ -6,12 +6,8 @@ each complex array (``values``, ``coeffs``) is one standard base64
 string of little-endian complex128 in C order; ``n`` and ``is_local``,
 or ``imax`` and ``jmax``, give the shape.  The bytes are the doubles
 themselves, so a kernel round-trips bit for bit, signed zeros and
-subnormals included.
-
-A file without a ``format`` field is format 1, which stored each
-complex number as an [re, im] pair of JSON numbers, in the compact or
-the older ``indent=2`` layout.  Such files still load bit for bit;
-nothing writes them.
+subnormals included.  A file without a ``format`` field, or with any
+other value, is rejected.
 
 ``sha256_path``, the file digest of run manifests, lives beside the
 format.
@@ -21,7 +17,6 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-from itertools import chain
 
 import numpy as np
 
@@ -47,42 +42,6 @@ def _decode(text: str, field: str) -> np.ndarray:
             f"field {field!r} holds {len(raw)} bytes, not a whole number of "
             f"16-byte complex128 entries")
     return _require_finite(np.frombuffer(raw, dtype=_COMPLEX128), field)
-
-
-def _complex_array(data: dict, field: str, version: int) -> np.ndarray:
-    """The flat complex array stored in ``field``: a base64 string in
-    format 2, a list of [re, im] pairs in format 1."""
-    value = _require(data, field)
-    if version == 1:
-        return _unpairs(value, field)
-    if not isinstance(value, str):
-        raise KernelFormatError(
-            f"field {field!r} must be a base64 string in a format {_FORMAT} file, "
-            f"got {type(value).__name__}")
-    return _decode(value, field)
-
-
-def _unpairs(pairs, field: str) -> np.ndarray:
-    # a float dtype would read true as 1.0 and "1.5" as 1.5; the entries
-    # are checked flat, where map and set run at C speed
-    try:
-        lengths = set(map(len, pairs))
-        flat = list(chain.from_iterable(pairs))
-    except TypeError as exc:
-        raise KernelFormatError(f"field {field!r} is not a list of [re, im] pairs") from exc
-    if lengths != {2}:
-        raise KernelFormatError(f"field {field!r} must hold [re, im] pairs")
-    wrong = set(map(type, flat)) - {float, int}
-    if wrong:
-        name = min(t.__name__ for t in wrong)
-        raise KernelFormatError(f"field {field!r} has wrong type {name}")
-    try:
-        arr = np.array(flat, dtype=float).reshape(-1, 2)
-    except OverflowError as exc:  # an integer literal beyond the double range
-        raise KernelFormatError(f"field {field!r} must be finite") from exc
-    _require_finite(arr, field)
-    # re + 1j * im can turn a -0.0 in either part into +0.0
-    return arr.view(complex)[:, 0]
 
 
 def _require_finite(value, field: str):
@@ -152,11 +111,9 @@ def kernel_to_dict(kernel) -> dict:
 def kernel_from_dict(data: dict):
     if not isinstance(data, dict):
         raise KernelFormatError("kernel document must be a JSON object")
-    version = 1  # files written before the format field existed
-    if "format" in data:
-        version = _require(data, "format", int)
-        if version != _FORMAT:
-            raise KernelFormatError(f"field 'format' must be {_FORMAT}, got {version}")
+    version = _require(data, "format", int)
+    if version != _FORMAT:
+        raise KernelFormatError(f"field 'format' must be {_FORMAT}, got {version}")
     ktype = _require(data, "type", str)
     d = _scalar(data, "d")
     if d <= 0:
@@ -166,7 +123,7 @@ def kernel_from_dict(data: dict):
         if n < 4:  # the cubic splines of SampledKernel need 4 points
             raise KernelFormatError(f"field 'n' must be at least 4, got {n}")
         is_local = bool(_require(data, "is_local", bool))
-        values = _complex_array(data, "values", version)
+        values = _decode(_require(data, "values", str), "values")
         expected = n if is_local else n * n
         if values.size != expected:
             raise KernelFormatError(
@@ -176,7 +133,7 @@ def kernel_from_dict(data: dict):
         shaped = values if is_local else values.reshape(n, n)
         return SampledKernel(grid, shaped, is_local=is_local)
     if ktype == "polynomial":
-        coeffs = _complex_array(data, "coeffs", version)
+        coeffs = _decode(_require(data, "coeffs", str), "coeffs")
         imax, jmax = (_degree(data, field) for field in ("imax", "jmax"))
         expected = (imax + 1) * (jmax + 1)
         if coeffs.size != expected:
@@ -203,7 +160,7 @@ def load_kernel(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise KernelFormatError(f"invalid JSON in kernel file: {exc}") from exc
     try:
         return kernel_from_dict(data)

@@ -84,11 +84,27 @@ class TestSolve:
 
     def test_malformed_json_exits_1_with_diagnostic(self, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"type": "sampled", "d": 1.0, "n": 5, "is_local": false}',
+        bad.write_text('{"format": 2, "type": "sampled", "d": 1.0, "n": 5, "is_local": false}',
                        encoding="utf-8")
         res = run_cli(["solve", "--kernel", str(bad), "--k", "1.0"], tmp_path)
         assert res.returncode == 1
         assert res.stderr == b"input error: missing required field 'values'\n"
+
+    @pytest.mark.parametrize("fields, message", [
+        ({}, "missing required field 'format'"),
+        ({"format": 1}, "field 'format' must be 2, got 1"),
+    ], ids=["no-format", "format-1"])
+    def test_format_1_file_is_input_error(self, tmp_path, fields, message):
+        # format 1 stored [re, im] pairs and had no format field
+        doc = {"type": "polynomial", "d": 1.0, "imax": 0, "jmax": 0,
+               "coeffs": [[1.0, 0.0]], **fields}
+        (tmp_path / "old.json").write_text(json.dumps(doc), encoding="utf-8")
+        res = run_cli(["solve", "--kernel", "old.json", "--k", "1.0", "--out", "r.json"],
+                      tmp_path)
+        assert res.returncode == 1
+        assert res.stderr == f"input error: {message}\n".encode()
+        assert res.stdout == b""
+        assert [p.name for p in tmp_path.iterdir()] == ["old.json"]
 
     def test_nonpositive_momentum_is_input_error(self, tmp_path, zero_kernel_file):
         res = run_cli(["solve", "--kernel", str(zero_kernel_file), "--k", "-1.0"], tmp_path)
@@ -220,6 +236,13 @@ class TestDesignCommand:
                        "--out", str(tmp_path / "x.json")], tmp_path)
         assert res.returncode == 1
         assert b"VIII" in res.stderr
+
+    def test_negative_seed_is_named(self, tmp_path):
+        # numpy's "expected non-negative integer" named neither seed nor value
+        res = run_cli(["design", "--device", "tra", "--seed", "-1", "--out", "x.json"], tmp_path)
+        assert res.returncode == 1
+        assert res.stderr == b"input error: seed must be a non-negative integer, got -1\n"
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("points", ["0", "-1"])
     def test_verify_points_below_one_fails_before_designing(self, tmp_path, points):
@@ -408,6 +431,29 @@ class TestFailureLeavesNoOutput:
         assert b"input error:" in res.stderr and manifest.encode() in res.stderr
         assert [p.name for p in wd.iterdir()] == [manifest]
         assert res.stdout == b""
+
+    @pytest.mark.parametrize("command, kernel, out", [
+        ("solve", "herm.json", "herm.json"),
+        ("sweep", "herm.json", "herm.json"),
+        ("solve", "r.json.manifest.json", "r.json"),
+    ], ids=["solve", "sweep", "manifest"])
+    def test_output_naming_the_kernel_is_input_error(self, tmp_path, hermitian_kernel_file,
+                                                     command, kernel, out):
+        # solve --out <kernel> used to replace the kernel with its report and
+        # record the report's digest as the kernel's
+        (tmp_path / kernel).write_bytes(hermitian_kernel_file.read_bytes())
+        before = sorted(p.name for p in tmp_path.iterdir())
+        # an absolute --kernel against a relative --out: the same file by two names
+        args = [a.format(kernel=tmp_path / kernel) for a in OUT_COMMANDS[command]]
+        args[args.index("--out") + 1] = out
+        res = run_cli(args, tmp_path)
+        assert res.returncode == 1
+        named = out if kernel == out else kernel
+        assert res.stderr == (f"input error: output path {named!r} names the input "
+                              f"kernel file\n").encode()
+        assert res.stdout == b""
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert (tmp_path / kernel).read_bytes() == hermitian_kernel_file.read_bytes()
 
     def test_part_written_kernel_is_removed(self, tmp_path, monkeypatch):
         def fail(kernel, path):

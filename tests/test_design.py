@@ -149,6 +149,11 @@ class TestDesignDevice:
         b = design_device(spec, seed=3, restarts=2)
         np.testing.assert_array_equal(a.kernel.coeffs, b.kernel.coeffs)
 
+    def test_negative_seed_is_named(self):
+        # numpy's "expected non-negative integer" named neither seed nor value
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+            design_device(DeviceSpec(code="TR/A"), seed=-1)
+
 
 class TestExactJacobian:
     # The residual is bilinear in the wave and kernel parameters, so a
