@@ -524,10 +524,18 @@ class TestFormat2Checks:
         ("format", _poly(_b64([1, 1]), format=1), "must be 2, got 1"),
         ("format", _poly(_b64([1, 1]), format=True), "has wrong type bool"),
         ("format", _poly(_b64([1, 1]), format="2"), "has wrong type str"),
+        ("format", _poly(_b64([1, 1]), format=2.0), "has wrong type float"),
+        ("format", _poly(_b64([1, 1]), format=None), "has wrong type NoneType"),
         ("values", _local([[0.0, 0.0]] * 4), "has wrong type list"),
+        # the base64 fields take strings only: no number, bool, null or object
+        ("values", _local(True), "has wrong type bool"),
+        ("values", _local(None), "has wrong type NoneType"),
+        ("coeffs", _poly(1.5), "has wrong type float"),
+        ("coeffs", _poly({"re": [1.0, 1.0], "im": [0.0, 0.0]}), "has wrong type dict"),
     ], ids=["padding", "alphabet", "newline", "non-ascii", "truncated", "count-local",
             "count-poly", "empty", "format-3", "format-1", "format-bool",
-            "format-str", "pairs-in-format-2"])
+            "format-str", "format-float", "format-null", "pairs-in-format-2",
+            "values-bool", "values-null", "coeffs-number", "coeffs-object"])
     def test_malformed_file_names_the_field(self, tmp_path, field, doc, message):
         with pytest.raises(KernelFormatError, match=f"field '{field}' {message}"):
             kernel_from_dict(doc)
