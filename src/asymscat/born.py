@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketingError
-from .kernels import RegularizedInverseSquare, SampledKernel, fourier_transform_local
+from .kernels import RegularizedInverseSquare, fourier_transform_local
 from .solver import SolverConfig, _check_momentum, scatter
 from .units import HALF_WIDTH
 
@@ -41,28 +41,19 @@ class BornPrediction:
     T_abs2: float
 
 
-def _numeric_fourier(profile: np.ndarray, nodes: np.ndarray, q: float) -> complex:
-    return np.trapezoid(profile * np.exp(-1j * q * nodes), nodes) / np.sqrt(2.0 * np.pi)
+def born_reflections(potential: RegularizedInverseSquare, k: float) -> tuple[complex, complex]:
+    """First-order (R^l, R^r) of the regularized inverse-square profile
+    at k > 0, from its analytic Fourier transform.
 
-
-def born_reflections(potential, k: float) -> tuple[complex, complex]:
-    """First-order (R^l, R^r) for a local potential at k > 0.
-
-    Uses the analytic Fourier transform for the regularized
-    inverse-square profile and quadrature over the stored grid for
-    sampled local potentials.
+    Any other potential raises ValueError.
     """
     _check_momentum(k)
+    if not isinstance(potential, RegularizedInverseSquare):
+        raise ValueError(f"born_reflections needs a RegularizedInverseSquare, "
+                         f"got {type(potential).__name__}")
     pref = -1j * np.sqrt(2.0 * np.pi) / k
-    if isinstance(potential, RegularizedInverseSquare):
-        vt_m = fourier_transform_local(potential, -2.0 * k)
-        vt_p = fourier_transform_local(potential, 2.0 * k)
-    elif isinstance(potential, SampledKernel) and potential.is_local:
-        vt_m = _numeric_fourier(np.asarray(potential.values), potential.grid, -2.0 * k)
-        vt_p = _numeric_fourier(np.asarray(potential.values), potential.grid, 2.0 * k)
-    else:
-        raise ValueError("born_reflections needs a local potential")
-    return pref * vt_m, pref * vt_p
+    return (pref * fourier_transform_local(potential, -2.0 * k),
+            pref * fourier_transform_local(potential, 2.0 * k))
 
 
 def born_prediction(potential, k: float) -> BornPrediction:
@@ -93,10 +84,14 @@ def graded_mesh(epsilon: float, d: float = HALF_WIDTH,
     A chord trapezoid rule on geometrically growing nodes would instead
     accumulate an O(growth^2) error along the 1/x^2 tail that no amount
     of peak refinement removes.  Beyond the core, uniform tails carry the
-    slowly varying remainder of the potential out to d.
+    slowly varying remainder of the potential out to d, spaced to resolve
+    momenta up to k_max.  Raises ValueError unless epsilon, d and k_max
+    are positive and finite.
     """
     if not (0 < epsilon < np.inf and 0 < d < np.inf):
         raise ValueError(f"epsilon and d must be positive and finite, got {epsilon!r} and {d!r}")
+    if not 0 < k_max < np.inf:
+        raise ValueError(f"k_max must be positive and finite, got {k_max!r}")
     core = min(d, 1.0)
     t_max = np.arcsinh(core / epsilon)
     t = np.linspace(-t_max, t_max, 801)

@@ -18,7 +18,6 @@ from . import __version__
 from .born import born_prediction, design_broadband_reflector, reflector_config, tune_alpha
 from .design import DesignResult, DeviceSpec, design_device, verify_design
 from .errors import (
-    AdjointDivergenceError,
     BracketingError,
     DesignError,
     ForbiddenDeviceError,
@@ -379,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     except (KernelFormatError, OSError, ForbiddenDeviceError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    except (SingularSystemError, AdjointDivergenceError, DesignError, BracketingError) as exc:
+    except (SingularSystemError, DesignError, BracketingError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:

@@ -122,8 +122,9 @@ class DesignResult:
     restarts: tuple[Restart, ...] = ()
 
 
-def _boundary_rows(d: float) -> np.ndarray:
+def _boundary_rows() -> np.ndarray:
     j = np.arange(PSI_DEGREE + 1)
+    d = HALF_WIDTH
     rows = np.zeros((4, PSI_DEGREE + 1), dtype=complex)
     rows[0] = (-d) ** j
     rows[1, 1:] = j[1:] * (-d) ** (j[1:] - 1)
@@ -132,8 +133,8 @@ def _boundary_rows(d: float) -> np.ndarray:
     return rows
 
 
-def _boundary_values(k: float, d: float, side: str, T: complex, R: complex) -> np.ndarray:
-    up, dn = np.exp(1j * k * d), np.exp(-1j * k * d)
+def _boundary_values(k: float, side: str, T: complex, R: complex) -> np.ndarray:
+    up, dn = np.exp(1j * k * HALF_WIDTH), np.exp(-1j * k * HALF_WIDTH)
     if side == "left":
         # psi = e^{ikx} + R e^{-ikx} (x < -d),  T e^{ikx} (x > d)
         return np.array(
@@ -147,80 +148,63 @@ def _boundary_values(k: float, d: float, side: str, T: complex, R: complex) -> n
     )
 
 
-def _even_moments(d: float, n_max: int) -> np.ndarray:
+def _even_moments(n_max: int) -> np.ndarray:
     n = np.arange(n_max + 1)
-    mu = 2.0 * d ** (n + 1) / (n + 1)
+    mu = 2.0 * HALF_WIDTH ** (n + 1) / (n + 1)
     mu[n % 2 == 1] = 0.0
     return mu
 
 
-class _VParam:
+def _kernel_basis(constraint: str) -> tuple[tuple[int, int], np.ndarray]:
     """The kernel coefficients of one constraint mode as a real-linear map
-    of a flat real vector u: ``unpack(u) = (E @ u).reshape(shape)``, with E
-    a complex matrix whose columns are the unit coefficient patterns."""
-
-    def __init__(self, constraint: str):
-        if constraint == "none":
-            self.shape = (6, 2)
-            E = np.hstack([np.eye(12), 1j * np.eye(12)])
-        elif constraint == "pt":
-            self.shape = (6, 2)
-            i, j = np.divmod(np.arange(12), 2)
-            E = np.diag(np.where((i + j) % 2 == 0, 1.0, 1j))
-        elif constraint == "viii":
-            self.shape = (6, 6)
-            pairs = [
-                (i, j)
-                for i in range(6)
-                for j in range(i, 6)
-                if (i, j) not in ((4, 4), (4, 5), (5, 5))
-            ]
-            E = np.zeros((36, 2 * len(pairs)), dtype=complex)
-            unit = np.array([1.0, 1j])
-            for n, (i, j) in enumerate(pairs):
-                E[6 * i + j, 2 * n : 2 * n + 2] = unit
-                E[6 * j + i, 2 * n : 2 * n + 2] = (-1.0) ** (i + j) * unit
-        else:
-            raise ValueError(constraint)
-        self.E = E
-        self.n_real = E.shape[1]
-
-    def unpack(self, u: np.ndarray) -> np.ndarray:
-        return (self.E @ u).reshape(self.shape)
+    of a flat real vector u: ``(E @ u).reshape(shape)``, with E a complex
+    matrix whose columns are the unit coefficient patterns."""
+    if constraint == "none":
+        return (6, 2), np.hstack([np.eye(12), 1j * np.eye(12)])
+    if constraint == "pt":
+        i, j = np.divmod(np.arange(12), 2)
+        return (6, 2), np.diag(np.where((i + j) % 2 == 0, 1.0, 1j))
+    pairs = [(i, j) for i in range(6) for j in range(i, 6)
+             if (i, j) not in ((4, 4), (4, 5), (5, 5))]
+    E = np.zeros((36, 2 * len(pairs)), dtype=complex)
+    unit = np.array([1.0, 1j])
+    for n, (i, j) in enumerate(pairs):
+        E[6 * i + j, 2 * n : 2 * n + 2] = unit
+        E[6 * j + i, 2 * n : 2 * n + 2] = (-1.0) ** (i + j) * unit
+    return (6, 6), E
 
 
 class _DesignProblem:
     def __init__(self, spec: DeviceSpec):
-        self.spec = spec
-        self.k = spec.k0
-        self.vparam = _VParam(spec.constraint)
-        B = _boundary_rows(HALF_WIDTH)
+        k = spec.k0
+        self.shape, self.E = _kernel_basis(spec.constraint)
+        B = _boundary_rows()
         Tl, Tr, Rl, Rr = spec.targets
-        bl = _boundary_values(self.k, HALF_WIDTH, "left", Tl, Rl)
-        br = _boundary_values(self.k, HALF_WIDTH, "right", Tr, Rr)
-        self.cl_part = np.linalg.lstsq(B, bl, rcond=None)[0]
-        self.cr_part = np.linalg.lstsq(B, br, rcond=None)[0]
+        self.cl_part = np.linalg.lstsq(B, _boundary_values(k, "left", Tl, Rl), rcond=None)[0]
+        self.cr_part = np.linalg.lstsq(B, _boundary_values(k, "right", Tr, Rr), rcond=None)[0]
         self.null = null_space(B)  # (6, 2)
         self.n_free = self.null.shape[1]
-        jmax = self.vparam.shape[1] - 1
-        self.mu = _even_moments(HALF_WIDTH, PSI_DEGREE + jmax)
+        jmax = self.shape[1] - 1
+        mu = _even_moments(PSI_DEGREE + jmax)
         self.mmat = np.array(
-            [[self.mu[j + m] for m in range(PSI_DEGREE + 1)] for j in range(jmax + 1)]
+            [[mu[j + m] for m in range(PSI_DEGREE + 1)] for j in range(jmax + 1)]
         )
-        self.dp = HALF_WIDTH ** np.arange(6)
-        self.dm = (-HALF_WIDTH) ** np.arange(6)
         self.n_c_real = 4 * self.n_free  # re/im for both sides
         # E as (i, j, m) = d v_ij / d u_m
-        self.e3 = self.vparam.E.reshape(*self.vparam.shape, self.vparam.n_real)
+        self.e3 = self.E.reshape(*self.shape, self.E.shape[1])
         # Beta c = (k^2/2) c + the coefficients of -psi''/2
-        self.beta = 0.5 * self.k**2 * np.eye(PSI_DEGREE + 1)
+        self.beta = 0.5 * k**2 * np.eye(PSI_DEGREE + 1)
         i = np.arange(PSI_DEGREE - 1)
         self.beta[i, i + 2] = 0.5 * (i + 1) * (i + 2)
         # V(+-d, y) = 0: rows linear in the kernel parameters alone
         self.edge_block = np.concatenate([
-            np.einsum("ijm,i->jm", self.e3, self.dp),
-            np.einsum("ijm,i->jm", self.e3, self.dm),
+            np.einsum("ijm,i->jm", self.e3, HALF_WIDTH ** np.arange(6)),
+            np.einsum("ijm,i->jm", self.e3, (-HALF_WIDTH) ** np.arange(6)),
         ])
+
+    def unpack(self, u_v: np.ndarray) -> np.ndarray:
+        """The kernel coefficients of the real parameter vector u_v."""
+        return (self.E @ u_v).reshape(self.shape)
 
     def waves(self, u_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nf = self.n_free
@@ -233,7 +217,7 @@ class _DesignProblem:
         sides, (v M - Beta) c, followed by the edge rows."""
         cl, cr = self.waves(u[: self.n_c_real])
         u_v = u[self.n_c_real :]
-        L = self.vparam.unpack(u_v) @ self.mmat - self.beta
+        L = self.unpack(u_v) @ self.mmat - self.beta
         block = np.concatenate([L @ cl, L @ cr, self.edge_block @ u_v])
         return np.concatenate([block.real, block.imag])
 
@@ -254,7 +238,7 @@ class _DesignProblem:
         and i times that for the imaginary parts."""
         nf, nc = self.n_free, self.n_c_real
         cl, cr = self.waves(u[:nc])
-        wave = (self.vparam.unpack(u[nc:]) @ self.mmat - self.beta) @ self.null
+        wave = (self.unpack(u[nc:]) @ self.mmat - self.beta) @ self.null
         J = np.zeros((12 + self.edge_block.shape[0], u.size), dtype=complex)
         for side in range(2):
             rows, col = slice(6 * side, 6 * side + 6), 2 * nf * side
@@ -295,7 +279,7 @@ class _DesignProblem:
                 self.residuals, u0, jac=self.jacobian, method="trf", xtol=1e-15,
                 ftol=1e-15, gtol=1e-15, max_nfev=_MAX_NFEV,
             )
-            knorm = float(np.linalg.norm(self.vparam.unpack(sol.x[self.n_c_real :])))
+            knorm = float(np.linalg.norm(self.unpack(sol.x[self.n_c_real :])))
             xs.append(sol.x)
             trace.append(Restart(float(np.max(np.abs(sol.fun))), int(sol.nfev),
                                  int(sol.njev), knorm))
@@ -331,7 +315,7 @@ def design_device(spec: DeviceSpec, seed: int = 0, restarts: int = 16) -> Design
             best_residual=design_residual, restarts=trace,
         )
     cl, cr = problem.waves(u[: problem.n_c_real])
-    v = problem.vparam.unpack(u[problem.n_c_real :])
+    v = problem.unpack(u[problem.n_c_real :])
     kernel = PolynomialKernel(v)
     amps = scatter_all(kernel, spec.k0, SolverConfig(n_grid=801, quadrature="simpson"))
     residual = float(np.max(np.abs(np.array(amps.quadruple) - np.array(spec.targets))))

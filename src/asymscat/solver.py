@@ -519,8 +519,11 @@ def scatter_oracle_all(kernel, k: float,
     values.  The h^2 error term is eliminated by Richardson extrapolation
     from a second solve on a doubled grid.  Exists purely to cross-check the
     Nystrom path: it shares no Green's function or quadrature with it.
+    An n_grid below 3 raises ValueError.
     """
     _check_momentum(k)
+    if n_grid < 3:
+        raise ValueError(f"n_grid must be at least 3, got {n_grid!r}")
     coarse = np.array(_oracle_once(kernel, k, n_grid))
     fine = np.array(_oracle_once(kernel, k, 2 * n_grid - 1))
     return tuple((4.0 * fine - coarse) / 3.0)
@@ -553,7 +556,10 @@ def hatted_from_unhatted(amps: ScatteringAmplitudes, tol: float = 1e-8) -> Scatt
     amplitude would exceed 1/tol: there the adjoint problem genuinely
     diverges (exceptional configuration).  Near a pole of S the products
     T^l T^r and R^l R^r grow like the square of the amplitudes while D
-    grows only like them, so the scale is the amplitudes themselves."""
+    grows only like them, so the scale is the amplitudes themselves.
+    Raises ValueError unless ``tol`` is positive and finite."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     Tl, Tr, Rl, Rr = amps.quadruple
     D = Tl * Tr - Rl * Rr
     if abs(D) < tol * max(1.0, *map(abs, amps.quadruple)):

@@ -10,9 +10,10 @@ from asymscat.born import (
     tune_alpha,
 )
 from asymscat.errors import BracketingError
-from asymscat.kernels import SampledKernel, fourier_transform_local
+from asymscat.kernels import fourier_transform_local
 from asymscat.solver import generalized_unitarity_residuals, k_sweep, scatter, scatter_all
 from asymscat.symmetry import check_symmetries
+from conftest import random_local_kernel, random_poly_surface
 
 EPS = 1e-4
 ALPHA_REF = 1.225 / (4.0 * np.pi)  # reference tuned strength
@@ -49,20 +50,6 @@ class TestBornReflections:
         assert pred.Rr == 0.0
         assert pred.T_abs2 == 1.0
 
-    def test_sampled_local_potential_uses_quadrature(self):
-        g = np.linspace(-1, 1, 2001)
-        prof = 0.05 * np.exp(-((g - 0.2) ** 2) / 0.02).astype(complex)
-        ker = SampledKernel(g, prof, is_local=True)
-        k = 1.3
-        Rl, Rr = born_reflections(ker, k)
-        want_l = -1j / k * np.trapezoid(prof * np.exp(2j * k * g), g)
-        want_r = -1j / k * np.trapezoid(prof * np.exp(-2j * k * g), g)
-        assert Rl == pytest.approx(want_l, rel=1e-12)
-        assert Rr == pytest.approx(want_r, rel=1e-12)
-        # real profile: reflection moduli coincide, phases differ
-        assert abs(Rr) == pytest.approx(abs(Rl), rel=1e-12)
-        assert abs(Rl - Rr) > 1e-3
-
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError):
             born_reflections(design_broadband_reflector(0.1, EPS), 0.0)
@@ -78,11 +65,11 @@ class TestBornReflections:
         Rl, Rr = born_reflections(pot, 1.3)
         assert born_reflections(pot.transform("III"), 1.3) == (Rr, Rl)
 
-    def test_rejects_nonlocal_kernel(self, rng):
-        from conftest import random_poly_surface
-
-        with pytest.raises(ValueError):
-            born_reflections(random_poly_surface(rng, n=21), 1.0)
+    @pytest.mark.parametrize("sample", [random_poly_surface, random_local_kernel],
+                             ids=["nonlocal", "local"])
+    def test_rejects_sampled_kernels(self, sample, rng):
+        with pytest.raises(ValueError, match="needs a RegularizedInverseSquare, got SampledKernel"):
+            born_reflections(sample(rng, n=21), 1.0)
 
 
 class TestSpectralOneWayCondition:
@@ -115,6 +102,16 @@ class TestGradedMesh:
         # weights integrate a smooth function accurately
         total = np.sum(weights * np.cos(nodes))
         assert total == pytest.approx(2.0 * np.sin(4.0), rel=1e-3)
+
+    @pytest.mark.parametrize("k_max", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_k_max_that_is_not_positive_and_finite(self, k_max):
+        # 0 and inf divided by zero, -1 reached numpy's sample count, nan passed
+        with pytest.raises(ValueError, match="^k_max must be positive and finite"):
+            graded_mesh(EPS, d=4.0, k_max=k_max)
+
+    def test_reflector_config_passes_k_max_through(self):
+        with pytest.raises(ValueError, match="^k_max must be positive and finite, got nan$"):
+            reflector_config(EPS, k_max=np.nan)
 
     def test_doubling_the_window_is_converged(self, config):
         pot4 = design_broadband_reflector(ALPHA_REF, EPS, d=4.0)

@@ -156,6 +156,19 @@ class TestHattedFromUnhatted:
             hat = hatted_from_unhatted(amps)
             assert np.max(np.abs(hat.quadruple)) == pytest.approx(a / c, rel=1e-3)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("quadruple", [
+        (1.0, 0.0, -1.0, 0.0),
+        tuple(np.complex128(a) for a in (1.0, 0.0, -1.0, 0.0)),
+        (1.0, 1.0, 0.0, 0.0),
+    ], ids=["python-D0", "numpy-D0", "identity"])
+    def test_rejects_a_tol_that_is_not_positive_and_finite(self, quadruple, tol):
+        # at D = 0 these gave inf/nan amplitudes or ZeroDivisionError, and
+        # tol = inf raised AdjointDivergenceError even for the identity
+        amps = ScatteringAmplitudes(1.0, *quadruple)
+        with pytest.raises(ValueError, match="^tol must be positive and finite"):
+            hatted_from_unhatted(amps, tol=tol)
+
     def test_agrees_with_independent_adjoint_solve(self, rng):
         for _ in range(3):
             ker = random_poly_surface(rng, n=401)
@@ -271,6 +284,12 @@ class TestErrors:
             k_sweep(zero_kernel(), [0.5, k], TRAP)
         with pytest.raises(ValueError, match="finite"):
             scatter_oracle_all(zero_kernel(), k, 101)
+
+    @pytest.mark.parametrize("n_grid", [1, 2])
+    def test_oracle_rejects_a_grid_below_three_nodes(self, n_grid):
+        # SolverConfig's bound; 1 raised IndexError and 2 returned amplitudes
+        with pytest.raises(ValueError, match=f"^n_grid must be at least 3, got {n_grid}$"):
+            scatter_oracle_all(zero_kernel(), 1.0, n_grid)
 
     def test_non_finite_config_is_rejected(self):
         nodes = np.linspace(-1, 1, 5)
