@@ -258,7 +258,7 @@ def _cmd_verify(args) -> int:
     relations = predicted_amplitude_relations(report)
     grid = np.linspace(args.kmin, args.kmax, args.n)
     failures = []
-    checks = []
+    residuals = []
     for k in grid:
         amps = scatter_all(kernel, float(k), config, include_adjoint=True)
         unit = generalized_unitarity_residuals(amps)
@@ -266,8 +266,7 @@ def _cmd_verify(args) -> int:
             failures.append(f"generalized unitarity residual {np.max(unit):.3e} at k={k:.6g}")
         for rel in relations:
             res = rel.residual(amps)
-            checks.append({"k": float(k), "symmetry": rel.symmetry,
-                           "relation": rel.description, "residual": float(res)})
+            residuals.append(float(res))
             if res > args.tol:
                 failures.append(
                     f"symmetry {rel.symmetry} relation {rel.description!r} "
@@ -280,9 +279,9 @@ def _cmd_verify(args) -> int:
         )
     doc = {
         "verdicts": {c: bool(v) for c, v in report.verdicts.items()},
-        "n_checks": len(checks),
+        "n_checks": len(residuals),
         "n_unitarity_checks": len(grid),
-        "max_relation_residual": max((c["residual"] for c in checks), default=0.0),
+        "max_relation_residual": max(residuals, default=0.0),
         "failures": failures,
     }
     _commit(args, {"report": (args.out, dumps_json(doc))})

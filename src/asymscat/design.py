@@ -301,11 +301,12 @@ def design_device(spec: DeviceSpec, seed: int = 0, restarts: int = 16) -> Design
     DesignError.  Designs a symmetry forbids are rejected when the spec
     is built (``DeviceSpec`` raises ForbiddenDeviceError), and so is a
     k0 above about 3.0e3, where the rounding error of k0**2 / 2 alone
-    exceeds the 1e-9 residual a design must reach (ValueError).  A
-    negative seed raises ValueError.
+    exceeds the 1e-9 residual a design must reach (ValueError).  A seed
+    or restarts that is not a non-negative integer raises ValueError.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    for name, value in (("seed", seed), ("restarts", restarts)):
+        if not isinstance(value, (int, np.integer)) or value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {value}")
     problem = _DesignProblem(spec)
     u, design_residual, trace = problem.solve(seed, restarts)
     if design_residual > _DESIGN_RESIDUAL:
@@ -332,17 +333,18 @@ def verify_design(result: DesignResult, n_points: int = 41) -> SweepTable:
     """Sweep the designed kernel across [0.8*k0, 1.2*k0].
 
     The sweep uses 401-point Simpson quadrature.  Asserts the targets
-    are met to 1e-6 at k0 (which is inserted into the grid) and that the
-    scattering coefficients vary continuously: adjacent-row jumps must
-    stay below 15 times the largest grid step, so the check tightens as
-    the sweep refines.  Returns the sweep table; n_points below 1 raises
+    are met to 1e-6 at k0 (which replaces the grid points within 1e-12
+    of it, or is inserted into the grid) and that the scattering
+    coefficients vary continuously: adjacent-row jumps must stay below
+    15 times the largest grid step, so the check tightens as the sweep
+    refines.  Returns the sweep table; n_points below 1 raises
     ValueError.
     """
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
     k0 = result.spec.k0
     ks = np.linspace(0.8 * k0, 1.2 * k0, n_points)
-    ks = np.unique(np.append(ks, k0))
+    ks = np.sort(np.append(ks[np.abs(ks - k0) >= 1e-12], k0))
     table = k_sweep(result.kernel, ks, SolverConfig(n_grid=401, quadrature="simpson"))
     at_k0 = next(row for row in table.rows if abs(row.k - k0) < 1e-12)
     if at_k0.amps is None:

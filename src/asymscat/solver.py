@@ -94,6 +94,12 @@ from .kernels import adjoint as kernel_adjoint
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
+def _check_n_grid(n_grid) -> None:
+    # np.linspace would raise a TypeError naming no parameter
+    if not isinstance(n_grid, (int, np.integer)) or n_grid < 3:
+        raise ValueError(f"n_grid must be an integer of at least 3, got {n_grid!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Discretization knobs for the Nystrom solver.
@@ -112,8 +118,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.quadrature not in ("trapezoid", "simpson"):
             raise ValueError("quadrature must be 'trapezoid' or 'simpson'")
-        if self.n_grid < 3:
-            raise ValueError("n_grid must be at least 3")
+        _check_n_grid(self.n_grid)
         if self.quadrature == "simpson" and self.n_grid % 2 == 0:
             raise ValueError("simpson quadrature needs an odd n_grid")
         if self.weights is not None and self.nodes is None:
@@ -122,6 +127,8 @@ class SolverConfig:
             nodes = np.asarray(self.nodes, dtype=float)
             if nodes.size < 3 or not np.all(np.diff(nodes) > 0):
                 raise ValueError("explicit nodes must be strictly increasing, size >= 3")
+            if not np.all(np.isfinite(nodes)):
+                raise ValueError("explicit nodes must be finite")
             if self.quadrature != "trapezoid":
                 raise ValueError("explicit nodes support trapezoid weights only")
             object.__setattr__(self, "nodes", nodes)
@@ -189,45 +196,42 @@ def grid_and_weights(config: SolverConfig, d: float) -> tuple[np.ndarray, np.nda
     return x, w
 
 
-def _simpson_kink_weights(k: float, h: float) -> np.ndarray:
-    """Product-integration weights for int_{-h}^{h} g(u) l_m(u) du with
-    g(u) = exp(i k |u|)/(i k) and l_m the quadratic Lagrange basis on
-    {-h, 0, h}.
+def _simpson_kink_delta(k: float, h: float) -> np.ndarray:
+    """Correction to the three Omega entries around the diagonal on the odd
+    (panel-midpoint) rows of a uniform Simpson grid.
 
     Composite Simpson loses its h^4 rate on panels whose midpoint is the
-    kink of |x - x'|; these weights restore it by integrating g exactly
-    against the local interpolant (two half-panel Gauss rules).
+    kink of |x - x'|.  The corrected entries are the product-integration
+    weights of int_{-h}^{h} g(u) l_m(u) du, with g(u) = exp(i k |u|)/(i k)
+    and l_m the quadratic Lagrange basis on {-h, 0, h}: they integrate g
+    exactly against the local interpolant (two half-panel Gauss rules).
     """
-    out = np.zeros(3, dtype=complex)
+    exact = np.zeros(3, dtype=complex)
     for a, b in ((-h, 0.0), (0.0, h)):
         u = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
         wq = 0.5 * (b - a) * _GL_WEIGHTS
         g = np.exp(1j * k * np.abs(u)) / (1j * k)
-        out[0] += np.sum(wq * g * u * (u - h) / (2.0 * h * h))
-        out[1] += np.sum(wq * g * (h * h - u * u) / (h * h))
-        out[2] += np.sum(wq * g * u * (u + h) / (2.0 * h * h))
-    return out
-
-
-def _simpson_kink_delta(k: float, h: float) -> np.ndarray:
-    """Correction to the three Omega entries around the diagonal on the odd
-    (panel-midpoint) rows of a uniform Simpson grid."""
+        exact[0] += np.sum(wq * g * u * (u - h) / (2.0 * h * h))
+        exact[1] += np.sum(wq * g * (h * h - u * u) / (h * h))
+        exact[2] += np.sum(wq * g * u * (u + h) / (2.0 * h * h))
     naive = (h / 3.0) * np.array([1.0, 4.0, 1.0])
     g_row = np.exp(1j * k * np.array([h, 0.0, h])) / (1j * k)
-    return _simpson_kink_weights(k, h) - naive * g_row
+    return exact - naive * g_row
 
 
-def _apply_green(x: np.ndarray, w: np.ndarray, k: float, quadrature: str,
+def _apply_green(w: np.ndarray, k: float, e: np.ndarray, kink: np.ndarray | None,
                  M: np.ndarray) -> np.ndarray:
     """Omega @ M in O(n * cols), without forming Omega.
 
     G0 has rank one on each triangle: for x' <= x it is
-    e^{ikx} e^{-ikx'} / (ik), for x' >= x it is e^{-ikx} e^{ikx'} / (ik).
-    The product is therefore a forward and a reverse running sum; both
-    count the diagonal, so it is subtracted once.  On a Simpson grid the
-    kink correction adds a three-term band on the odd rows.
+    e^{ikx} e^{-ikx'} / (ik), for x' >= x it is e^{-ikx} e^{ikx'} / (ik),
+    with ``e`` = e^{ikx} on the grid.  The product is therefore a forward
+    and a reverse running sum; both count the diagonal, so it is
+    subtracted once.  On a Simpson grid the kink correction ``kink``
+    (``_simpson_kink_delta``; None off Simpson) adds a three-term band on
+    the odd rows.
     """
-    e_plus = np.exp(1j * k * x)[:, None]
+    e_plus = e[:, None]
     e_minus = np.conj(e_plus)
     wm = w[:, None] * M
     # (e_plus lower + e_minus upper - wm) / (ik), in place: M has up to n
@@ -241,9 +245,8 @@ def _apply_green(x: np.ndarray, w: np.ndarray, k: float, quadrature: str,
     out += np.multiply(e_minus, upper, out=upper)
     out -= wm
     out /= 1j * k
-    if quadrature == "simpson":
-        delta = _simpson_kink_delta(k, x[1] - x[0])
-        out[1:-1:2] += delta[0] * M[:-2:2] + delta[1] * M[1:-1:2] + delta[2] * M[2::2]
+    if kink is not None:
+        out[1:-1:2] += kink[0] * M[:-2:2] + kink[1] * M[1:-1:2] + kink[2] * M[2::2]
     return out
 
 
@@ -273,7 +276,7 @@ _KL = _KU = 3
 _DIAG = _KL + _KU
 
 
-def _local_band(x: np.ndarray, w: np.ndarray, k: float, quadrature: str,
+def _local_band(w: np.ndarray, k: float, e: np.ndarray, kink: np.ndarray | None,
                 V: np.ndarray) -> np.ndarray:
     """zgbtrf band storage of the local system in (psi, A, B) unknowns.
 
@@ -283,33 +286,32 @@ def _local_band(x: np.ndarray, w: np.ndarray, k: float, quadrature: str,
         A_i - A_{i-1} - e^{-ikx_i} s_i = 0
         B_i - B_{i+1} - e^{+ikx_i} s_i = 0
 
-    where kink_i is the Simpson correction on odd rows.  Eliminating A
-    and B gives back (I - Omega diag(V)) psi = phi exactly.
+    where kink_i is the Simpson correction on odd rows and ``e`` is
+    e^{ikx} on the grid.  Eliminating A and B gives back
+    (I - Omega diag(V)) psi = phi exactly.
     """
-    n = x.size
-    e_plus = np.exp(1j * k * x)
-    e_minus = np.conj(e_plus)
+    n = w.size
+    e_minus = np.conj(e)
     wv = w * V
     ab = np.zeros((2 * _KL + _KU + 1, 3 * n), dtype=complex)
     ab[_DIAG, 0::3] = 1.0 + wv / (1j * k)       # psi_i   in row psi_i
-    ab[_DIAG - 1, 1::3] = -e_plus / (1j * k)    # A_i     in row psi_i
+    ab[_DIAG - 1, 1::3] = -e / (1j * k)         # A_i     in row psi_i
     ab[_DIAG - 2, 2::3] = -e_minus / (1j * k)   # B_i     in row psi_i
     ab[_DIAG + 1, 0::3] = -e_minus * wv         # psi_i   in row A_i
     ab[_DIAG, 1::3] = 1.0                       # A_i     in row A_i
     ab[_DIAG + 3, 1:-3:3] = -1.0                # A_i     in row A_{i+1}
-    ab[_DIAG + 2, 0::3] = -e_plus * wv          # psi_i   in row B_i
+    ab[_DIAG + 2, 0::3] = -e * wv               # psi_i   in row B_i
     ab[_DIAG, 2::3] = 1.0                       # B_i     in row B_i
     ab[_DIAG - 3, 5::3] = -1.0                  # B_{i+1} in row B_i
-    if quadrature == "simpson":
-        delta = _simpson_kink_delta(k, x[1] - x[0])
+    if kink is not None:
         odd = np.arange(1, n - 1, 2)
-        ab[_DIAG + 3, 3 * (odd - 1)] = -delta[0] * V[odd - 1]  # psi_{i-1} in row psi_i
-        ab[_DIAG, 3 * odd] -= delta[1] * V[odd]
-        ab[_DIAG - 3, 3 * (odd + 1)] = -delta[2] * V[odd + 1]  # psi_{i+1} in row psi_i
+        ab[_DIAG + 3, 3 * (odd - 1)] = -kink[0] * V[odd - 1]  # psi_{i-1} in row psi_i
+        ab[_DIAG, 3 * odd] -= kink[1] * V[odd]
+        ab[_DIAG - 3, 3 * (odd + 1)] = -kink[2] * V[odd + 1]  # psi_{i+1} in row psi_i
     return ab
 
 
-def _local_norm1(x: np.ndarray, w: np.ndarray, k: float, quadrature: str,
+def _local_norm1(x: np.ndarray, w: np.ndarray, k: float, kink: np.ndarray | None,
                  V: np.ndarray) -> float:
     """||I - Omega diag(V)||_1 in O(n).
 
@@ -322,13 +324,11 @@ def _local_norm1(x: np.ndarray, w: np.ndarray, k: float, quadrature: str,
     off = np.abs(wv) / k
     diag = 1.0 - wv / (1j * k)
     cols = (n - 1) * off
-    if quadrature == "simpson":
-        h = x[1] - x[0]
-        delta = _simpson_kink_delta(k, h)
-        g = np.exp(1j * k * h) / (1j * k)
+    if kink is not None:
+        g = np.exp(1j * k * (x[1] - x[0])) / (1j * k)
         odd = np.arange(1, n - 1, 2)
-        diag[odd] -= delta[1] * V[odd]
-        for j, dj in ((odd - 1, delta[0]), (odd + 1, delta[2])):
+        diag[odd] -= kink[1] * V[odd]
+        for j, dj in ((odd - 1, kink[0]), (odd + 1, kink[2])):
             cols[j] += np.abs((g * w[j] + dj) * V[j]) - off[j]
     return float(np.max(cols + np.abs(diag)))
 
@@ -361,8 +361,8 @@ def _inverse_norm1(solve, n: int) -> float:
     return float(max(est, 2.0 * np.sum(np.abs(y)) / (3 * n)))
 
 
-def _local_factor(x: np.ndarray, w: np.ndarray, k: float, quadrature: str,
-                  V: np.ndarray):
+def _local_factor(x: np.ndarray, w: np.ndarray, k: float, e: np.ndarray,
+                  kink: np.ndarray | None, V: np.ndarray):
     """Banded LU of the local system and the reciprocal condition
     estimate of the n x n matrix I - Omega diag(V).
 
@@ -372,7 +372,7 @@ def _local_factor(x: np.ndarray, w: np.ndarray, k: float, quadrature: str,
     the psi rows and the psi rows of the solution are read back.
     """
     n = x.size
-    lu, piv, info = zgbtrf(_local_band(x, w, k, quadrature, V), _KL, _KU)
+    lu, piv, info = zgbtrf(_local_band(w, k, e, kink, V), _KL, _KU)
 
     def solve(rhs, trans=0):
         b = np.zeros((3 * n,) + rhs.shape[1:], dtype=complex)
@@ -382,7 +382,7 @@ def _local_factor(x: np.ndarray, w: np.ndarray, k: float, quadrature: str,
 
     if info != 0:
         return solve, 0.0
-    anorm = _local_norm1(x, w, k, quadrature, V)
+    anorm = _local_norm1(x, w, k, kink, V)
     return solve, 1.0 / (anorm * _inverse_norm1(solve, n))
 
 
@@ -391,11 +391,9 @@ def _check_momentum(k: float) -> None:
         raise ValueError(f"incident wavenumber k must be positive and finite, got {k!r}")
 
 
-def _amplitudes_from_source(source: np.ndarray, x, w, k, side: str):
-    e_plus = np.exp(1j * k * x)
-    e_minus = np.exp(-1j * k * x)
-    plus = np.sum(w * e_plus * source) / (1j * k)
-    minus = np.sum(w * e_minus * source) / (1j * k)
+def _amplitudes_from_source(source: np.ndarray, w, k, e, side: str):
+    plus = np.sum(w * e * source) / (1j * k)
+    minus = np.sum(w * np.conj(e) * source) / (1j * k)
     if side == "left":
         return 1.0 + minus, plus
     return 1.0 + plus, minus
@@ -412,16 +410,18 @@ def _solve(kernel, k: float, config: SolverConfig, sides: tuple[str, ...]):
     """
     _check_momentum(k)
     x, w = grid_and_weights(config, kernel.d)
-    phi = np.stack([np.exp((1j if side == "left" else -1j) * k * x) for side in sides], axis=1)
+    e = np.exp(1j * k * x)
+    kink = _simpson_kink_delta(k, x[1] - x[0]) if config.quadrature == "simpson" else None
+    phi = np.stack([e if side == "left" else np.conj(e) for side in sides], axis=1)
     if kernel.is_local:
         V = kernel.sample_profile(x)
-        solve, rcond = _local_factor(x, w, k, config.quadrature, V)
+        solve, rcond = _local_factor(x, w, k, e, kink, V)
         _check_rcond(rcond, k)
         psi = solve(phi)
         source = V[:, None] * psi
     else:
         pc, q = kernel.factors(x)
-        omega_pc = _apply_green(x, w, k, config.quadrature, pc)
+        omega_pc = _apply_green(w, k, e, kink, pc)
         # stays sparse when Q is; with a dense identity Q, qw @ omega_pc
         # would be an n^3 product
         qw = q.T * w[None, :]
@@ -433,7 +433,7 @@ def _solve(kernel, k: float, config: SolverConfig, sides: tuple[str, ...]):
                           anorm=max(np.linalg.norm(capacitance, 1), 1.0))
         psi = phi + omega_pc @ u
         source = pc @ u
-    amps = [_amplitudes_from_source(source[:, c], x, w, k, side) for c, side in enumerate(sides)]
+    amps = [_amplitudes_from_source(source[:, c], w, k, e, side) for c, side in enumerate(sides)]
     return amps, psi, x
 
 
@@ -519,11 +519,10 @@ def scatter_oracle_all(kernel, k: float,
     values.  The h^2 error term is eliminated by Richardson extrapolation
     from a second solve on a doubled grid.  Exists purely to cross-check the
     Nystrom path: it shares no Green's function or quadrature with it.
-    An n_grid below 3 raises ValueError.
+    An n_grid that is not an integer of at least 3 raises ValueError.
     """
     _check_momentum(k)
-    if n_grid < 3:
-        raise ValueError(f"n_grid must be at least 3, got {n_grid!r}")
+    _check_n_grid(n_grid)
     coarse = np.array(_oracle_once(kernel, k, n_grid))
     fine = np.array(_oracle_once(kernel, k, 2 * n_grid - 1))
     return tuple((4.0 * fine - coarse) / 3.0)

@@ -149,10 +149,18 @@ class TestDesignDevice:
         b = design_device(spec, seed=3, restarts=2)
         np.testing.assert_array_equal(a.kernel.coeffs, b.kernel.coeffs)
 
-    def test_negative_seed_is_named(self):
+    @pytest.mark.parametrize("kwargs, named", [
         # numpy's "expected non-negative integer" named neither seed nor value
-        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
-            design_device(DeviceSpec(code="TR/A"), seed=-1)
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+        # numpy's SeedSequence TypeError
+        ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+        # "min() arg is an empty sequence"
+        ({"restarts": -1}, "restarts must be a non-negative integer, got -1"),
+        ({"restarts": 2.0}, "restarts must be a non-negative integer, got 2.0"),
+    ])
+    def test_negative_seed_is_named(self, kwargs, named):
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            design_device(DeviceSpec(code="TR/A"), **kwargs)
 
 
 class TestExactJacobian:
@@ -308,6 +316,16 @@ class TestVerifyDesign:
         result = design_device(DeviceSpec(code="TR/A", k0=3.0), seed=0)
         k = verify_design(result, n_points=5).column("k")
         np.testing.assert_allclose(k, [2.4, 2.7, 3.0, 3.3, 3.6], rtol=0, atol=1e-15)
+
+    def test_k0_off_the_grid_by_a_rounding_is_one_row(self):
+        # linspace puts the middle point of [1.36, 2.04] at
+        # 1.7000000000000002; k0 used to be swept beside it, one more solve
+        result = design_device(DeviceSpec(code="TR/A", k0=1.7), seed=0)
+        for n_points in (3, 5, 11):
+            k = verify_design(result, n_points=n_points).column("k")
+            assert k.size == n_points
+            assert np.count_nonzero(k == 1.7) == 1
+            assert np.all(np.diff(k) > 0)
 
     @pytest.mark.parametrize("n_points", [0, -1])
     def test_n_points_below_one_is_named(self, designs, n_points):

@@ -19,6 +19,7 @@ from asymscat.kernels import RegularizedInverseSquare, SampledKernel, adjoint
 from asymscat.solver import (
     SolverConfig,
     _local_factor,
+    _simpson_kink_delta,
     grid_and_weights,
     k_sweep,
     scatter,
@@ -98,7 +99,8 @@ def _rcond_cases():
 @pytest.mark.parametrize("kernel, k, config", _rcond_cases())
 def test_banded_rcond_matches_dense_zgecon(kernel, k, config):
     x, w = grid_and_weights(config, kernel.d)
-    _, rcond = _local_factor(x, w, k, config.quadrature, kernel.sample_profile(x))
+    kink = _simpson_kink_delta(k, x[1] - x[0]) if config.quadrature == "simpson" else None
+    _, rcond = _local_factor(x, w, k, np.exp(1j * k * x), kink, kernel.sample_profile(x))
     _, _, rcond_dense = dense_solve(kernel, k, config)
     assert 0.5 <= rcond / rcond_dense <= 2.0
 

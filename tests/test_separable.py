@@ -31,6 +31,7 @@ from asymscat.kernels import (
 from asymscat.solver import (
     SolverConfig,
     _apply_green,
+    _simpson_kink_delta,
     grid_and_weights,
     scatter,
     scatter_all,
@@ -316,8 +317,9 @@ def test_prefix_sum_green_matches_dense_operator(seed, grid, half, k, cols):
         x, w = grid_and_weights(SolverConfig(n_grid=n, quadrature=grid), 1.0)
         quadrature = grid
     M = rng.normal(size=(x.size, cols)) + 1j * rng.normal(size=(x.size, cols))
+    kink = _simpson_kink_delta(k, x[1] - x[0]) if quadrature == "simpson" else None
     dense = green_operator(x, w, k, quadrature) @ M
-    fast = _apply_green(x, w, k, quadrature, M)
+    fast = _apply_green(w, k, np.exp(1j * k * x), kink, M)
     assert np.max(np.abs(fast - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 

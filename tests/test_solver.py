@@ -285,16 +285,29 @@ class TestErrors:
         with pytest.raises(ValueError, match="finite"):
             scatter_oracle_all(zero_kernel(), k, 101)
 
-    @pytest.mark.parametrize("n_grid", [1, 2])
+    # SolverConfig's bound; 1 raised IndexError, 2 returned amplitudes,
+    # and 3.5 and NaN raised np.linspace's TypeError, which named no parameter
+    @pytest.mark.parametrize("n_grid", [1, 2, 3.5, np.nan])
     def test_oracle_rejects_a_grid_below_three_nodes(self, n_grid):
-        # SolverConfig's bound; 1 raised IndexError and 2 returned amplitudes
-        with pytest.raises(ValueError, match=f"^n_grid must be at least 3, got {n_grid}$"):
+        with pytest.raises(ValueError,
+                           match=f"^n_grid must be an integer of at least 3, got {n_grid!r}$"):
             scatter_oracle_all(zero_kernel(), 1.0, n_grid)
+
+    @pytest.mark.parametrize("n_grid", [3.5, np.nan, 401.0])
+    def test_config_rejects_a_non_integer_grid(self, n_grid):
+        # accepted before, then the first solve raised np.linspace's TypeError
+        with pytest.raises(ValueError, match="^n_grid must be an integer of at least 3, got "):
+            SolverConfig(n_grid=n_grid)
+        assert SolverConfig(n_grid=np.int64(401)).n_grid == 401
 
     def test_non_finite_config_is_rejected(self):
         nodes = np.linspace(-1, 1, 5)
         with pytest.raises(ValueError, match="finite"):
             SolverConfig(nodes=nodes, weights=np.array([0.25, 0.5, np.nan, 0.5, 0.25]))
+        # an inf node passed the increasing check; the solve then failed
+        # inside scipy, or reported a singular system with rcond 0
+        with pytest.raises(ValueError, match="^explicit nodes must be finite$"):
+            SolverConfig(nodes=[-1.0, 0.0, 1.0, np.inf])
 
     def test_bad_side(self):
         with pytest.raises(ValueError):
