@@ -29,6 +29,10 @@ from .kernels import RegularizedInverseSquare, fourier_transform_local
 from .solver import SolverConfig, _check_momentum, scatter
 from .units import HALF_WIDTH
 
+# Nodes of graded_mesh's sinh-mapped core, and its cap on all nodes.
+_CORE_NODES = 801
+_MAX_MESH_NODES = 1_000_000
+
 
 @dataclass(frozen=True)
 class BornPrediction:
@@ -85,7 +89,16 @@ def graded_mesh(epsilon: float, d: float = HALF_WIDTH,
     accumulate an O(growth^2) error along the 1/x^2 tail that no amount
     of peak refinement removes.  Beyond the core, uniform tails carry the
     slowly varying remainder of the potential out to d, spaced to resolve
-    momenta up to k_max.  Raises ValueError unless epsilon, d and k_max
+    momenta up to k_max.
+
+    The mesh has 801 core nodes plus 2 ceil((d - 1) / s) tail nodes, with
+    s = min(0.03, pi / (20 k_max)): about 12.7 (d - 1) k_max for
+    k_max > 5.  A two-sided solve on it needs about 1 kB per node (the
+    banded LU alone holds 10 band rows x 3 unknowns x 16 B = 480 B per
+    node, and LAPACK gets a Fortran-ordered copy), so the mesh is capped
+    at 10^6 nodes, about 1 GB per solve: k_max <= ~2.6e4 at the
+    reflector's d = 4, or d <= ~1.5e4 at k_max = 5.  Raises ValueError,
+    before allocating, for a larger mesh and unless epsilon, d and k_max
     are positive and finite.
     """
     if not (0 < epsilon < np.inf and 0 < d < np.inf):
@@ -93,8 +106,14 @@ def graded_mesh(epsilon: float, d: float = HALF_WIDTH,
     if not 0 < k_max < np.inf:
         raise ValueError(f"k_max must be positive and finite, got {k_max!r}")
     core = min(d, 1.0)
+    tail_spacing = min(0.03 * core, 2.0 * np.pi / k_max / 40.0)
+    n_tail = np.ceil((d - core) / tail_spacing)  # may be inf for huge d or k_max
+    if _CORE_NODES + 2 * n_tail > _MAX_MESH_NODES:
+        raise ValueError(f"graded mesh for k_max={k_max!r} and d={d!r} needs "
+                         f"{_CORE_NODES + 2 * n_tail:.3g} nodes, above the "
+                         f"{_MAX_MESH_NODES} allowed; lower k_max or d")
     t_max = np.arcsinh(core / epsilon)
-    t = np.linspace(-t_max, t_max, 801)
+    t = np.linspace(-t_max, t_max, _CORE_NODES)
     xc = epsilon * np.sinh(t)
     wc = epsilon * np.cosh(t) * (t[1] - t[0])
     wc[0] *= 0.5
@@ -102,8 +121,7 @@ def graded_mesh(epsilon: float, d: float = HALF_WIDTH,
     xc[0], xc[-1] = -core, core  # map is exact at the ends up to roundoff
     if d <= core:
         return xc, wc
-    tail_spacing = min(0.03 * core, 2.0 * np.pi / k_max / 40.0)
-    n_tail = int(np.ceil((d - core) / tail_spacing))
+    n_tail = int(n_tail)
     xt = np.linspace(core, d, n_tail + 1)
     wt = np.full(n_tail + 1, xt[1] - xt[0])
     wt[0] *= 0.5

@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import null_space
-from scipy.optimize import least_squares
 
 from .errors import DesignError, ForbiddenDeviceError, VerificationError
 from .kernels import PolynomialKernel
@@ -62,6 +61,13 @@ _MAX_NFEV = 1000
 # most this.
 _DESIGN_RESIDUAL = 1e-9
 _EPS = np.finfo(float).eps
+
+
+def least_squares(*args, **kwargs):
+    # scipy.optimize loads on first call; a plain def, because perfbench/tracing.py rebinds it
+    from scipy.optimize import least_squares
+
+    return least_squares(*args, **kwargs)
 
 
 @dataclass(frozen=True)

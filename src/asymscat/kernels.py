@@ -21,7 +21,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.interpolate import BSpline, make_interp_spline
 from scipy.linalg.blas import izamax, zgeru
 
 from .units import HALF_WIDTH
@@ -163,6 +162,8 @@ class SampledKernel:
     def _fit(self, a: np.ndarray) -> np.ndarray:
         """Coefficients of the splines through the columns of ``a`` (axis 0
         on the grid)."""
+        from scipy.interpolate import make_interp_spline
+
         return make_interp_spline(self.grid, a, k=3, t=self._knots).c
 
     @cached_property
@@ -195,6 +196,8 @@ class SampledKernel:
     def _basis(self, x: np.ndarray):
         """Sparse cubic B-spline design matrix of the nodes ``x``; rows of
         nodes outside +-d are zero, so the spline reads exactly 0 there."""
+        from scipy.interpolate import BSpline
+
         t = self._knots
         inside = sparse.diags_array((np.abs(x) <= self.d).astype(float))
         return inside @ BSpline.design_matrix(np.clip(x, t[0], t[-1]), t, 3)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,14 @@ class TestGradedMesh:
         # 0 and inf divided by zero, -1 reached numpy's sample count, nan passed
         with pytest.raises(ValueError, match="^k_max must be positive and finite"):
             graded_mesh(EPS, d=4.0, k_max=k_max)
+
+    # far above the 10^6-node cap, so the check must fire before numpy
+    # allocates: 1e9 asked for 142 GiB, and 1e308 overflows the count to inf
+    @pytest.mark.parametrize("d, k_max", [(4.0, 1e9), (1e9, 5.0), (1e308, 5.0), (4.0, 1e308)])
+    def test_rejects_a_mesh_above_the_node_cap(self, d, k_max):
+        message = f"graded mesh for k_max={k_max!r} and d={d!r} needs"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            graded_mesh(EPS, d=d, k_max=k_max)
 
     def test_reflector_config_passes_k_max_through(self):
         with pytest.raises(ValueError, match="^k_max must be positive and finite, got nan$"):

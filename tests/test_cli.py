@@ -274,6 +274,17 @@ class TestBornDesignCommand:
         assert res.returncode == 1
         assert b"input error:" in res.stderr and b"finite" in res.stderr
 
+    @pytest.mark.parametrize("flags", [["--kref", "1e9"], ["--window", "1e9"],
+                                       ["--sweep", "0.5:1e9:4"]],
+                             ids=["kref", "window", "sweep"])
+    def test_mesh_above_the_node_cap_is_input_error(self, tmp_path, flags):
+        # each asked numpy for about 142 GiB or more, which ended in a traceback
+        res = run_cli(["born-design", "--epsilon", "1e-4", "--tune", *flags,
+                       "--out", str(tmp_path / "r.json")], tmp_path)
+        assert res.returncode == 1
+        assert res.stderr.startswith(b"input error: graded mesh for k_max=")
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("spec", ["0.5:5", "0.5:5:3:1", "0:5:3", "nan:5:3",
                                       "0.5:inf:3", "0.5:5:0", "0.5:5:x"])
     def test_bad_sweep_spec_fails_before_any_write(self, tmp_path, spec):
@@ -508,6 +519,43 @@ class TestProcess:
             assert json.loads(res.stdout)["abs2"]["Tl"] == pytest.approx(1.0, abs=1e-14)
         else:
             assert not (tmp_path / "r.json").exists()
+
+    def test_scipy_optimize_and_interpolate_load_only_where_called(self, tmp_path):
+        # scipy.optimize (with scipy.special) costs about a third of a start;
+        # only design's least squares and sampled kernels' spline fits need it
+        script = """if True:
+            import contextlib, io, json, sys
+            import numpy as np
+            import asymscat
+            from asymscat import cli
+            LAZY = ("scipy.optimize", "scipy.interpolate", "scipy.special")
+            loaded = lambda: [m for m in LAZY if m in sys.modules]
+            seen = {"import": loaded()}
+            asymscat.save_kernel(asymscat.PolynomialKernel([[0.1, 0.2j], [0.3, -0.1]]), "p.json")
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [cli.main(args) for args in (
+                    ["solve", "--kernel", "p.json", "--k", "1.0"],
+                    ["classify", "--kernel", "p.json"],
+                    ["born-design", "--epsilon", "1e-4", "--tune", "--sweep", "0.5:5:4",
+                     "--out", "r.json"])]
+            seen["cli"] = loaded()
+            asymscat.design_device(asymscat.DeviceSpec("R/A"), restarts=0)
+            seen["design"] = loaded()
+            g = np.linspace(-1.0, 1.0, 11)
+            kernel = asymscat.SampledKernel(g, 0.1 * np.outer(1 - g * g, 1 - g * g) + 0j)
+            asymscat.scatter_all(kernel, 1.0, asymscat.SolverConfig(n_grid=21))
+            seen["sampled"] = loaded()
+            print(json.dumps({"codes": codes, "seen": seen}))
+        """
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             cwd=tmp_path, env=cli_env())
+        assert res.returncode == 0, res.stderr
+        doc = json.loads(res.stdout)
+        assert doc["codes"] == [0, 0, 0]
+        assert doc["seen"]["import"] == doc["seen"]["cli"] == []
+        # positive controls: each deferred import does load where it is used
+        assert "scipy.optimize" in doc["seen"]["design"]
+        assert "scipy.interpolate" in doc["seen"]["sampled"]
 
 
 class TestManifest:

@@ -11,7 +11,9 @@ import inspect
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -62,3 +64,16 @@ def test_counted_functions_keep_the_parameters_the_counters_read(tracing):
             parameters = set(inspect.signature(owner.__dict__[attr]).parameters)
             assert COUNTED_PARAMETERS[name] <= parameters, (owner, attr)
     assert seen == set(COUNTED_PARAMETERS)
+
+
+def test_design_least_squares_forwards_to_scipy(tracing):
+    # design imports scipy.optimize on the first call, through a plain
+    # function the tracer can rebind in the module's namespace
+    from asymscat import design
+
+    forward = design.__dict__["least_squares"]
+    assert inspect.isfunction(forward) and forward.__module__ == "asymscat.design"
+    result = forward(lambda u: u - np.array([1.0, -2.0]), np.zeros(2), method="trf")
+    assert isinstance(result, OptimizeResult)
+    np.testing.assert_allclose(result.x, [1.0, -2.0])
+    assert tracing._count_least_squares({}, result) == {"nfev": result.nfev, "converged": True}
