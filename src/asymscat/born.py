@@ -26,12 +26,11 @@ import numpy as np
 
 from .errors import BracketingError
 from .kernels import RegularizedInverseSquare, fourier_transform_local
-from .solver import SolverConfig, _check_momentum, scatter
+from .solver import _MAX_NODES, SolverConfig, _check_momentum, scatter
 from .units import HALF_WIDTH
 
-# Nodes of graded_mesh's sinh-mapped core, and its cap on all nodes.
+# Nodes of graded_mesh's sinh-mapped core.
 _CORE_NODES = 801
-_MAX_MESH_NODES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -108,10 +107,10 @@ def graded_mesh(epsilon: float, d: float = HALF_WIDTH,
     core = min(d, 1.0)
     tail_spacing = min(0.03 * core, 2.0 * np.pi / k_max / 40.0)
     n_tail = np.ceil((d - core) / tail_spacing)  # may be inf for huge d or k_max
-    if _CORE_NODES + 2 * n_tail > _MAX_MESH_NODES:
+    if _CORE_NODES + 2 * n_tail > _MAX_NODES:
         raise ValueError(f"graded mesh for k_max={k_max!r} and d={d!r} needs "
                          f"{_CORE_NODES + 2 * n_tail:.3g} nodes, above the "
-                         f"{_MAX_MESH_NODES} allowed; lower k_max or d")
+                         f"{_MAX_NODES} allowed; lower k_max or d")
     t_max = np.arcsinh(core / epsilon)
     t = np.linspace(-t_max, t_max, _CORE_NODES)
     xc = epsilon * np.sinh(t)

@@ -75,9 +75,29 @@ n > r it keeps the eigenvalue 1), so that a rank-one kernel, whose
 1 x 1 capacitance matrix has rcond 1 unless it is exactly zero, is
 reported too.
 
-An independent finite-difference oracle solves the differential form of
-the same problem with Robin (radiation) closures at +-d and exists purely
-to cross-check the Nystrom path.
+An independent finite-difference oracle (``scatter_oracle_all``) solves
+the differential form of the same problem with Robin (radiation)
+closures at +-d and exists purely to cross-check the Nystrom path.  It
+costs O(n r) time and memory and forms no n x n matrix: the FD operator
+T, local V included, is tridiagonal (zgttrf), and a nonlocal kernel adds
+the rank-r term PC Q^T W through the same ``kernel.factors``, solved by
+Woodbury as the r x r capacitance system I_r + Q^T W T^{-1} PC.  By
+Sylvester's identity det(T + PC Q^T W) = det T det(I_r + Q^T W T^{-1} PC),
+so two condition checks cover the n x n system.  zgtcon estimates the
+rcond of T; zgecon estimates that of the capacitance matrix, its norm
+floored at 1 as on the separable path, and the check takes the product
+rcond(T) rcond(capacitance).  The product stands for the rcond of the
+n x n matrix T + PC Q^T W that a dense zgecon would estimate: it bounds
+it from below but for the estimators' slack, and read 0.7 to 170 times
+the dense value from regular to exactly singular kernels.  The
+capacitance rcond alone would not do, since the matrix inherits the
+cond(T) eps ~ n^2 eps rounding of T^{-1}: at n = 801 an exactly singular
+system reads 1e-14 to 1e-12 there.  ``SingularSystemError.rcond`` is the
+rcond of T when the first check fails and the product when the second
+does.
+
+Every grid, the oracle's fine grid of 2 n_grid - 1 nodes included, is
+capped at _MAX_NODES = 10^6 nodes, about 1 GB for a two-sided local solve.
 """
 from __future__ import annotations
 
@@ -86,7 +106,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import zgbtrf, zgbtrs, zgecon
+from scipy.linalg.lapack import zgbtrf, zgbtrs, zgecon, zgtcon, zgttrf, zgttrs
 
 from .errors import AdjointDivergenceError, SingularSystemError
 from .kernels import adjoint as kernel_adjoint
@@ -94,10 +114,24 @@ from .kernels import adjoint as kernel_adjoint
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
-def _check_n_grid(n_grid) -> None:
+# The most nodes a grid may have.  A two-sided local solve holds about
+# 1 kB per node (the banded LU alone 10 band rows x 3 unknowns x 16 B =
+# 480 B, and LAPACK gets a Fortran-ordered copy), so the cap keeps it near
+# 1 GB; a separable solve holds a few n x r arrays, 16 r B per node each.
+_MAX_NODES = 1_000_000
+
+
+def _check_n_grid(n_grid, richardson: bool = False) -> None:
+    """Reject an n_grid that is not an integer in [3, _MAX_NODES]; with
+    ``richardson`` the oracle's fine grid of 2 n_grid - 1 nodes is what
+    the cap counts."""
     # np.linspace would raise a TypeError naming no parameter
     if not isinstance(n_grid, (int, np.integer)) or n_grid < 3:
         raise ValueError(f"n_grid must be an integer of at least 3, got {n_grid!r}")
+    nodes = 2 * n_grid - 1 if richardson else n_grid
+    if nodes > _MAX_NODES:
+        raise ValueError(f"n_grid={n_grid!r} needs {nodes} nodes, above the "
+                         f"{_MAX_NODES} allowed")
 
 
 @dataclass(frozen=True)
@@ -256,14 +290,12 @@ def _check_rcond(rcond: float, k: float) -> None:
         raise SingularSystemError(k, float(rcond))
 
 
-def _solve_system(A: np.ndarray, rhs: np.ndarray, k: float, anorm: float | None = None):
+def _solve_system(A: np.ndarray, rhs: np.ndarray, k: float, anorm: float):
     """LU-solve A x = rhs; raise SingularSystemError when the reciprocal
-    condition estimate, taken with ``anorm`` (default ||A||_1) as the
-    norm of A, falls below the threshold."""
+    condition estimate, taken with ``anorm`` as the norm of A, falls
+    below the threshold."""
     if not A.size:  # the capacitance matrix of a rank-0 kernel
         return rhs
-    if anorm is None:
-        anorm = np.linalg.norm(A, 1)
     lu, piv = lu_factor(A)
     rcond, info = zgecon(lu, anorm)
     _check_rcond(rcond if info == 0 else 0.0, k)
@@ -478,29 +510,46 @@ def _oracle_once(kernel, k: float, n: int) -> tuple[complex, complex, complex, c
     d = kernel.d
     x = np.linspace(-d, d, n)
     h = x[1] - x[0]
-    V = kernel.sample_profile(x) if kernel.is_local else kernel.sample_matrix(x, x)
-    A = np.zeros((n, n), dtype=complex)
-    idx = np.arange(1, n - 1)
-    A[idx, idx] += 1.0 / h**2 - 0.5 * k**2
-    A[idx, idx - 1] += -0.5 / h**2
-    A[idx, idx + 1] += -0.5 / h**2
-    # Ghost-point Robin closures encode the exterior plane waves; the
-    # matrix is incidence-independent, only the drive term moves.
-    A[0, 0] += (1.0 - 1j * h * k) / h**2 - 0.5 * k**2
-    A[0, 1] += -1.0 / h**2
-    A[n - 1, n - 1] += (1.0 - 1j * h * k) / h**2 - 0.5 * k**2
-    A[n - 1, n - 2] += -1.0 / h**2
+    # The three diagonals of -psi''/2 - k^2 psi/2 (+ V psi for a local
+    # kernel).  Ghost-point Robin closures, which encode the exterior
+    # plane waves, make the first and last rows; the matrix is
+    # incidence-independent, only the drive term moves.
+    diag = np.full(n, 1.0 / h**2 - 0.5 * k**2, dtype=complex)
+    diag[[0, -1]] = (1.0 - 1j * h * k) / h**2 - 0.5 * k**2
+    lower = np.full(n - 1, -0.5 / h**2, dtype=complex)
+    upper = lower.copy()
+    upper[0] = lower[-1] = -1.0 / h**2
     if kernel.is_local:
-        A[np.arange(n), np.arange(n)] += V
+        diag += kernel.sample_profile(x)
+    cols = np.abs(diag)
+    cols[1:] += np.abs(upper)
+    cols[:-1] += np.abs(lower)
+    dl, dd, du, du2, ipiv, info = zgttrf(lower, diag, upper)
+    rcond_t, _ = zgtcon(dl, dd, du, du2, ipiv, float(np.max(cols)))
+    _check_rcond(rcond_t if info == 0 else 0.0, k)
+    rhs = np.zeros((n, 2), dtype=complex)
+    rhs[0, 0] = rhs[-1, 1] = -2j * k * np.exp(-1j * k * d) / h
+    if kernel.is_local:
+        psi, _ = zgttrs(dl, dd, du, du2, ipiv, rhs)
     else:
+        # T + PC Q^T W by Woodbury: T^{-1} of both drives and of PC in one
+        # solve, then the r x r capacitance system
+        pc, q = kernel.factors(x)
+        sol, _ = zgttrs(dl, dd, du, du2, ipiv, np.concatenate([rhs, pc], axis=1))
+        psi, t_pc = sol[:, :2], sol[:, 2:]
         wq = np.full(n, h)
         wq[0] = wq[-1] = 0.5 * h
-        A += V * wq[None, :]
-    rhs = np.zeros((n, 2), dtype=complex)
-    drive = -2j * k * np.exp(-1j * k * d) / h
-    rhs[0, 0] = drive
-    rhs[n - 1, 1] = drive
-    psi = _solve_system(A, rhs, k)
+        qw = q.T * wq[None, :]  # stays sparse when Q is
+        capacitance = np.eye(q.shape[1], dtype=complex) + qw @ t_pc
+        # The capacitance matrix carries the rounding of T^{-1}, about
+        # cond(T) eps, so on its own it would pass exactly singular systems.
+        # Dividing its norm by rcond(T) makes zgecon report
+        # rcond(T) rcond(capacitance), which stands for the rcond of
+        # T + PC Q^T W.  The floor at 1 is _solve's: I_n + T^{-1} PC Q^T W
+        # keeps the eigenvalue 1 off the span of T^{-1} PC.
+        u = _solve_system(capacitance, qw @ psi, k,
+                          anorm=max(np.linalg.norm(capacitance, 1), 1.0) / rcond_t)
+        psi = psi - t_pc @ u
     ph = np.exp(-1j * k * d)
     Tl = psi[-1, 0] * ph
     Rl = (psi[0, 0] - ph) * ph
@@ -512,17 +561,30 @@ def _oracle_once(kernel, k: float, n: int) -> tuple[complex, complex, complex, c
 def scatter_oracle_all(kernel, k: float,
                        n_grid: int = 801) -> tuple[complex, complex, complex, complex]:
     """Independent finite-difference solve of the differential form,
-    returning (T^l, T^r, R^l, R^r): both sides share one LU.
+    returning (T^l, T^r, R^l, R^r): both sides share one factorization.
 
     Central differences for psi'' with ghost-point Robin closures that
     encode the exterior plane waves; amplitudes read off the boundary
     values.  The h^2 error term is eliminated by Richardson extrapolation
-    from a second solve on a doubled grid.  Exists purely to cross-check the
-    Nystrom path: it shares no Green's function or quadrature with it.
-    An n_grid that is not an integer of at least 3 raises ValueError.
+    from a second solve on the grid of 2 n_grid - 1 nodes.  Exists purely
+    to cross-check the Nystrom path: it shares no Green's function or
+    quadrature with it, only the kernel's ``factors``.
+
+    Each solve costs O(n r) time and memory for a kernel of rank r and
+    O(n) for a local one; no n x n matrix is formed.  The FD operator T,
+    with a local V on its diagonal, is tridiagonal and is factored by
+    zgttrf.  A nonlocal kernel adds the rank-r term PC Q^T W (trapezoid
+    weights W), which Woodbury turns into the r x r capacitance system
+    I_r + Q^T W T^{-1} PC.  Two condition checks in the 1-norm guard a
+    solve: zgtcon's rcond of T, then rcond(T) times zgecon's rcond of the
+    capacitance matrix (its norm floored at 1), which stands for the
+    rcond of the n x n system T + PC Q^T W.  Either one below 1e-14
+    raises SingularSystemError carrying that value (see the module
+    docstring).  An n_grid that is not an integer of at least 3, or whose
+    fine grid of 2 n_grid - 1 nodes exceeds 10^6, raises ValueError.
     """
     _check_momentum(k)
-    _check_n_grid(n_grid)
+    _check_n_grid(n_grid, richardson=True)
     coarse = np.array(_oracle_once(kernel, k, n_grid))
     fine = np.array(_oracle_once(kernel, k, 2 * n_grid - 1))
     return tuple((4.0 * fine - coarse) / 3.0)

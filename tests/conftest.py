@@ -9,7 +9,7 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import zgecon
 
 from asymscat.kernels import PolynomialKernel, RegularizedInverseSquare, SampledKernel
-from asymscat.solver import SolverConfig, _simpson_kink_delta, grid_and_weights
+from asymscat.solver import SolverConfig, _simpson_kink_delta, _solve_system, grid_and_weights
 
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -137,6 +137,54 @@ def dense_solve(kernel, k, config):
     weighted = w[:, None] * source / (1j * k)
     plus, minus = np.exp(1j * k * x) @ weighted, np.exp(-1j * k * x) @ weighted
     return psi, np.array([1.0 + minus[0], 1.0 + plus[1], plus[0], minus[1]]), float(rcond)
+
+
+# The dense finite-difference reference.  ``scatter_oracle_all`` solves
+# the same n x n system through its tridiagonal part and the kernel's
+# factors; the tests check it against this, and place its singular
+# points with ``fd_matrix``.
+
+def fd_matrix(kernel, k, n):
+    """The oracle's n x n matrix on the uniform n-node grid over [-d, d]:
+    central differences for -psi''/2 - k^2 psi/2, ghost-point Robin rows
+    at both ends, plus diag(V) for a local kernel or V W (trapezoid
+    weights W, sampled by ``sample_matrix``) for a nonlocal one."""
+    d = kernel.d
+    x = np.linspace(-d, d, n)
+    h = x[1] - x[0]
+    A = np.zeros((n, n), dtype=complex)
+    idx = np.arange(1, n - 1)
+    A[idx, idx] += 1.0 / h**2 - 0.5 * k**2
+    A[idx, idx - 1] += -0.5 / h**2
+    A[idx, idx + 1] += -0.5 / h**2
+    A[0, 0] += (1.0 - 1j * h * k) / h**2 - 0.5 * k**2
+    A[0, 1] += -1.0 / h**2
+    A[n - 1, n - 1] += (1.0 - 1j * h * k) / h**2 - 0.5 * k**2
+    A[n - 1, n - 2] += -1.0 / h**2
+    if kernel.is_local:
+        A[np.arange(n), np.arange(n)] += kernel.sample_profile(x)
+    else:
+        wq = np.full(n, h)
+        wq[0] = wq[-1] = 0.5 * h
+        A += kernel.sample_matrix(x, x) * wq[None, :]
+    return A
+
+
+def dense_oracle(kernel, k, n_grid):
+    """(Tl, Tr, Rl, Rr) of ``scatter_oracle_all`` by dense LU of
+    ``fd_matrix`` on n_grid and 2 n_grid - 1 nodes, Richardson
+    extrapolated; raises SingularSystemError when the zgecon rcond of
+    either matrix falls below the solver's threshold."""
+    def once(n):
+        A = fd_matrix(kernel, k, n)
+        x = np.linspace(-kernel.d, kernel.d, n)
+        ph = np.exp(-1j * k * kernel.d)
+        rhs = np.zeros((n, 2), dtype=complex)
+        rhs[0, 0] = rhs[n - 1, 1] = -2j * k * ph / (x[1] - x[0])
+        psi = _solve_system(A, rhs, k, anorm=np.linalg.norm(A, 1))
+        return np.array([psi[-1, 0], psi[0, 1], psi[0, 0] - ph, psi[-1, 1] - ph]) * ph
+
+    return tuple((4.0 * once(2 * n_grid - 1) - once(n_grid)) / 3.0)
 
 
 def singular_at(kernel, k_s, config):

@@ -118,6 +118,19 @@ class TestSolve:
         assert b"finite" in res.stderr
 
 
+    @pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
+    def test_grid_above_the_node_cap_is_input_error(self, tmp_path, zero_kernel_file, command):
+        # parsed before, and the first solve would have asked numpy for 8 TB
+        extra = {"solve": ["--k", "1.0"], "sweep": ["--kmin", "0.5", "--kmax", "1.0", "--n", "2"],
+                 "verify": []}[command]
+        res = run_cli([command, "--kernel", str(zero_kernel_file), *extra,
+                       "--n-grid", "1000000000001", "--out", "r.out"], tmp_path)
+        assert res.returncode == 1
+        assert res.stderr == (b"input error: n_grid=1000000000001 needs 1000000000001 nodes, "
+                              b"above the 1000000 allowed\n")
+        assert [p.name for p in tmp_path.iterdir()] == [zero_kernel_file.name]
+
+
 class TestSweepCommand:
     def test_csv_output(self, tmp_path, zero_kernel_file):
         out = tmp_path / "sweep.csv"
@@ -522,13 +535,15 @@ class TestProcess:
 
     def test_scipy_optimize_and_interpolate_load_only_where_called(self, tmp_path):
         # scipy.optimize (with scipy.special) costs about a third of a start;
-        # only design's least squares and sampled kernels' spline fits need it
+        # only design's least squares and sampled kernels' spline fits need it.
+        # The finite-difference oracle needs scipy.linalg.lapack alone.
         script = """if True:
             import contextlib, io, json, sys
             import numpy as np
             import asymscat
             from asymscat import cli
-            LAZY = ("scipy.optimize", "scipy.interpolate", "scipy.special")
+            LAZY = ("scipy.optimize", "scipy.interpolate", "scipy.special",
+                    "scipy.sparse.linalg")
             loaded = lambda: [m for m in LAZY if m in sys.modules]
             seen = {"import": loaded()}
             asymscat.save_kernel(asymscat.PolynomialKernel([[0.1, 0.2j], [0.3, -0.1]]), "p.json")
@@ -539,6 +554,9 @@ class TestProcess:
                     ["born-design", "--epsilon", "1e-4", "--tune", "--sweep", "0.5:5:4",
                      "--out", "r.json"])]
             seen["cli"] = loaded()
+            asymscat.scatter_oracle_all(asymscat.load_kernel("p.json"), 1.0, 101)
+            asymscat.scatter_oracle_all(asymscat.load_kernel("r.json"), 1.0, 101)
+            seen["oracle"] = loaded()
             asymscat.design_device(asymscat.DeviceSpec("R/A"), restarts=0)
             seen["design"] = loaded()
             g = np.linspace(-1.0, 1.0, 11)
@@ -552,7 +570,7 @@ class TestProcess:
         assert res.returncode == 0, res.stderr
         doc = json.loads(res.stdout)
         assert doc["codes"] == [0, 0, 0]
-        assert doc["seen"]["import"] == doc["seen"]["cli"] == []
+        assert doc["seen"]["import"] == doc["seen"]["cli"] == doc["seen"]["oracle"] == []
         # positive controls: each deferred import does load where it is used
         assert "scipy.optimize" in doc["seen"]["design"]
         assert "scipy.interpolate" in doc["seen"]["sampled"]

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from asymscat.errors import AdjointDivergenceError
-from asymscat.kernels import SYMMETRY_CODES, SampledKernel
+from asymscat.errors import AdjointDivergenceError, SingularSystemError
+from asymscat.kernels import SYMMETRY_CODES, PolynomialKernel, SampledKernel
 from asymscat.solver import (
     ScatteringAmplitudes,
     SolverConfig,
+    _check_n_grid,
     generalized_unitarity_residuals,
     hatted_from_unhatted,
     k_sweep,
@@ -18,8 +19,10 @@ from asymscat.solver import (
 from asymscat.symmetry import symmetrize, transformed_amplitudes
 from conftest import (
     PROFILE,
+    dense_oracle,
     draw_kernel,
     equivariance_problems,
+    fd_matrix,
     random_local_kernel,
     random_poly_surface,
     square_well_analytic,
@@ -77,6 +80,87 @@ class TestOracleCrossCheck:
             want = np.array(oracle)
             scale = max(1.0, np.max(np.abs(want)))
             assert np.max(np.abs(got - want)) / scale < 1e-6
+
+
+ORACLE_FAMILIES = ["polynomial", "inverse_square", "local", "compressible", "full_rank"]
+
+
+@st.composite
+def oracle_problems(draw, family):
+    """A kernel of ``family``, a momentum and a coarse oracle grid of
+    n <= 201 nodes.
+
+    The families are polynomial, inverse-square, and sampled: local,
+    nonlocal samples that compress (a smooth polynomial surface) and
+    rough ones that do not.  A sampled kernel's stored grid is one of the
+    oracle's two grids ("on"), finer than both ("below": the oracle reads
+    the spline between samples) or coarser than both ("above").
+    Strengths are as in ``draw_kernel``, away from singular systems."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    k = draw(st.floats(0.2, 4.0))
+    strength = draw(st.floats(0.05, 2.0))
+    # a compressible kernel has rank <= 6, a quarter of a 24-node grid
+    n = draw(st.integers(25, 201))
+    if family in ("polynomial", "inverse_square"):
+        return draw_kernel(draw, family, rng, np.linspace(-d, d, n), k, strength), k, n
+    placement = draw(st.sampled_from(["on", "below", "above"]))
+    if placement == "on":
+        n_s = draw(st.sampled_from([n, 2 * n - 1]))
+    elif placement == "below":
+        n_s = 2 * n - 1 + draw(st.integers(1, 40))
+    else:
+        n_s = draw(st.integers(24, n - 1))
+    g = np.linspace(-d, d, n_s)
+    if family == "compressible":
+        poly = draw_kernel(draw, "polynomial", rng, g, k, strength)
+        kernel = SampledKernel(g, poly.sample_matrix(g, g))
+        assert kernel._low_rank is not None
+    else:
+        kernel = draw_kernel(draw, "local" if family == "local" else "sampled", rng, g, k,
+                             strength)
+        assert kernel.is_local or kernel._low_rank is None
+    return kernel, k, n
+
+
+class TestFiniteDifferenceOracle:
+    @pytest.mark.parametrize("family", ORACLE_FAMILIES)
+    @PROFILE
+    @given(data=st.data())
+    def test_matches_the_dense_oracle(self, family, data):
+        kernel, k, n = data.draw(oracle_problems(family))
+        got = np.array(scatter_oracle_all(kernel, k, n))
+        want = np.array(dense_oracle(kernel, k, n))
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("k", [0.7, 3.0])
+    @pytest.mark.parametrize("which", [0, 50, 100])
+    def test_singular_tridiagonal_part_raises(self, k, which):
+        # V = -lambda, lambda an eigenvalue of the 101-point operator,
+        # makes the coarse matrix itself singular
+        n = 101
+        lam = np.sort_complex(np.linalg.eigvals(fd_matrix(zero_kernel(n), k, n)))[which]
+        kernel = SampledKernel(np.linspace(-1, 1, n), np.full(n, -lam), is_local=True)
+        for oracle in (scatter_oracle_all, dense_oracle):
+            with pytest.raises(SingularSystemError):
+                oracle(kernel, k, n)
+
+    @pytest.mark.parametrize("k", [0.7, 3.0])
+    @pytest.mark.parametrize("n", [21, 401])
+    def test_singular_capacitance_part_raises(self, rng, k, n):
+        # a rank-1 kernel c PC Q^T W makes T + c PC Q^T W singular at
+        # c = -1 / (Q^T W T^{-1} PC), the one nonzero eigenvalue of
+        # T^{-1} PC Q^T W; T alone is regular, so the capacitance check
+        # must catch it.  Its matrix carries the cond(T) eps rounding of
+        # T^{-1}, above 1e-14 at n = 401, so the check scales it by rcond(T).
+        base = PolynomialKernel(rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1)))
+        t = fd_matrix(zero_kernel(n), k, n)
+        s = np.trace(np.linalg.solve(t, fd_matrix(base, k, n) - t))
+        kernel = PolynomialKernel(base.coeffs / -s)
+        scatter_oracle_all(zero_kernel(n), k, n)
+        for oracle in (scatter_oracle_all, dense_oracle):
+            with pytest.raises(SingularSystemError):
+                oracle(kernel, k, n)
 
 
 class TestConvergence:
@@ -292,6 +376,19 @@ class TestErrors:
         with pytest.raises(ValueError,
                            match=f"^n_grid must be an integer of at least 3, got {n_grid!r}$"):
             scatter_oracle_all(zero_kernel(), 1.0, n_grid)
+
+    def test_grid_above_the_node_cap_is_rejected(self):
+        # accepted before; the first solve then asked numpy for 8 TB
+        with pytest.raises(ValueError, match=r"^n_grid=10{12} needs 10{12} nodes, above the "
+                                             r"1000000 allowed$"):
+            SolverConfig(n_grid=10**12)
+        with pytest.raises(ValueError, match=r"^n_grid=10{12} needs 19{11}9 nodes, "):
+            scatter_oracle_all(zero_kernel(), 1.0, 10**12)
+        # the oracle's fine grid of 2 n_grid - 1 nodes counts against the cap
+        with pytest.raises(ValueError, match=r"^n_grid=500001 needs 1000001 nodes, "):
+            scatter_oracle_all(zero_kernel(), 1.0, 500_001)
+        _check_n_grid(10**6)
+        _check_n_grid(500_000, richardson=True)
 
     @pytest.mark.parametrize("n_grid", [3.5, np.nan, 401.0])
     def test_config_rejects_a_non_integer_grid(self, n_grid):
