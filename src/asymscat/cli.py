@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .born import born_prediction, design_broadband_reflector, reflector_config, tune_alpha
-from .design import DesignResult, DeviceSpec, design_device, verify_design
+from .design import CONSTRAINTS, DesignResult, DeviceSpec, design_device, verify_design
 from .errors import (
     BracketingError,
     DesignError,
@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     add = subcommand("design", "inverse-design a device kernel", _cmd_design)
     add("--device", choices=sorted(_DEVICE_FLAGS), required=True)
     add("--k0", type=float, default=1.0)
-    add("--constraint", choices=("none", "viii", "pt"), default="none")
+    add("--constraint", choices=tuple(CONSTRAINTS), default="none")
     add("--seed", type=int, default=0)
     add("--verify-points", type=int, default=21)
     add("--out", required=True, help="kernel JSON output path")

@@ -17,12 +17,8 @@ Jacobian, with a linear warm start for the kernel coefficients and
 seeded restarts.  Because the residual is bilinear, its Jacobian is in
 closed form: the wave block of each side is (v M - Beta) N and the
 kernel block is the warm start's linear map (see
-``_DesignProblem.jacobian``).
-
-Constraint modes:
-  none  - V(x,y) = sum_{i<=5, j<=1} v_ij x^i y^j, all v free
-  viii  - i,j <= 5 with v_ij = (-1)^{i+j} v_ji and v_44=v_45=v_54=v_55=0
-  pt    - i <= 5, j <= 1 with v_ij real (i+j even) / imaginary (i+j odd)
+``_DesignProblem.jacobian``).  The kernel constraint modes are the
+table ``CONSTRAINTS``.
 """
 from __future__ import annotations
 
@@ -32,7 +28,7 @@ import numpy as np
 from scipy.linalg import null_space
 
 from .errors import DesignError, ForbiddenDeviceError, VerificationError
-from .kernels import PolynomialKernel
+from .kernels import PolynomialKernel, transform_flags
 from .solver import ScatteringAmplitudes, SolverConfig, SweepTable, k_sweep, scatter_all
 from .symmetry import DEVICE_CODES, FORBIDDING_SYMMETRIES
 from .units import HALF_WIDTH
@@ -49,7 +45,14 @@ DEFAULT_TARGETS = {
     "R/A": (0.0, 0.0, -1.0, 0.0),
 }
 
-_CONSTRAINT_SYMMETRY = {"none": None, "viii": "VIII", "pt": "VII"}
+# Kernel constraint modes: (symmetry code that fixes the kernel, shape of
+# v_ij, coefficients held at 0).  none: all v_ij free; viii: v_ij =
+# (-1)^{i+j} v_ji; pt: v_ij real for i+j even, imaginary for i+j odd.
+CONSTRAINTS = {
+    "none": ("I", (6, 2), ()),
+    "viii": ("VIII", (6, 6), ((4, 4), (4, 5), (5, 4), (5, 5))),
+    "pt": ("VII", (6, 2), ()),
+}
 
 # Residual evaluations per restart.  On the exact Jacobian converged
 # restarts take tens of evaluations, while a restart stuck in a nonzero
@@ -84,14 +87,15 @@ class DeviceSpec:
     def __post_init__(self):
         if self.code not in DEVICE_CODES:
             raise ValueError(f"unknown device code {self.code!r}; expected one of {DEVICE_CODES}")
-        if self.constraint not in _CONSTRAINT_SYMMETRY:
-            raise ValueError("constraint must be 'none', 'viii' or 'pt'")
+        if self.constraint not in CONSTRAINTS:
+            raise ValueError(f"constraint must be one of {tuple(CONSTRAINTS)}, "
+                             f"got {self.constraint!r}")
         # the design equations hold k0**2 / 2, whose rounding error alone
         # must stay within the accepted residual: k0 up to about 3.0e3
         if not (0 < self.k0 and self.k0 * self.k0 / 2 * _EPS <= _DESIGN_RESIDUAL):
             raise ValueError(f"design momentum k0 must be positive and finite, at most "
                              f"{np.sqrt(2 * _DESIGN_RESIDUAL / _EPS):.4g}, got {self.k0!r}")
-        symmetry = _CONSTRAINT_SYMMETRY[self.constraint]
+        symmetry = CONSTRAINTS[self.constraint][0]
         if symmetry in FORBIDDING_SYMMETRIES[self.code]:
             raise ForbiddenDeviceError(self.code, symmetry)
 
@@ -139,19 +143,17 @@ def _boundary_rows() -> np.ndarray:
     return rows
 
 
-def _boundary_values(k: float, side: str, T: complex, R: complex) -> np.ndarray:
+def _boundary_values(k: float, targets) -> np.ndarray:
+    """Value and slope at x = -d and x = d of each incidence side's
+    exterior wave, one column per side."""
+    Tl, Tr, Rl, Rr = targets
     up, dn = np.exp(1j * k * HALF_WIDTH), np.exp(-1j * k * HALF_WIDTH)
-    if side == "left":
-        # psi = e^{ikx} + R e^{-ikx} (x < -d),  T e^{ikx} (x > d)
-        return np.array(
-            [dn + R * up, 1j * k * (dn - R * up), T * up, 1j * k * T * up],
-            dtype=complex,
-        )
-    # psi = T e^{-ikx} (x < -d),  e^{-ikx} + R e^{ikx} (x > d)
-    return np.array(
-        [T * up, -1j * k * T * up, dn + R * up, 1j * k * (-dn + R * up)],
-        dtype=complex,
-    )
+
+    def left(T, R):  # psi = e^{ikx} + R e^{-ikx} (x < -d),  T e^{ikx} (x > d)
+        return np.array([dn + R * up, 1j * k * (dn - R * up), T * up, 1j * k * T * up])
+
+    # right incidence is the parity image x -> -x: the edges swap, the slopes change sign
+    return np.stack([left(Tl, Rl), left(Tr, Rr)[[2, 3, 0, 1]] * np.array([1, -1, 1, -1])], 1)
 
 
 def _even_moments(n_max: int) -> np.ndarray:
@@ -164,20 +166,27 @@ def _even_moments(n_max: int) -> np.ndarray:
 def _kernel_basis(constraint: str) -> tuple[tuple[int, int], np.ndarray]:
     """The kernel coefficients of one constraint mode as a real-linear map
     of a flat real vector u: ``(E @ u).reshape(shape)``, with E a complex
-    matrix whose columns are the unit coefficient patterns."""
-    if constraint == "none":
-        return (6, 2), np.hstack([np.eye(12), 1j * np.eye(12)])
-    if constraint == "pt":
-        i, j = np.divmod(np.arange(12), 2)
-        return (6, 2), np.diag(np.where((i + j) % 2 == 0, 1.0, 1j))
-    pairs = [(i, j) for i in range(6) for j in range(i, 6)
-             if (i, j) not in ((4, 4), (4, 5), (5, 5))]
-    E = np.zeros((36, 2 * len(pairs)), dtype=complex)
-    unit = np.array([1.0, 1j])
-    for n, (i, j) in enumerate(pairs):
-        E[6 * i + j, 2 * n : 2 * n + 2] = unit
-        E[6 * j + i, 2 * n : 2 * n + 2] = (-1.0) ** (i + j) * unit
-    return (6, 6), E
+    matrix whose columns are the unit coefficient patterns.
+
+    The mode's transform sends v_ij to s conj?(v_ij) at its image, (j, i)
+    if it transposes, with s = (-1)^{i+j} if it flips.  A column puts a
+    unit 1 or i at (i, j) and its transform at the image; an entry that is
+    its own image keeps the units the transform fixes.  The unit-1 columns
+    come first, each set in row-major order."""
+    code, shape, mask = CONSTRAINTS[constraint]
+    flip, transpose, conj = transform_flags(code)
+    columns = []
+    for unit in (1.0, 1j):
+        for i, j in np.ndindex(*shape):
+            image = (j, i) if transpose else (i, j)
+            twin = ((-1.0) ** (i + j) if flip else 1.0) * (np.conj(unit) if conj else unit)
+            if (i, j) in mask or image < (i, j) or (image == (i, j) and twin != unit):
+                continue
+            column = np.zeros(shape, dtype=complex)
+            column[image] = twin
+            column[i, j] = unit
+            columns.append(column.ravel())
+    return shape, np.stack(columns, axis=1)
 
 
 class _DesignProblem:
@@ -185,17 +194,15 @@ class _DesignProblem:
         k = spec.k0
         self.shape, self.E = _kernel_basis(spec.constraint)
         B = _boundary_rows()
-        Tl, Tr, Rl, Rr = spec.targets
-        self.cl_part = np.linalg.lstsq(B, _boundary_values(k, "left", Tl, Rl), rcond=None)[0]
-        self.cr_part = np.linalg.lstsq(B, _boundary_values(k, "right", Tr, Rr), rcond=None)[0]
+        # one particular wave per incidence side
+        parts = np.linalg.lstsq(B, _boundary_values(k, spec.targets), rcond=None)[0]
+        self.parts = tuple(parts.T)
         self.null = null_space(B)  # (6, 2)
         self.n_free = self.null.shape[1]
         jmax = self.shape[1] - 1
-        mu = _even_moments(PSI_DEGREE + jmax)
-        self.mmat = np.array(
-            [[mu[j + m] for m in range(PSI_DEGREE + 1)] for j in range(jmax + 1)]
-        )
-        self.n_c_real = 4 * self.n_free  # re/im for both sides
+        mu = _even_moments(PSI_DEGREE + jmax)  # M[j, m] = mu[j + m]
+        self.mmat = mu[np.add.outer(np.arange(jmax + 1), np.arange(PSI_DEGREE + 1))]
+        self.n_c_real = 2 * len(self.parts) * self.n_free  # re/im for each side
         # E as (i, j, m) = d v_ij / d u_m
         self.e3 = self.E.reshape(*self.shape, self.E.shape[1])
         # Beta c = (k^2/2) c + the coefficients of -psi''/2
@@ -204,35 +211,31 @@ class _DesignProblem:
         self.beta[i, i + 2] = 0.5 * (i + 1) * (i + 2)
         # V(+-d, y) = 0: rows linear in the kernel parameters alone
         self.edge_block = np.concatenate([
-            np.einsum("ijm,i->jm", self.e3, HALF_WIDTH ** np.arange(6)),
-            np.einsum("ijm,i->jm", self.e3, (-HALF_WIDTH) ** np.arange(6)),
-        ])
+            np.einsum("ijm,i->jm", self.e3, edge ** np.arange(self.shape[0]))
+            for edge in (HALF_WIDTH, -HALF_WIDTH)])
 
     def unpack(self, u_v: np.ndarray) -> np.ndarray:
         """The kernel coefficients of the real parameter vector u_v."""
         return (self.E @ u_v).reshape(self.shape)
 
-    def waves(self, u_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        nf = self.n_free
-        al = u_c[0:nf] + 1j * u_c[nf : 2 * nf]
-        ar = u_c[2 * nf : 3 * nf] + 1j * u_c[3 * nf : 4 * nf]
-        return self.cl_part + self.null @ al, self.cr_part + self.null @ ar
+    def waves(self, u_c: np.ndarray) -> list[np.ndarray]:
+        """The wave coefficients of each side: its particular wave plus the
+        null space times the side's re/im block of u_c."""
+        a = u_c.reshape(len(self.parts), 2, -1)
+        return [part + self.null @ x for part, x in zip(self.parts, a[:, 0] + 1j * a[:, 1])]
 
     def residuals(self, u: np.ndarray) -> np.ndarray:
-        """Real and imaginary parts of the power-matching rows of both
-        sides, (v M - Beta) c, followed by the edge rows."""
-        cl, cr = self.waves(u[: self.n_c_real])
+        """Real and imaginary parts of the power-matching rows of each
+        side, (v M - Beta) c, followed by the edge rows."""
         u_v = u[self.n_c_real :]
         L = self.unpack(u_v) @ self.mmat - self.beta
-        block = np.concatenate([L @ cl, L @ cr, self.edge_block @ u_v])
+        block = np.concatenate([L @ c for c in self.waves(u[: self.n_c_real])]
+                               + [self.edge_block @ u_v])
         return np.concatenate([block.real, block.imag])
 
-    def _kernel_block(self, cl: np.ndarray, cr: np.ndarray) -> np.ndarray:
-        """d(power-matching rows of both sides)/du_v; linear in the waves."""
-        return np.concatenate([
-            np.einsum("ijm,j->im", self.e3, self.mmat @ cl),
-            np.einsum("ijm,j->im", self.e3, self.mmat @ cr),
-        ])
+    def _kernel_block(self, waves: list[np.ndarray]) -> np.ndarray:
+        """d(power-matching rows of each side)/du_v; linear in the waves."""
+        return np.concatenate([np.einsum("ijm,j->im", self.e3, self.mmat @ c) for c in waves])
 
     def jacobian(self, u: np.ndarray) -> np.ndarray:
         """Exact Jacobian of ``residuals``.
@@ -242,23 +245,24 @@ class _DesignProblem:
         stacks its real and imaginary parts.  The wave block of a side is
         (v M - Beta) N for the real parts of its null-space coefficients
         and i times that for the imaginary parts."""
-        nf, nc = self.n_free, self.n_c_real
-        cl, cr = self.waves(u[:nc])
+        nf, nc, n = self.n_free, self.n_c_real, self.shape[0]
+        waves = self.waves(u[:nc])
         wave = (self.unpack(u[nc:]) @ self.mmat - self.beta) @ self.null
-        J = np.zeros((12 + self.edge_block.shape[0], u.size), dtype=complex)
-        for side in range(2):
-            rows, col = slice(6 * side, 6 * side + 6), 2 * nf * side
+        power = n * len(waves)
+        J = np.zeros((power + self.edge_block.shape[0], u.size), dtype=complex)
+        for side in range(len(waves)):
+            rows, col = slice(n * side, n * side + n), 2 * nf * side
             J[rows, col : col + nf] = wave
             J[rows, col + nf : col + 2 * nf] = 1j * wave
-        J[:12, nc:] = self._kernel_block(cl, cr)
-        J[12:, nc:] = self.edge_block
+        J[:power, nc:] = self._kernel_block(waves)
+        J[power:, nc:] = self.edge_block
         return np.concatenate([J.real, J.imag])
 
-    def warm_start_v(self, cl: np.ndarray, cr: np.ndarray) -> np.ndarray:
+    def warm_start_v(self, waves: list[np.ndarray]) -> np.ndarray:
         """Least-squares solve of the power-matching rows for v with the
         wavefunctions held fixed (the rows are linear in v)."""
-        A = self._kernel_block(cl, cr)
-        b = np.concatenate([self.beta @ cl, self.beta @ cr])
+        A = self._kernel_block(waves)
+        b = np.concatenate([self.beta @ c for c in waves])
         return np.linalg.lstsq(np.concatenate([A.real, A.imag]),
                                np.concatenate([b.real, b.imag]), rcond=None)[0]
 
@@ -271,20 +275,15 @@ class _DesignProblem:
         rng = np.random.default_rng(seed)
         xs, trace = [], []
         for attempt in range(restarts + 1):
-            if attempt == 0:
-                u_c = np.zeros(self.n_c_real)
-            else:
-                u_c = rng.normal(scale=1.0, size=self.n_c_real)
-            u_v = self.warm_start_v(*self.waves(u_c))
+            u_c = rng.normal(scale=1.0, size=self.n_c_real) if attempt else np.zeros(self.n_c_real)
+            u_v = self.warm_start_v(self.waves(u_c))
             if attempt > 0:
                 u_v = u_v + rng.normal(scale=0.2, size=u_v.size)
             u0 = np.concatenate([u_c, u_v])
             # trf rather than lm: bit-reproducible across repeated calls
             # (the MINPACK driver carries call-to-call state)
-            sol = least_squares(
-                self.residuals, u0, jac=self.jacobian, method="trf", xtol=1e-15,
-                ftol=1e-15, gtol=1e-15, max_nfev=_MAX_NFEV,
-            )
+            sol = least_squares(self.residuals, u0, jac=self.jacobian, method="trf", xtol=1e-15,
+                                ftol=1e-15, gtol=1e-15, max_nfev=_MAX_NFEV)
             knorm = float(np.linalg.norm(self.unpack(sol.x[self.n_c_real :])))
             xs.append(sol.x)
             trace.append(Restart(float(np.max(np.abs(sol.fun))), int(sol.nfev),
@@ -299,6 +298,12 @@ class _DesignProblem:
         return xs[best], trace[best].residual, trace
 
 
+def _check_integer(name: str, value, least: int) -> None:
+    # numpy's errors would name no parameter, and a bool is no count
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 def design_device(spec: DeviceSpec, seed: int = 0, restarts: int = 16) -> DesignResult:
     """Find a polynomial kernel realizing ``spec.targets`` at k0.
 
@@ -308,11 +313,10 @@ def design_device(spec: DeviceSpec, seed: int = 0, restarts: int = 16) -> Design
     is built (``DeviceSpec`` raises ForbiddenDeviceError), and so is a
     k0 above about 3.0e3, where the rounding error of k0**2 / 2 alone
     exceeds the 1e-9 residual a design must reach (ValueError).  A seed
-    or restarts that is not a non-negative integer raises ValueError.
+    or restarts that is not an integer of at least 0 raises ValueError.
     """
-    for name, value in (("seed", seed), ("restarts", restarts)):
-        if not isinstance(value, (int, np.integer)) or value < 0:
-            raise ValueError(f"{name} must be a non-negative integer, got {value}")
+    _check_integer("seed", seed, 0)
+    _check_integer("restarts", restarts, 0)
     problem = _DesignProblem(spec)
     u, design_residual, trace = problem.solve(seed, restarts)
     if design_residual > _DESIGN_RESIDUAL:
@@ -321,9 +325,8 @@ def design_device(spec: DeviceSpec, seed: int = 0, restarts: int = 16) -> Design
             f"converge after {restarts} restarts",
             best_residual=design_residual, restarts=trace,
         )
-    cl, cr = problem.waves(u[: problem.n_c_real])
-    v = problem.unpack(u[problem.n_c_real :])
-    kernel = PolynomialKernel(v)
+    waves = tuple(problem.waves(u[: problem.n_c_real]))
+    kernel = PolynomialKernel(problem.unpack(u[problem.n_c_real :]))
     amps = scatter_all(kernel, spec.k0, SolverConfig(n_grid=801, quadrature="simpson"))
     residual = float(np.max(np.abs(np.array(amps.quadruple) - np.array(spec.targets))))
     if residual > 1e-6:
@@ -332,7 +335,7 @@ def design_device(spec: DeviceSpec, seed: int = 0, restarts: int = 16) -> Design
             f"(max amplitude deviation {residual:.3e})",
             best_residual=residual, restarts=trace,
         )
-    return DesignResult(kernel, (cl, cr), amps, residual, design_residual, spec, trace)
+    return DesignResult(kernel, waves, amps, residual, design_residual, spec, trace)
 
 
 def verify_design(result: DesignResult, n_points: int = 41) -> SweepTable:
@@ -343,11 +346,10 @@ def verify_design(result: DesignResult, n_points: int = 41) -> SweepTable:
     of it, or is inserted into the grid) and that the scattering
     coefficients vary continuously: adjacent-row jumps must stay below
     15 times the largest grid step, so the check tightens as the sweep
-    refines.  Returns the sweep table; n_points below 1 raises
-    ValueError.
+    refines.  Returns the sweep table; an n_points that is not an
+    integer of at least 1 raises ValueError.
     """
-    if n_points < 1:
-        raise ValueError(f"n_points must be at least 1, got {n_points}")
+    _check_integer("n_points", n_points, 1)
     k0 = result.spec.k0
     ks = np.linspace(0.8 * k0, 1.2 * k0, n_points)
     ks = np.sort(np.append(ks[np.abs(ks - k0) >= 1e-12], k0))
@@ -357,9 +359,7 @@ def verify_design(result: DesignResult, n_points: int = 41) -> SweepTable:
         raise VerificationError(f"solver failed at k0: {at_k0.error}")
     dev = float(np.max(np.abs(np.array(at_k0.amps.quadruple) - np.array(result.spec.targets))))
     if dev > 1e-6:
-        raise VerificationError(
-            f"device {result.spec.code} misses its targets at k0 by {dev:.3e}"
-        )
+        raise VerificationError(f"device {result.spec.code} misses its targets at k0 by {dev:.3e}")
     jump_tol = 15.0 * float(np.max(np.diff(ks)))
     for name in ("abs2_Tl", "abs2_Tr", "abs2_Rl", "abs2_Rr"):
         col = table.column(name)

@@ -159,6 +159,9 @@ class SolverConfig:
             raise ValueError("weights require explicit nodes")
         if self.nodes is not None:
             nodes = np.asarray(self.nodes, dtype=float)
+            if nodes.size > _MAX_NODES:
+                raise ValueError(f"explicit nodes: {nodes.size} given, above the "
+                                 f"{_MAX_NODES} allowed")
             if nodes.size < 3 or not np.all(np.diff(nodes) > 0):
                 raise ValueError("explicit nodes must be strictly increasing, size >= 3")
             if not np.all(np.isfinite(nodes)):

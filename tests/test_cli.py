@@ -254,7 +254,7 @@ class TestDesignCommand:
         # numpy's "expected non-negative integer" named neither seed nor value
         res = run_cli(["design", "--device", "tra", "--seed", "-1", "--out", "x.json"], tmp_path)
         assert res.returncode == 1
-        assert res.stderr == b"input error: seed must be a non-negative integer, got -1\n"
+        assert res.stderr == b"input error: seed must be an integer of at least 0, got -1\n"
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("points", ["0", "-1"])

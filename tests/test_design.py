@@ -13,6 +13,7 @@ from asymscat.design import (
     verify_design,
 )
 from asymscat.errors import AdjointDivergenceError, DesignError, ForbiddenDeviceError, VerificationError
+from asymscat.kernels import PolynomialKernel
 from asymscat.solver import SolverConfig, hatted_from_unhatted, scatter_all, scatter_oracle_all
 from asymscat.symmetry import DEVICE_CODES, FORBIDDING_SYMMETRIES, check_symmetries
 from conftest import PROFILE, poly_edge_max, poly_max_abs
@@ -151,12 +152,15 @@ class TestDesignDevice:
 
     @pytest.mark.parametrize("kwargs, named", [
         # numpy's "expected non-negative integer" named neither seed nor value
-        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ({"seed": -1}, "seed must be an integer of at least 0, got -1"),
         # numpy's SeedSequence TypeError
-        ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+        ({"seed": 1.5}, "seed must be an integer of at least 0, got 1.5"),
         # "min() arg is an empty sequence"
-        ({"restarts": -1}, "restarts must be a non-negative integer, got -1"),
-        ({"restarts": 2.0}, "restarts must be a non-negative integer, got 2.0"),
+        ({"restarts": -1}, "restarts must be an integer of at least 0, got -1"),
+        ({"restarts": 2.0}, "restarts must be an integer of at least 0, got 2.0"),
+        # a bool passed as 1 or 0 before
+        ({"seed": True}, "seed must be an integer of at least 0, got True"),
+        ({"restarts": True}, "restarts must be an integer of at least 0, got True"),
     ])
     def test_negative_seed_is_named(self, kwargs, named):
         with pytest.raises(ValueError, match=f"^{named}$"):
@@ -181,16 +185,29 @@ class TestExactJacobian:
         assert jac.shape == fd.shape
         assert np.max(np.abs(jac - fd)) <= 1e-8 * np.max(np.abs(fd))
 
-    @pytest.mark.parametrize("code, constraint", [("TR/R", "viii"), ("TR/T", "pt")])
-    def test_unpack_imposes_the_constraint(self, code, constraint):
-        problem = _DesignProblem(DeviceSpec(code=code, constraint=constraint))
+    @pytest.mark.parametrize("constraint", design.CONSTRAINTS)
+    def test_unpack_imposes_the_constraint(self, constraint):
+        code, shape, mask = design.CONSTRAINTS[constraint]
+        device = next(d for d in DEVICE_CODES if code not in FORBIDDING_SYMMETRIES[d])
+        problem = _DesignProblem(DeviceSpec(code=device, constraint=constraint))
         v = problem.unpack(np.random.default_rng(1).normal(size=problem.E.shape[1]))
-        i, j = np.indices(v.shape)
-        if constraint == "viii":
-            np.testing.assert_array_equal(v, (-1.0) ** (i + j) * v.T)
-            assert not np.any(v[4:, 4:])
-        else:
-            assert not np.any(np.where((i + j) % 2 == 0, v.imag, v.real))
+        assert v.shape == shape
+        np.testing.assert_array_equal(PolynomialKernel(v).transform(code).coeffs, v)
+        assert not any(v[m] for m in mask)
+
+        # The fixed, masked space is the null space of x -> (T(v) - v, v on
+        # the mask) over x = (Re v, Im v) in R^{2N}; E must span all of it.
+        def held_rows(x):
+            c = (x[: x.size // 2] + 1j * x[x.size // 2 :]).reshape(shape)
+            r = np.concatenate([(PolynomialKernel(c).transform(code).coeffs - c).ravel(),
+                                np.array([c[m] for m in mask], dtype=complex)])
+            return np.concatenate([r.real, r.imag])
+
+        n = 2 * v.size
+        sv = np.linalg.svd(np.stack([held_rows(e) for e in np.eye(n)], axis=1), compute_uv=False)
+        dimension = n - int(np.sum(sv > 1e-12 * max(sv[0], 1.0)))
+        E = problem.E
+        assert np.linalg.matrix_rank(np.concatenate([E.real, E.imag])) == E.shape[1] == dimension
 
 
 class TestRestartTrace:
@@ -330,7 +347,15 @@ class TestVerifyDesign:
     @pytest.mark.parametrize("n_points", [0, -1])
     def test_n_points_below_one_is_named(self, designs, n_points):
         # 0 used to end in numpy's "zero-size array to reduction operation"
-        with pytest.raises(ValueError, match="n_points must be at least 1"):
+        with pytest.raises(ValueError, match="n_points must be an integer of at least 1"):
+            verify_design(designs["TR/A"], n_points=n_points)
+
+    # 2.5 died in np.linspace with a TypeError that named no parameter, and
+    # True swept one point
+    @pytest.mark.parametrize("n_points", [2.5, 3.0, True])
+    def test_non_integer_n_points_is_named(self, designs, n_points):
+        with pytest.raises(ValueError,
+                           match=f"^n_points must be an integer of at least 1, got {n_points!r}$"):
             verify_design(designs["TR/A"], n_points=n_points)
 
     def test_misses_raise_verification_error(self, designs):

@@ -8,6 +8,7 @@ from asymscat.kernels import SYMMETRY_CODES, PolynomialKernel, SampledKernel
 from asymscat.solver import (
     ScatteringAmplitudes,
     SolverConfig,
+    _MAX_NODES,
     _check_n_grid,
     generalized_unitarity_residuals,
     hatted_from_unhatted,
@@ -389,6 +390,14 @@ class TestErrors:
             scatter_oracle_all(zero_kernel(), 1.0, 500_001)
         _check_n_grid(10**6)
         _check_n_grid(500_000, richardson=True)
+
+    def test_explicit_nodes_above_the_node_cap_are_rejected(self):
+        # accepted before, with n_grid left at 401; 8 MB of nodes and no solve
+        nodes = np.linspace(-1.0, 1.0, _MAX_NODES + 1)
+        with pytest.raises(ValueError, match=r"^explicit nodes: 1000001 given, above the "
+                                             r"1000000 allowed$"):
+            SolverConfig(nodes=nodes)
+        assert SolverConfig(nodes=nodes[1:]).nodes.size == _MAX_NODES
 
     @pytest.mark.parametrize("n_grid", [3.5, np.nan, 401.0])
     def test_config_rejects_a_non_integer_grid(self, n_grid):

@@ -1,18 +1,25 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
 
+from asymscat.errors import AdjointDivergenceError
 from asymscat.kernels import (
     SYMMETRY_CODES,
     PolynomialKernel,
     RegularizedInverseSquare,
     SampledKernel,
     compose,
+    transform_flags,
 )
-from asymscat.solver import ScatteringAmplitudes, SolverConfig, scatter_all
+from asymscat.solver import ScatteringAmplitudes, SolverConfig, hatted_from_unhatted, scatter_all
 from asymscat.symmetry import (
+    _RELATIONS,
     DEVICE_CODES,
     EQUIVALENT_PAIRS,
+    FORBIDDING_SYMMETRIES,
     allowed_devices,
     check_symmetries,
     equivalence_table_check,
@@ -329,6 +336,39 @@ class TestGroupLaw:
         for a, b in pairs:
             np.testing.assert_array_equal(_representation(kernel.transform(a)),
                                           _representation(kernel.transform(b)))
+
+
+def derived_forbidding_symmetries(device: str) -> frozenset:
+    """The codes II..VIII whose amplitude relations no target quadruple of
+    ``device`` meets: its 0/1 pattern with each unit target's phase drawn
+    from {1, -1, i, -i}, and the hatted amplitudes from generalized
+    unitarity.  Where D = T^l T^r - R^l R^r = 0 the hatted amplitudes
+    diverge, which rules out every code that conjugates."""
+    left, right = device.split("/")
+    pattern = ("T" in left, "T" in right, "R" in left, "R" in right)
+    forbidden = set()
+    for code in SYMMETRY_CODES[1:]:
+        for phases in itertools.product((1, -1, 1j, -1j), repeat=sum(pattern)):
+            phase = iter(phases)
+            amps = ScatteringAmplitudes(1.0, *(complex(next(phase)) if p else 0j for p in pattern))
+            try:
+                amps = replace(amps, hatted=hatted_from_unhatted(amps))
+            except AdjointDivergenceError:
+                if transform_flags(code)[2]:
+                    continue
+            if all(r.residual(amps) <= 1e-12 for r in _RELATIONS[code]):
+                break
+        else:
+            forbidden.add(code)
+    return frozenset(forbidden)
+
+
+class TestDeviceTable:
+    @pytest.mark.parametrize("device", DEVICE_CODES)
+    def test_forbidding_sets_follow_from_the_amplitude_relations(self, device):
+        # the stored table is the paper's; this derives each of its 7 cells
+        # per device from the code's own relations
+        assert derived_forbidding_symmetries(device) == FORBIDDING_SYMMETRIES[device]
 
 
 class TestForbiddenAsymmetrySoundness:
