@@ -92,9 +92,11 @@ class DeviceSpec:
                              f"got {self.constraint!r}")
         # the design equations hold k0**2 / 2, whose rounding error alone
         # must stay within the accepted residual: k0 up to about 3.0e3
-        if not (0 < self.k0 and self.k0 * self.k0 / 2 * _EPS <= _DESIGN_RESIDUAL):
+        k0 = self.k0
+        if (isinstance(k0, bool) or not isinstance(k0, (int, float, np.integer, np.floating))
+                or not (0 < k0 and k0 * k0 / 2 * _EPS <= _DESIGN_RESIDUAL)):
             raise ValueError(f"design momentum k0 must be positive and finite, at most "
-                             f"{np.sqrt(2 * _DESIGN_RESIDUAL / _EPS):.4g}, got {self.k0!r}")
+                             f"{np.sqrt(2 * _DESIGN_RESIDUAL / _EPS):.4g}, got {k0!r}")
         symmetry = CONSTRAINTS[self.constraint][0]
         if symmetry in FORBIDDING_SYMMETRIES[self.code]:
             raise ForbiddenDeviceError(self.code, symmetry)

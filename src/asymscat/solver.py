@@ -15,7 +15,8 @@ and mirrored expressions for right incidence, under the plane-wave
 normalization <x|p> = e^{ipx} / sqrt(2 pi).
 
 Every entry point (``scatter``, ``scatter_all`` with or without the
-adjoint, ``k_sweep``) goes through one solve core, which takes one of
+adjoint, ``k_sweep``) goes through one solve core, which always solves
+both incidence sides (``scatter`` returns one of them) and takes one of
 two paths chosen by the kernel type alone; neither forms the n x n
 Green's operator Omega.
 
@@ -37,12 +38,13 @@ Green's operator Omega.
       (I_r - Q^T W Omega PC) u = Q^T W phi,
 
   the post-form source is V W psi = PC u, and psi = phi + (Omega PC) u.
-  Omega PC is applied in O(n r) without forming Omega: G0 has rank one on
-  each triangle x' <= x and x' >= x, so the product is a forward and a
-  reverse running sum, plus the three-term Simpson kink band on odd
-  rows.  Q^T W is applied as a sparse or diagonal product, never formed,
-  so with Q = I the capacitance matrix I - W Omega V costs O(n^2) to
-  build; the only cubic cost left is the r x r LU.
+  This Woodbury solve is the one the oracle shares
+  (``_capacitance_solve``).  Omega PC is applied in O(n r) without
+  forming Omega: G0 has rank one on each triangle x' <= x and x' >= x,
+  so the product is a forward and a reverse running sum, plus the
+  three-term Simpson kink band on odd rows.  With Q = I the capacitance
+  matrix I - W Omega V costs O(n^2) to build; the only cubic cost left
+  is the r x r LU.
 * **Local banded path.** Local kernels (V(x, y) = V(x) delta(x - y))
   solve (I - Omega diag(V)) psi = phi in O(n) time and memory.  The
   same rank-one structure of G0 is carried by two running sums,
@@ -70,22 +72,18 @@ I_r - B^T W Omega B C on more nodes.  By
 Sylvester's determinant identity, det(I_n - Omega PC Q^T W) =
 det(I_r - Q^T W Omega PC), so one is singular exactly when the other is
 and exceptional points are still reported.  The norm in that estimate
-is floored at 1, a lower bound for the norm of the n x n system (for
-n > r it keeps the eigenvalue 1), so that a rank-one kernel, whose
-1 x 1 capacitance matrix has rcond 1 unless it is exactly zero, is
-reported too.
+is floored at 1 (``_capacitance_solve`` gives the reason).
 
 An independent finite-difference oracle (``scatter_oracle_all``) solves
 the differential form of the same problem with Robin (radiation)
 closures at +-d and exists purely to cross-check the Nystrom path.  It
 costs O(n r) time and memory and forms no n x n matrix: the FD operator
 T, local V included, is tridiagonal (zgttrf), and a nonlocal kernel adds
-the rank-r term PC Q^T W through the same ``kernel.factors``, solved by
-Woodbury as the r x r capacitance system I_r + Q^T W T^{-1} PC.  By
-Sylvester's identity det(T + PC Q^T W) = det T det(I_r + Q^T W T^{-1} PC),
-so two condition checks cover the n x n system.  zgtcon estimates the
-rcond of T; zgecon estimates that of the capacitance matrix, its norm
-floored at 1 as on the separable path, and the check takes the product
+the rank-r term PC Q^T W through the same ``kernel.factors``.  Since
+T + PC Q^T W = T (I_n - X Q^T W) with X = -T^{-1} PC, it goes through
+the separable path's capacitance solve, I_r - Q^T W X.  By Sylvester's
+identity det(T + PC Q^T W) = det T det(I_r - Q^T W X), so two condition
+checks cover the n x n system: zgtcon's rcond of T, then the product
 rcond(T) rcond(capacitance).  The product stands for the rcond of the
 n x n matrix T + PC Q^T W that a dense zgecon would estimate: it bounds
 it from below but for the estimators' slack, and read 0.7 to 170 times
@@ -101,7 +99,7 @@ capped at _MAX_NODES = 10^6 nodes, about 1 GB for a two-sided local solve.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -426,28 +424,45 @@ def _check_momentum(k: float) -> None:
         raise ValueError(f"incident wavenumber k must be positive and finite, got {k!r}")
 
 
-def _amplitudes_from_source(source: np.ndarray, w, k, e, side: str):
-    plus = np.sum(w * e * source) / (1j * k)
-    minus = np.sum(w * np.conj(e) * source) / (1j * k)
-    if side == "left":
-        return 1.0 + minus, plus
-    return 1.0 + plus, minus
+class _Solution(NamedTuple):
+    # psi holds the left-incidence column, then the right one
+    amps: ScatteringAmplitudes
+    psi: np.ndarray
+    nodes: np.ndarray
 
 
-def _solve(kernel, k: float, config: SolverConfig, sides: tuple[str, ...]):
+def _capacitance_solve(x_op: np.ndarray, q, w: np.ndarray, phi: np.ndarray, k: float,
+                       rcond_scale: float = 1.0):
+    """Solve (I_n - X Q^T W) psi = phi through the r x r capacitance
+    system (I_r - Q^T W X) u = Q^T W phi, psi = phi + X u; return (psi, u).
+
+    Q^T W stays a sparse or diagonal product: with a dense identity Q it
+    would be an n^3 product.  zgecon's norm of the capacitance matrix is
+    floored at 1, a lower bound for the norm of I_n - X Q^T W, which for
+    n > r keeps the eigenvalue 1; without the floor a rank-one kernel,
+    whose 1 x 1 capacitance matrix has rcond 1 unless it is exactly zero,
+    would never be reported.  The norm is divided by ``rcond_scale``, so
+    the estimate reads rcond_scale times the capacitance rcond.
+    """
+    qw = q.T * w[None, :]
+    capacitance = np.eye(q.shape[1], dtype=complex) - qw @ x_op
+    u = _solve_system(capacitance, qw @ phi, k,
+                      anorm=max(np.linalg.norm(capacitance, 1), 1.0) / rcond_scale)
+    return phi + x_op @ u, u
+
+
+def _solve(kernel, k: float, config: SolverConfig) -> _Solution:
     """The one Nystrom solve behind every entry point.
 
-    Solves (I - Omega V W) psi = phi for the incident wave of each side,
-    on the banded path for local kernels and on the separable path
-    through ``kernel.factors`` otherwise (see the module docstring).
-    Returns
-    ([(T, R) per side], psi with one column per side, nodes).
+    Solves (I - Omega V W) psi = phi for the incident waves of both
+    sides, on the banded path for local kernels and on the separable
+    path through ``kernel.factors`` otherwise (see the module docstring).
     """
     _check_momentum(k)
     x, w = grid_and_weights(config, kernel.d)
     e = np.exp(1j * k * x)
     kink = _simpson_kink_delta(k, x[1] - x[0]) if config.quadrature == "simpson" else None
-    phi = np.stack([e if side == "left" else np.conj(e) for side in sides], axis=1)
+    phi = np.stack([e, np.conj(e)], axis=1)
     if kernel.is_local:
         V = kernel.sample_profile(x)
         solve, rcond = _local_factor(x, w, k, e, kink, V)
@@ -456,32 +471,30 @@ def _solve(kernel, k: float, config: SolverConfig, sides: tuple[str, ...]):
         source = V[:, None] * psi
     else:
         pc, q = kernel.factors(x)
-        omega_pc = _apply_green(w, k, e, kink, pc)
-        # stays sparse when Q is; with a dense identity Q, qw @ omega_pc
-        # would be an n^3 product
-        qw = q.T * w[None, :]
-        capacitance = np.eye(q.shape[1], dtype=complex) - qw @ omega_pc
-        # I_n - Omega PC Q^T W keeps the eigenvalue 1 off the span of PC,
-        # so its norm is at least 1; without that floor a 1 x 1
-        # capacitance matrix would always report rcond = 1
-        u = _solve_system(capacitance, qw @ phi, k,
-                          anorm=max(np.linalg.norm(capacitance, 1), 1.0))
-        psi = phi + omega_pc @ u
+        psi, u = _capacitance_solve(_apply_green(w, k, e, kink, pc), q, w, phi, k)
         source = pc @ u
-    amps = [_amplitudes_from_source(source[:, c], w, k, e, side) for c, side in enumerate(sides)]
-    return amps, psi, x
+    # the post-form integrals: e^{-ikx'} for T^l and R^r, e^{+ikx'} for R^l and T^r
+    (plus_l, minus_l), (plus_r, minus_r) = [
+        (np.sum(w * e * s) / (1j * k), np.sum(w * np.conj(e) * s) / (1j * k))
+        for s in source.T]
+    return _Solution(ScatteringAmplitudes(k, 1.0 + minus_l, 1.0 + plus_r, plus_l, minus_r),
+                     psi, x)
 
 
 def scatter(kernel, k: float, side: str = "left", config: SolverConfig | None = None) -> ScatterResult:
     """Solve one scattering problem and return (T, R, psi-on-grid).
 
+    Like every solve it solves both incidence sides; T and R are exactly
+    ``scatter_all``'s for ``side``, and psi is that side's column.
     Raises SingularSystemError at exceptional configurations instead of
     returning garbage, and ValueError unless k is positive and finite.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    [(T, R)], psi, x = _solve(kernel, k, config or SolverConfig(), (side,))
-    return ScatterResult(T, R, psi[:, 0], x)
+    amps, psi, x = _solve(kernel, k, config or SolverConfig())
+    if side == "left":
+        return ScatterResult(amps.Tl, amps.Rl, psi[:, 0], x)
+    return ScatterResult(amps.Tr, amps.Rr, psi[:, 1], x)
 
 
 def scatter_all(kernel, k: float, config: SolverConfig | None = None,
@@ -497,21 +510,15 @@ def scatter_all(kernel, k: float, config: SolverConfig | None = None,
     raises AdjointDivergenceError there.
     """
     config = config or SolverConfig()
-    quadruple = _quadruple(kernel, k, config)
-    hatted = None
+    amps = _solve(kernel, k, config).amps
     if include_adjoint:
-        hatted = ScatteringAmplitudes(k, *_quadruple(kernel_adjoint(kernel), k, config))
-    return ScatteringAmplitudes(k, *quadruple, hatted)
-
-
-def _quadruple(kernel, k: float, config: SolverConfig) -> tuple[complex, complex, complex, complex]:
-    [(Tl, Rl), (Tr, Rr)], _, _ = _solve(kernel, k, config, ("left", "right"))
-    return Tl, Tr, Rl, Rr
+        amps = replace(amps, hatted=_solve(kernel_adjoint(kernel), k, config).amps)
+    return amps
 
 
 def _oracle_once(kernel, k: float, n: int) -> tuple[complex, complex, complex, complex]:
     d = kernel.d
-    x = np.linspace(-d, d, n)
+    x, w = grid_and_weights(SolverConfig(n_grid=n), d)
     h = x[1] - x[0]
     # The three diagonals of -psi''/2 - k^2 psi/2 (+ V psi for a local
     # kernel).  Ghost-point Robin closures, which encode the exterior
@@ -535,24 +542,12 @@ def _oracle_once(kernel, k: float, n: int) -> tuple[complex, complex, complex, c
     if kernel.is_local:
         psi, _ = zgttrs(dl, dd, du, du2, ipiv, rhs)
     else:
-        # T + PC Q^T W by Woodbury: T^{-1} of both drives and of PC in one
-        # solve, then the r x r capacitance system
+        # T + PC Q^T W = T (I - X Q^T W) with X = -T^{-1} PC: T^{-1} of both
+        # drives and of PC in one solve, then the capacitance solve with its
+        # estimate scaled by rcond(T) (the module docstring says why)
         pc, q = kernel.factors(x)
         sol, _ = zgttrs(dl, dd, du, du2, ipiv, np.concatenate([rhs, pc], axis=1))
-        psi, t_pc = sol[:, :2], sol[:, 2:]
-        wq = np.full(n, h)
-        wq[0] = wq[-1] = 0.5 * h
-        qw = q.T * wq[None, :]  # stays sparse when Q is
-        capacitance = np.eye(q.shape[1], dtype=complex) + qw @ t_pc
-        # The capacitance matrix carries the rounding of T^{-1}, about
-        # cond(T) eps, so on its own it would pass exactly singular systems.
-        # Dividing its norm by rcond(T) makes zgecon report
-        # rcond(T) rcond(capacitance), which stands for the rcond of
-        # T + PC Q^T W.  The floor at 1 is _solve's: I_n + T^{-1} PC Q^T W
-        # keeps the eigenvalue 1 off the span of T^{-1} PC.
-        u = _solve_system(capacitance, qw @ psi, k,
-                          anorm=max(np.linalg.norm(capacitance, 1), 1.0) / rcond_t)
-        psi = psi - t_pc @ u
+        psi, _ = _capacitance_solve(-sol[:, 2:], q, w, sol[:, :2], k, rcond_scale=rcond_t)
     ph = np.exp(-1j * k * d)
     Tl = psi[-1, 0] * ph
     Rl = (psi[0, 0] - ph) * ph
@@ -577,11 +572,10 @@ def scatter_oracle_all(kernel, k: float,
     O(n) for a local one; no n x n matrix is formed.  The FD operator T,
     with a local V on its diagonal, is tridiagonal and is factored by
     zgttrf.  A nonlocal kernel adds the rank-r term PC Q^T W (trapezoid
-    weights W), which Woodbury turns into the r x r capacitance system
-    I_r + Q^T W T^{-1} PC.  Two condition checks in the 1-norm guard a
-    solve: zgtcon's rcond of T, then rcond(T) times zgecon's rcond of the
-    capacitance matrix (its norm floored at 1), which stands for the
-    rcond of the n x n system T + PC Q^T W.  Either one below 1e-14
+    weights W), which goes through the Nystrom path's r x r capacitance
+    solve.  Two condition checks in the 1-norm guard a solve: zgtcon's
+    rcond of T, then rcond(T) times the capacitance rcond, which stands
+    for the rcond of the n x n system T + PC Q^T W.  Either one below 1e-14
     raises SingularSystemError carrying that value (see the module
     docstring).  An n_grid that is not an integer of at least 3, or whose
     fine grid of 2 n_grid - 1 nodes exceeds 10^6, raises ValueError.
@@ -689,7 +683,10 @@ def k_sweep(kernel, k_grid, config: SolverConfig | None = None) -> SweepTable:
     continues; rows, sorted by ascending k, carry no hatted amplitudes.
     """
     config = config or SolverConfig()
-    ks = np.sort(np.asarray(k_grid, dtype=float))
+    ks = np.asarray(k_grid, dtype=float)
+    if ks.ndim != 1:  # np.sort would fail naming no parameter
+        raise ValueError(f"k_grid must be one-dimensional, got shape {ks.shape}")
+    ks = np.sort(ks)
     if not np.all(np.isfinite(ks) & (ks > 0)):
         raise ValueError("all sweep momenta must be positive and finite")
     rows = []

@@ -561,9 +561,17 @@ class TestProcess:
             seen["design"] = loaded()
             g = np.linspace(-1.0, 1.0, 11)
             kernel = asymscat.SampledKernel(g, 0.1 * np.outer(1 - g * g, 1 - g * g) + 0j)
+            noise = np.random.default_rng(0).normal(size=(2, 11, 11))
+            full = asymscat.SampledKernel(g, 0.02 * (noise[0] + 1j * noise[1]))
+            forms = [kernel._low_rank is not None, full._low_rank is None]
+            stored = asymscat.SolverConfig(n_grid=11, quadrature="simpson")
+            for sampled in (kernel, full):
+                asymscat.scatter_all(sampled, 1.0, stored, include_adjoint=True)
+                asymscat.k_sweep(sampled, [0.5, 1.0, 2.0], stored)
+            seen["stored"] = loaded()
             asymscat.scatter_all(kernel, 1.0, asymscat.SolverConfig(n_grid=21))
             seen["sampled"] = loaded()
-            print(json.dumps({"codes": codes, "seen": seen}))
+            print(json.dumps({"codes": codes, "seen": seen, "forms": forms}))
         """
         res = subprocess.run([sys.executable, "-c", script], capture_output=True,
                              cwd=tmp_path, env=cli_env())
@@ -573,6 +581,10 @@ class TestProcess:
         assert doc["seen"]["import"] == doc["seen"]["cli"] == doc["seen"]["oracle"] == []
         # positive controls: each deferred import does load where it is used
         assert "scipy.optimize" in doc["seen"]["design"]
+        # a compressed and a full-rank sampled kernel on their stored grid
+        # (adjoint and Simpson sweep included) need no spline fit
+        assert doc["forms"] == [True, True]
+        assert "scipy.interpolate" not in doc["seen"]["stored"]
         assert "scipy.interpolate" in doc["seen"]["sampled"]
 
 

@@ -101,6 +101,15 @@ class TestDeviceSpec:
         with pytest.raises(ValueError, match="design momentum k0 must be positive and finite"):
             design_device(DeviceSpec(code="TR/A", k0=k0))
 
+    @pytest.mark.parametrize("k0", ["1", None, 1 + 0j, np.complex128(1.0), True, np.bool_(True)])
+    def test_design_momentum_must_be_a_real_number(self, k0):
+        with pytest.raises(ValueError, match="design momentum k0 must be positive and finite"):
+            DeviceSpec(code="TR/A", k0=k0)
+
+    @pytest.mark.parametrize("k0", [1, 1.5, np.int64(2), np.float32(1.5), np.float64(1.5)])
+    def test_design_momentum_accepts_python_and_numpy_reals(self, k0):
+        assert DeviceSpec(code="TR/A", k0=k0).k0 == k0
+
     def test_design_momentum_bound_is_where_rounding_meets_the_residual(self):
         # k0**2 / 2 * eps = 1e-9 at k0 = 3001.2
         assert DeviceSpec(code="TR/A", k0=3001.0).k0 == 3001.0

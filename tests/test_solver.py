@@ -10,6 +10,7 @@ from asymscat.solver import (
     SolverConfig,
     _MAX_NODES,
     _check_n_grid,
+    _solve,
     generalized_unitarity_residuals,
     hatted_from_unhatted,
     k_sweep,
@@ -25,6 +26,7 @@ from conftest import (
     equivariance_problems,
     fd_matrix,
     random_local_kernel,
+    random_poly_kernel,
     random_poly_surface,
     square_well_analytic,
 )
@@ -443,3 +445,51 @@ class TestSweep:
         with pytest.raises(ValueError):
             k_sweep(zero_kernel(), [0.5, -1.0], TRAP)
 
+    @pytest.mark.parametrize("k_grid", [1.0, [[1.0, 2.0]], np.ones((2, 2))])
+    def test_rejects_a_grid_that_is_not_one_dimensional(self, k_grid):
+        with pytest.raises(ValueError, match="k_grid must be one-dimensional"):
+            k_sweep(zero_kernel(), k_grid, TRAP)
+
+    def test_empty_grid_gives_an_empty_table(self):
+        table = k_sweep(zero_kernel(), [], TRAP)
+        assert table.rows == ()
+        assert table.to_csv_text() == table.CSV_HEADER + "\n"
+
+
+def _core_kernel(family, rng):
+    g = np.linspace(-1.0, 1.0, 41)
+    if family == "polynomial":
+        return random_poly_kernel(rng, degree=3, scale=0.2)
+    if family == "local":
+        return random_local_kernel(rng, n=41, scale=0.3)
+    if family == "compressed":
+        values = 0.3 * (np.outer(np.cos(g), 1 + g * g) + 0.5j * np.outer(g, np.sin(2 * g)))
+    else:
+        values = 0.02 * (rng.normal(size=(41, 41)) + 1j * rng.normal(size=(41, 41)))
+    kernel = SampledKernel(g, values)
+    assert (kernel._low_rank is not None) == (family == "compressed")
+    return kernel
+
+
+class TestTwoSidedCore:
+    # on 41 nodes the sampled kernels solve on their stored grid (Q = I or
+    # the compression's factors), on 81 and 61 through their splines
+    GRIDS = {
+        "trapezoid": SolverConfig(n_grid=41),
+        "simpson": SolverConfig(n_grid=81, quadrature="simpson"),
+        "nodes": SolverConfig(nodes=np.sin(np.linspace(-1.2, 1.2, 61)) / np.sin(1.2)),
+    }
+
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    @pytest.mark.parametrize("family", ["polynomial", "compressed", "full-rank", "local"])
+    def test_scatter_is_one_side_of_the_two_sided_solve(self, rng, family, grid):
+        kernel, config = _core_kernel(family, rng), self.GRIDS[grid]
+        for k in (0.7, 2.3):
+            amps, psi, x = _solve(kernel, k, config)
+            assert scatter_all(kernel, k, config) == amps
+            for column, side, want in ((0, "left", (amps.Tl, amps.Rl)),
+                                       (1, "right", (amps.Tr, amps.Rr))):
+                res = scatter(kernel, k, side, config)
+                assert (res.T, res.R) == want
+                assert np.array_equal(res.psi, psi[:, column])
+                assert np.array_equal(res.nodes, x)
