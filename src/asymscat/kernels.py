@@ -22,6 +22,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 from scipy.linalg.blas import izamax, zgeru
+from scipy.linalg.lapack import zgbsv
 
 from .units import HALF_WIDTH
 
@@ -67,6 +68,31 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, copy=True)
     a.flags.writeable = False
     return a
+
+
+def _cubic_bsplines(t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ell, b): the knot interval t[ell] <= x < t[ell + 1] of each point
+    (the last one for x = t[-1]) and its four nonzero cubic B-splines,
+    b[:, a] = B_{ell - 3 + a}(x), for points in [t[0], t[-1]].
+
+    The Cox-de Boor recurrence (de Boor, J. Approx. Theory 6, 50, 1972),
+    vectorized over the points, in the operation order of scipy's
+    _deBoor_D, so the values are scipy's BSpline values to the bit.
+    Every pair of knots it divides by spans t[ell] < t[ell + 1], so no
+    denominator is zero.
+    """
+    ell = np.clip(np.searchsorted(t, x, side="right") - 1, 3, t.size - 5)
+    b = np.zeros((x.size, 4))
+    b[:, 0] = 1.0
+    for j in range(1, 4):
+        prev = b[:, :j].copy()
+        b[:, 0] = 0.0
+        for i in range(1, j + 1):
+            right, left = t[ell + i], t[ell + i - j]
+            w = prev[:, i - 1] / (right - left)
+            b[:, i - 1] += w * (right - x)
+            b[:, i] = w * (x - left)
+    return ell, b
 
 
 def _cross_approximation(v: np.ndarray, atol: float, max_rank: int):
@@ -161,10 +187,18 @@ class SampledKernel:
 
     def _fit(self, a: np.ndarray) -> np.ndarray:
         """Coefficients of the splines through the columns of ``a`` (axis 0
-        on the grid)."""
-        from scipy.interpolate import make_interp_spline
-
-        return make_interp_spline(self.grid, a, k=3, t=self._knots).c
+        on the grid): one banded LAPACK solve (zgbsv, three sub- and three
+        superdiagonals) of the real collocation matrix B(grid), held in
+        the 10 x n band layout that zgbsv takes, for every column at once."""
+        n = self.n
+        ell, b = _cubic_bsplines(self._knots, self.grid)
+        cols = ell[:, None] - 3 + np.arange(4)
+        band = np.zeros((10, n), order="F")
+        band[6 + np.arange(n)[:, None] - cols, cols] = b
+        _, _, c, info = zgbsv(3, 3, band, a.reshape(n, -1))
+        if info != 0:
+            raise np.linalg.LinAlgError(f"spline collocation solve failed (zgbsv info {info})")
+        return np.ascontiguousarray(c.reshape(a.shape))
 
     @cached_property
     def _spline_coeffs(self) -> np.ndarray:
@@ -193,14 +227,27 @@ class SampledKernel:
         """(fit(L), fit(R)): the fit is linear, so C ~ fit(L) @ fit(R).T."""
         return tuple(self._fit(f) for f in self._low_rank)
 
-    def _basis(self, x: np.ndarray):
-        """Sparse cubic B-spline design matrix of the nodes ``x``; rows of
-        nodes outside +-d are zero, so the spline reads exactly 0 there."""
-        from scipy.interpolate import BSpline
+    def _basis(self, x: np.ndarray, name: str):
+        """Sparse cubic B-spline design matrix of the nodes ``x``, named
+        ``name`` in the error for NaN nodes; rows of nodes outside +-d
+        (+-inf included) are zero, so the spline reads exactly 0 there.
 
+        Each row lists its columns in descending order and leaves out
+        exact zeros: the layout of scipy's sparse product of a 0/1 row mask
+        and BSpline.design_matrix.  Sparse products sum a row in its
+        stored order, so the solves' results depend on it to the last bit.
+        """
+        x = np.asarray(x, dtype=float)
+        if np.any(np.isnan(x)):
+            raise ValueError(f"sampled kernel coordinates {name} must not be NaN")
         t = self._knots
-        inside = sparse.diags_array((np.abs(x) <= self.d).astype(float))
-        return inside @ BSpline.design_matrix(np.clip(x, t[0], t[-1]), t, 3)
+        ell, b = _cubic_bsplines(t, np.clip(x, t[0], t[-1]))
+        b[np.abs(x) > self.d] = 0.0
+        basis = sparse.csr_array(
+            (b[:, ::-1].ravel(), (ell[:, None] - np.arange(4)).ravel(),
+             np.arange(0, 4 * x.size + 1, 4)), shape=(x.size, self.n))
+        basis.eliminate_zeros()
+        return basis
 
     def evaluate(self, x, y=None):
         """Interpolated kernel value; exactly 0 outside the support."""
@@ -208,14 +255,14 @@ class SampledKernel:
             if y is not None and np.any(np.asarray(x) != np.asarray(y)):
                 raise ValueError("local kernel takes a single coordinate")
             x = np.asarray(x, dtype=float)
-            out = self._basis(x.ravel()) @ self._spline_coeffs
+            out = self._basis(x.ravel(), "x") @ self._spline_coeffs
         else:
             if y is None:
                 raise ValueError("nonlocal kernel needs both x and y")
             x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
             # only the diagonal of B(x) C B(y)^T: the whole product is m x m
-            bxc = self._basis(x.ravel()) @ self._spline_coeffs
-            out = self._basis(y.ravel()).multiply(bxc).sum(axis=1)
+            bxc = self._basis(x.ravel(), "x") @ self._spline_coeffs
+            out = self._basis(y.ravel(), "y").multiply(bxc).sum(axis=1)
         out = out.reshape(x.shape)
         return complex(out) if out.ndim == 0 else out
 
@@ -224,7 +271,7 @@ class SampledKernel:
             raise ValueError("sample_profile is only defined for local kernels")
         if self._on_grid(nodes):
             return np.asarray(self.values)
-        return np.asarray(self.evaluate(nodes))
+        return self._basis(nodes, "nodes") @ self._spline_coeffs
 
     def sample_matrix(self, x_nodes: np.ndarray, y_nodes: np.ndarray) -> np.ndarray:
         """V(x_i, y_j) on a node product; exactly 0 outside the support."""
@@ -232,7 +279,8 @@ class SampledKernel:
             raise ValueError("sample_matrix is only defined for nonlocal kernels")
         if self._on_grid(x_nodes) and self._on_grid(y_nodes):
             return np.asarray(self.values)
-        return (self._basis(x_nodes) @ self._spline_coeffs) @ self._basis(y_nodes).T
+        return ((self._basis(x_nodes, "x_nodes") @ self._spline_coeffs)
+                @ self._basis(y_nodes, "y_nodes").T)
 
     def factors(self, x_nodes: np.ndarray):
         """Separable factors on the nodes: V(x_i, x_j) ~= (PC @ Q.T)[i, j].
@@ -255,11 +303,11 @@ class SampledKernel:
         if self._low_rank is not None:
             if self._on_grid(x):
                 return self._low_rank
-            b = self._basis(x)
+            b = self._basis(x, "x_nodes")
             return tuple(b @ f for f in self._low_rank_coeffs)
         if x.size <= self.n:
             return self.sample_matrix(x, x), sparse.eye_array(x.size, format="csr")
-        b = self._basis(x)
+        b = self._basis(x, "x_nodes")
         return b @ self._spline_coeffs, b
 
     def transform(self, which: str) -> "SampledKernel":

@@ -189,12 +189,23 @@ def dense_oracle(kernel, k, n_grid):
 
 def singular_at(kernel, k_s, config):
     """The kernel divided by the largest eigenvalue of Omega V W at k_s,
-    so that ``dense_system`` is exactly singular there.  Sampled kernels
+    so that ``dense_system`` is exactly singular there.
+
+    For a nonlocal kernel the eigenvalue is taken from the r x r
+    capacitance matrix Q^T W Omega PC of its factors V = PC Q^T, which
+    has the nonzero eigenvalues of Omega PC Q^T W, so that the r x r
+    matrix the solver factors is the one made singular; a local kernel
+    takes it from the n x n matrix Omega diag(V).  Sampled kernels
     divide their stored values; on the solve grid the scaling is exact,
     and off it the spline is linear in the values, so it is exact up to
     rounding."""
-    x, _ = grid_and_weights(config, kernel.d)
-    lam = np.linalg.eigvals(np.eye(x.size) - dense_system(kernel, k_s, config))
+    x, w = grid_and_weights(config, kernel.d)
+    omega = green_operator(x, w, k_s, config.quadrature)
+    if kernel.is_local:
+        lam = np.linalg.eigvals(omega * kernel.sample_profile(x)[None, :])
+    else:
+        pc, q = kernel.factors(x)
+        lam = np.linalg.eigvals((q.T * w[None, :]) @ (omega @ pc))
     lam = lam[np.argmax(np.abs(lam))]
     if isinstance(kernel, PolynomialKernel):
         return PolynomialKernel(kernel.coeffs / lam, d=kernel.d)

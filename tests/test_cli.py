@@ -534,9 +534,10 @@ class TestProcess:
             assert not (tmp_path / "r.json").exists()
 
     def test_scipy_optimize_and_interpolate_load_only_where_called(self, tmp_path):
-        # scipy.optimize (with scipy.special) costs about a third of a start;
-        # only design's least squares and sampled kernels' spline fits need it.
-        # The finite-difference oracle needs scipy.linalg.lapack alone.
+        # scipy.optimize (with scipy.special) costs about a third of a start,
+        # and scipy.interpolate loads both; only design's least squares needs
+        # any of them.  Sampled kernels build their B-splines with numpy and
+        # LAPACK, and the finite-difference oracle needs scipy.linalg alone.
         script = """if True:
             import contextlib, io, json, sys
             import numpy as np
@@ -557,20 +558,25 @@ class TestProcess:
             asymscat.scatter_oracle_all(asymscat.load_kernel("p.json"), 1.0, 101)
             asymscat.scatter_oracle_all(asymscat.load_kernel("r.json"), 1.0, 101)
             seen["oracle"] = loaded()
-            asymscat.design_device(asymscat.DeviceSpec("R/A"), restarts=0)
-            seen["design"] = loaded()
             g = np.linspace(-1.0, 1.0, 11)
             kernel = asymscat.SampledKernel(g, 0.1 * np.outer(1 - g * g, 1 - g * g) + 0j)
-            noise = np.random.default_rng(0).normal(size=(2, 11, 11))
+            noise = np.random.default_rng(0).normal(size=(3, 11, 11))
             full = asymscat.SampledKernel(g, 0.02 * (noise[0] + 1j * noise[1]))
+            local = asymscat.SampledKernel(g, 0.1 * noise[2, 0] + 0j, is_local=True)
             forms = [kernel._low_rank is not None, full._low_rank is None]
             stored = asymscat.SolverConfig(n_grid=11, quadrature="simpson")
             for sampled in (kernel, full):
                 asymscat.scatter_all(sampled, 1.0, stored, include_adjoint=True)
                 asymscat.k_sweep(sampled, [0.5, 1.0, 2.0], stored)
             seen["stored"] = loaded()
-            asymscat.scatter_all(kernel, 1.0, asymscat.SolverConfig(n_grid=21))
+            # off the stored grid: spline fits and design matrices
+            for sampled in (kernel, full, local):
+                asymscat.scatter_all(sampled, 1.0, asymscat.SolverConfig(n_grid=21),
+                                     include_adjoint=True)
+            full.evaluate(0.3, -0.2)
             seen["sampled"] = loaded()
+            asymscat.design_device(asymscat.DeviceSpec("R/A"), restarts=0)
+            seen["design"] = loaded()
             print(json.dumps({"codes": codes, "seen": seen, "forms": forms}))
         """
         res = subprocess.run([sys.executable, "-c", script], capture_output=True,
@@ -578,14 +584,14 @@ class TestProcess:
         assert res.returncode == 0, res.stderr
         doc = json.loads(res.stdout)
         assert doc["codes"] == [0, 0, 0]
-        assert doc["seen"]["import"] == doc["seen"]["cli"] == doc["seen"]["oracle"] == []
-        # positive controls: each deferred import does load where it is used
-        assert "scipy.optimize" in doc["seen"]["design"]
         # a compressed and a full-rank sampled kernel on their stored grid
-        # (adjoint and Simpson sweep included) need no spline fit
+        # (adjoint and Simpson sweep included), and off it with a sampled
+        # local kernel, need none of the deferred modules
         assert doc["forms"] == [True, True]
-        assert "scipy.interpolate" not in doc["seen"]["stored"]
-        assert "scipy.interpolate" in doc["seen"]["sampled"]
+        for stage in ("import", "cli", "oracle", "stored", "sampled"):
+            assert doc["seen"][stage] == [], stage
+        # positive control: the deferred import does load where it is used
+        assert "scipy.optimize" in doc["seen"]["design"]
 
 
 class TestManifest:

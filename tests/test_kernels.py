@@ -88,6 +88,49 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             ker.evaluate(0.1, 0.2)
 
+    # ±inf lies outside the support, so it reads as any point there does;
+    # NaN lies nowhere and is named.  On 11 nodes the rank-3 samples stay
+    # full rank (cap 11 // 4) and the rank-one product compresses: the
+    # two factor forms.
+    _G = np.linspace(-1, 1, 11)
+    _NONLOCAL = {"full-rank": np.cos(7.0 * np.add.outer(_G**3, _G)) + 0.5j,
+                 "low-rank": np.outer(1 - _G**2, _G) + 0j}
+
+    @staticmethod
+    def _dense(out):
+        out = out if isinstance(out, tuple) else (out,)
+        return [f.toarray() if hasattr(f, "toarray") else np.asarray(f) for f in out]
+
+    @pytest.mark.parametrize("kind", list(_NONLOCAL))
+    @pytest.mark.parametrize("call, name", [
+        (lambda k, v: k.evaluate(v, 0.0), "x"),
+        (lambda k, v: k.evaluate(np.array([0.1, 0.2]), np.array([0.0, v])), "y"),
+        (lambda k, v: k.sample_matrix(np.array([0.0, v]), np.array([0.1, 0.2])), "x_nodes"),
+        (lambda k, v: k.sample_matrix(np.array([0.1, 0.2]), np.array([v, 0.0])), "y_nodes"),
+        (lambda k, v: k.factors(np.array([-0.5, v])), "x_nodes"),
+    ], ids=["evaluate-x", "evaluate-y", "sample-x", "sample-y", "factors"])
+    def test_nan_coordinates_are_named_and_infinities_read_zero(self, kind, call, name):
+        ker = SampledKernel(self._G, self._NONLOCAL[kind])
+        assert (ker._low_rank is None) == (kind == "full-rank")
+        with pytest.raises(ValueError, match=rf"coordinates {name} must not be NaN"):
+            call(ker, np.nan)
+        outside = self._dense(call(ker, 3.0))
+        for inf in (np.inf, -np.inf):
+            got = self._dense(call(ker, inf))
+            assert all(np.array_equal(a, b) for a, b in zip(got, outside, strict=True))
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda k, v: k.evaluate(v), "x"),
+        (lambda k, v: k.sample_profile(np.array([0.3, v])), "nodes"),
+    ], ids=["evaluate", "sample-profile"])
+    def test_local_nan_coordinates_are_named_and_infinities_read_zero(self, call, name):
+        ker = SampledKernel(self._G, np.exp(1j * self._G) + 0.5, is_local=True)
+        with pytest.raises(ValueError, match=rf"coordinates {name} must not be NaN"):
+            call(ker, np.nan)
+        for inf in (np.inf, -np.inf):
+            got = np.atleast_1d(call(ker, inf))
+            assert got[-1] == 0.0 and np.all(got[:-1] != 0.0)
+
 
 class TestTransforms:
     def test_identity_row(self, rng):

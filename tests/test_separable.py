@@ -204,6 +204,29 @@ def test_transformed_spline_coefficients_match_a_fresh_fit(seed, roughness, half
     assert np.max(np.abs(derived._spline_coeffs - fresh)) <= 1e-13 * np.max(np.abs(fresh))
 
 
+@pytest.mark.parametrize("n", [4, 5, 11, 61, 401])
+def test_spline_fit_and_basis_match_scipy_interpolate(n):
+    # The kernels build their B-splines without scipy.interpolate, which
+    # stays a reference here: the coefficients and design matrix must be
+    # its own to the bit, on every knot, at +-d, inside and beyond.
+    from scipy.interpolate import BSpline, make_interp_spline
+
+    rng = np.random.default_rng(n)
+    d = 0.8
+    g = np.linspace(-d, d, n)
+    kernel = SampledKernel(g, np.zeros((n, n)))
+    t = kernel._knots
+    for shape in ((n,), (n, 7)):
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert np.array_equal(kernel._fit(a), make_interp_spline(g, a, k=3, t=t).c)
+    x = np.concatenate([t, g, [-d, d], rng.uniform(-d, d, 50),
+                        [-1.5 * d, -d - 1e-12, d + 1e-12, 3.0 * d]])
+    inside = np.abs(x) <= d
+    got = kernel._basis(x, "x").toarray()
+    assert np.array_equal(got[inside], BSpline.design_matrix(x[inside], t, 3).toarray())
+    assert np.all(got[~inside] == 0.0) and np.count_nonzero(~inside) == 4
+
+
 @pytest.mark.parametrize("n", [61, 301])
 def test_polynomial_kernel_beyond_support_matches_sampled_twin(rng, n):
     # Nodes reach past +-d, where both kernels vanish; the cubic spline of
