@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import null_space
 
 from .errors import DesignError, ForbiddenDeviceError, VerificationError
-from .kernels import PolynomialKernel, transform_flags
+from .kernels import PolynomialKernel, _is_real_number, transform_flags
 from .solver import ScatteringAmplitudes, SolverConfig, SweepTable, k_sweep, scatter_all
 from .symmetry import DEVICE_CODES, FORBIDDING_SYMMETRIES
 from .units import HALF_WIDTH
@@ -93,8 +93,7 @@ class DeviceSpec:
         # the design equations hold k0**2 / 2, whose rounding error alone
         # must stay within the accepted residual: k0 up to about 3.0e3
         k0 = self.k0
-        if (isinstance(k0, bool) or not isinstance(k0, (int, float, np.integer, np.floating))
-                or not (0 < k0 and k0 * k0 / 2 * _EPS <= _DESIGN_RESIDUAL)):
+        if not (_is_real_number(k0) and 0 < k0 and k0 * k0 / 2 * _EPS <= _DESIGN_RESIDUAL):
             raise ValueError(f"design momentum k0 must be positive and finite, at most "
                              f"{np.sqrt(2 * _DESIGN_RESIDUAL / _EPS):.4g}, got {k0!r}")
         symmetry = CONSTRAINTS[self.constraint][0]

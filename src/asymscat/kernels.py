@@ -6,6 +6,12 @@ A kernel is a complex two-variable function V(x, y) supported on
 stored as a one-dimensional diagonal profile.  Every kernel object is
 immutable after construction and safe to share across workers.
 
+Kernels are read on nodes, never pointwise: a local kernel through
+``sample_profile(nodes)``, a nonlocal one through ``factors(nodes)``
+(separable factors V = PC Q^T, what the solvers use) and
+``sample_matrix(x_nodes, y_nodes)`` (V on a node product).  Each read is
+exactly 0 outside [-d, d].
+
 The eight involutive transforms I..VIII act on kernels as the identity,
 conjugate transpose, parity, and their compositions:
 
@@ -62,6 +68,18 @@ def compose(a: str, b: str) -> str:
 def _check_finite(value, name: str) -> None:
     if not np.all(np.isfinite(value)):
         raise ValueError(f"kernel {name} must be finite")
+
+
+def _is_real_number(value) -> bool:
+    """A Python or numpy int or float; bool and complex are not."""
+    return (not isinstance(value, bool)
+            and isinstance(value, (int, float, np.integer, np.floating)))
+
+
+def _check_real(value, name: str) -> None:
+    if not _is_real_number(value):
+        raise ValueError(f"kernel {name} must be a real number, got {value!r}")
+    _check_finite(value, name)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -249,38 +267,22 @@ class SampledKernel:
         basis.eliminate_zeros()
         return basis
 
-    def evaluate(self, x, y=None):
-        """Interpolated kernel value; exactly 0 outside the support."""
-        if self.is_local:
-            if y is not None and np.any(np.asarray(x) != np.asarray(y)):
-                raise ValueError("local kernel takes a single coordinate")
-            x = np.asarray(x, dtype=float)
-            out = self._basis(x.ravel(), "x") @ self._spline_coeffs
-        else:
-            if y is None:
-                raise ValueError("nonlocal kernel needs both x and y")
-            x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-            # only the diagonal of B(x) C B(y)^T: the whole product is m x m
-            bxc = self._basis(x.ravel(), "x") @ self._spline_coeffs
-            out = self._basis(y.ravel(), "y").multiply(bxc).sum(axis=1)
-        out = out.reshape(x.shape)
-        return complex(out) if out.ndim == 0 else out
-
     def sample_profile(self, nodes: np.ndarray) -> np.ndarray:
         if not self.is_local:
             raise ValueError("sample_profile is only defined for local kernels")
-        if self._on_grid(nodes):
+        x = np.asarray(nodes, dtype=float)
+        if self._on_grid(x):
             return np.asarray(self.values)
-        return self._basis(nodes, "nodes") @ self._spline_coeffs
+        return self._basis(x, "nodes") @ self._spline_coeffs
 
     def sample_matrix(self, x_nodes: np.ndarray, y_nodes: np.ndarray) -> np.ndarray:
         """V(x_i, y_j) on a node product; exactly 0 outside the support."""
         if self.is_local:
             raise ValueError("sample_matrix is only defined for nonlocal kernels")
-        if self._on_grid(x_nodes) and self._on_grid(y_nodes):
+        x, y = np.asarray(x_nodes, dtype=float), np.asarray(y_nodes, dtype=float)
+        if self._on_grid(x) and self._on_grid(y):
             return np.asarray(self.values)
-        return ((self._basis(x_nodes, "x_nodes") @ self._spline_coeffs)
-                @ self._basis(y_nodes, "y_nodes").T)
+        return (self._basis(x, "x_nodes") @ self._spline_coeffs) @ self._basis(y, "y_nodes").T
 
     def factors(self, x_nodes: np.ndarray):
         """Separable factors on the nodes: V(x_i, x_j) ~= (PC @ Q.T)[i, j].
@@ -361,7 +363,7 @@ class PolynomialKernel:
         if max(c.shape) > MAX_DEGREE + 1:
             raise ValueError(f"polynomial degrees are capped at {MAX_DEGREE} in each variable")
         _check_finite(c, "coeffs")
-        _check_finite(self.d, "d")
+        _check_real(self.d, "d")
         if self.d <= 0:
             raise ValueError("support half-width d must be positive")
         object.__setattr__(self, "coeffs", _readonly(c))
@@ -374,22 +376,13 @@ class PolynomialKernel:
     def jmax(self) -> int:
         return self.coeffs.shape[1] - 1
 
-    def evaluate(self, x, y=None):
-        if y is None:
-            raise ValueError("nonlocal kernel needs both x and y")
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        val = np.polynomial.polynomial.polyval2d(x, y, self.coeffs)
-        out = np.where((np.abs(x) > self.d) | (np.abs(y) > self.d), 0.0, val)
-        return complex(out) if out.ndim == 0 else out
-
     def factors(self, x_nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exact separable factors on the nodes: V(x_i, x_j) = (PC @ Q.T)[i, j].
 
         ``PC = vander(x, imax + 1) @ coeffs`` is n x (jmax + 1) and
         ``Q = vander(x, jmax + 1)`` is n x (jmax + 1), so the kernel has
         rank r = jmax + 1 <= 6 on any grid.  Rows of nodes outside +-d
-        are zero in both, as ``evaluate`` is 0 there.
+        are zero in both, as the kernel is 0 there.
         """
         x = np.asarray(x_nodes, dtype=float)
         inside = (np.abs(x) <= self.d)[:, None]
@@ -428,7 +421,7 @@ class RegularizedInverseSquare:
     Real part even, imaginary part odd; for epsilon > 0 the spectrum vanishes
     for non-negative wavenumbers, making it a broadband one-way reflector,
     and epsilon < 0 is its mirror image.  As a scattering kernel it is
-    truncated to |x| <= d; ``profile_raw`` evaluates the untruncated function.
+    truncated to |x| <= d.
     """
 
     alpha: float
@@ -438,27 +431,18 @@ class RegularizedInverseSquare:
     is_local = True
 
     def __post_init__(self):
+        # transform flips epsilon but never conjugates alpha: a complex
+        # alpha would satisfy symmetries it breaks
         for name in ("alpha", "epsilon", "d"):
-            _check_finite(getattr(self, name), name)
+            _check_real(getattr(self, name), name)
         if self.epsilon == 0:
             raise ValueError("regularizer epsilon must be non-zero")
         if self.d <= 0:
             raise ValueError("support half-width d must be positive")
 
-    def profile_raw(self, x):
-        x = np.asarray(x, dtype=float)
-        out = self.alpha / (x - 1j * self.epsilon) ** 2
-        return complex(out) if out.ndim == 0 else out
-
-    def evaluate(self, x, y=None):
-        if y is not None and np.any(np.asarray(x) != np.asarray(y)):
-            raise ValueError("local kernel takes a single coordinate")
-        x = np.asarray(x, dtype=float)
-        out = np.where(np.abs(x) > self.d, 0.0, self.profile_raw(x))
-        return complex(out) if out.ndim == 0 else out
-
     def sample_profile(self, nodes: np.ndarray) -> np.ndarray:
-        return np.asarray(self.evaluate(nodes))
+        x = np.asarray(nodes, dtype=float)
+        return np.where(np.abs(x) > self.d, 0.0, self.alpha / (x - 1j * self.epsilon) ** 2)
 
     def transform(self, which: str) -> "RegularizedInverseSquare":
         # Flipping x and conjugating each send epsilon -> -epsilon; .T is the identity.

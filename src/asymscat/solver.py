@@ -107,6 +107,7 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import zgbtrf, zgbtrs, zgecon, zgtcon, zgttrf, zgttrs
 
 from .errors import AdjointDivergenceError, SingularSystemError
+from .kernels import _is_real_number
 from .kernels import adjoint as kernel_adjoint
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -420,7 +421,7 @@ def _local_factor(x: np.ndarray, w: np.ndarray, k: float, e: np.ndarray,
 
 
 def _check_momentum(k: float) -> None:
-    if not (np.isfinite(k) and k > 0):
+    if not (_is_real_number(k) and np.isfinite(k) and k > 0):
         raise ValueError(f"incident wavenumber k must be positive and finite, got {k!r}")
 
 

@@ -227,9 +227,7 @@ def poly_max_abs(kernel):
 def poly_edge_max(kernel):
     """max over y of |V(+-d, y)|; ~0 for edge-vanishing kernels."""
     y = np.linspace(-kernel.d, kernel.d, 201)
-    lo = np.abs(kernel.evaluate(np.full_like(y, -kernel.d), y))
-    hi = np.abs(kernel.evaluate(np.full_like(y, kernel.d), y))
-    return float(max(lo.max(), hi.max()))
+    return float(np.max(np.abs(kernel.sample_matrix([-kernel.d, kernel.d], y))))
 
 
 def random_poly_kernel(rng, degree=4, d=1.0, scale=1.0):

@@ -85,10 +85,10 @@ class TestSpectralOneWayCondition:
         # quadrature over a +-1e4*eps window reproduces the one-sidedness;
         # eps sized so the truncated oscillatory tails stay below 1e-3
         eps = 5e-3
-        pot = design_broadband_reflector(ALPHA_REF, eps)
         window = 1e4 * eps
+        pot = design_broadband_reflector(ALPHA_REF, eps, d=window)
         x = np.linspace(-window, window, 200001)
-        prof = pot.profile_raw(x)
+        prof = pot.sample_profile(x)
         for k in (0.5, 1.0, 2.5, 5.0):
             plus = np.trapezoid(prof * np.exp(-2j * k * x), x)
             minus = np.trapezoid(prof * np.exp(2j * k * x), x)

@@ -573,7 +573,7 @@ class TestProcess:
             for sampled in (kernel, full, local):
                 asymscat.scatter_all(sampled, 1.0, asymscat.SolverConfig(n_grid=21),
                                      include_adjoint=True)
-            full.evaluate(0.3, -0.2)
+            full.sample_matrix([0.3], [-0.2])
             seen["sampled"] = loaded()
             asymscat.design_device(asymscat.DeviceSpec("R/A"), restarts=0)
             seen["design"] = loaded()

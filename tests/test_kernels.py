@@ -16,28 +16,49 @@ from asymscat.kernels import (
     adjoint,
     fourier_transform_local,
 )
-from conftest import PROFILE, random_poly_kernel, random_poly_surface
+from conftest import PROFILE, random_local_kernel, random_poly_kernel, random_poly_surface
 
 
-class TestEvaluate:
+def _scipy_reads(kernel, x, y=None):
+    """The sampled kernel's not-a-knot cubic spline through its samples
+    on the nodes ``x`` (and ``y`` for a nonlocal kernel), built by
+    scipy.interpolate alone and 0 outside +-d: the reference for
+    sample_profile and sample_matrix."""
+    from scipy.interpolate import BSpline, make_interp_spline
+
+    g, t, d = kernel.grid, kernel._knots, kernel.d
+
+    def basis(nodes):
+        nodes = np.asarray(nodes, dtype=float)
+        b = BSpline.design_matrix(np.clip(nodes, -d, d), t, 3).toarray()
+        b[np.abs(nodes) > d] = 0.0
+        return b
+
+    c = make_interp_spline(g, kernel.values, k=3, t=t).c
+    if kernel.is_local:
+        return basis(x) @ c
+    return basis(x) @ make_interp_spline(g, c.T, k=3, t=t).c.T @ basis(y).T
+
+
+class TestReads:
     def test_constant_polynomial(self):
         ker = PolynomialKernel(np.array([[1.0 + 0j]]))
-        assert ker.evaluate(0.5, 0.3) == 1.0 + 0j
+        assert np.array_equal(ker.sample_matrix([0.5], [0.3]), [[1.0 + 0j]])
 
     def test_outside_support_is_exactly_zero(self, rng):
         poly = random_poly_kernel(rng)
         sampled = random_poly_surface(rng, n=41)
         local = RegularizedInverseSquare(alpha=1.0, epsilon=1e-4)
-        assert poly.evaluate(2.0, 0.0) == 0.0
-        assert sampled.evaluate(0.0, -2.0) == 0.0
-        assert local.evaluate(2.0) == 0.0
+        assert poly.sample_matrix([2.0], [0.0])[0, 0] == 0.0
+        assert sampled.sample_matrix([0.0], [-2.0])[0, 0] == 0.0
+        assert local.sample_profile([2.0])[0] == 0.0
 
     def test_regularized_inverse_square_value(self):
         # direct evaluation of alpha/(x - i eps)^2 by independent arithmetic
         alpha, eps = 1.0, 1e-4
         ker = RegularizedInverseSquare(alpha=alpha, epsilon=eps)
         want = alpha / complex(1.0, -eps) ** 2
-        got = ker.evaluate(1.0)
+        got = ker.sample_profile([1.0])[0]
         assert got == pytest.approx(want, abs=1e-15)
         assert got.imag == pytest.approx(2e-4, rel=1e-3)
 
@@ -45,11 +66,24 @@ class TestEvaluate:
         # Im V(eps) = alpha/(2 eps^2): the odd/even split of the profile
         alpha, eps = 0.7, 1e-3
         ker = RegularizedInverseSquare(alpha=alpha, epsilon=eps)
-        v = ker.evaluate(eps)
+        v = ker.sample_profile([eps])[0]
         assert v.imag == pytest.approx(alpha / (2 * eps**2), rel=1e-12)
         assert v.real == pytest.approx(0.0, abs=1e-6)
         doubled = RegularizedInverseSquare(alpha=alpha, epsilon=2 * eps)
-        assert doubled.evaluate(2 * eps).imag == pytest.approx(v.imag / 4.0, rel=1e-12)
+        assert doubled.sample_profile([2 * eps])[0].imag == pytest.approx(v.imag / 4.0, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [0.5, 1.0, 4.0])
+    def test_inverse_square_profile_is_the_closed_form(self, rng, d):
+        # alpha / (x - i eps)^2 inside the support, exactly 0 beyond it
+        pot = RegularizedInverseSquare(alpha=0.3, epsilon=0.05, d=d)
+        x = np.concatenate([np.linspace(-1.5 * d, 1.5 * d, 61), [-d, d],
+                            rng.uniform(-d, d, 20)])
+        got = pot.sample_profile(x)
+        for xi, vi in zip(x, got, strict=True):
+            if abs(xi) > d:
+                assert vi == 0.0
+            else:
+                assert vi == pytest.approx(0.3 / complex(xi, -0.05) ** 2, rel=1e-15)
 
     def test_sampled_interpolation_matches_surface(self, rng):
         # cubic-spline evaluation between nodes reproduces the smooth
@@ -60,33 +94,33 @@ class TestEvaluate:
         ker = SampledKernel(g, vals)
         x, y = 0.1234, -0.4567
         want = np.polynomial.polynomial.polyval2d(x, y, c)
-        assert ker.evaluate(x, y) == pytest.approx(want, rel=1e-7)
+        assert ker.sample_matrix([x], [y])[0, 0] == pytest.approx(want, rel=1e-7)
 
     def test_sampled_matrix_is_zero_outside_support(self):
         # The spline would clamp or extrapolate past [-d, d], and the
-        # polynomial continue; sampling must agree with evaluate, which is
-        # 0 there.  The spline reads through the same products both ways,
-        # so it matches exactly; polyval2d sums in another order.
+        # polynomial continue; both read 0 there, as scipy's spline and
+        # polyval2d set to 0 beyond the support do.
         g = np.linspace(-1, 1, 41)
         X, Y = np.meshgrid(g, g, indexing="ij")
         x = np.array([-1.5, -1.0, -0.3, 0.0, 0.7, 1.2])
         y = np.array([-2.0, -0.5, 0.25, 1.0])
-        for ker, rtol, centre in [
-            (SampledKernel(g, np.exp(-X * X - Y * Y)), 0.0, np.exp(-0.0625)),
+        inside = (np.abs(x)[:, None] <= 1.0) & (np.abs(y)[None, :] <= 1.0)
+        poly = PolynomialKernel(np.outer([1.0, 0.0, -1.0], [1.0, 0.0, -1.0]))
+        sampled = SampledKernel(g, np.exp(-X * X - Y * Y))
+        # polyval2d sums in another order than the node product, and
+        # scipy's spline builds its coefficients by its own code
+        for ker, want, centre, rtol in [
+            (sampled, _scipy_reads(sampled, x, y), np.exp(-0.0625), 1e-13),
             # exp(-x^2 - y^2) to second order in each variable
-            (PolynomialKernel(np.outer([1.0, 0.0, -1.0], [1.0, 0.0, -1.0])), 1e-14, 0.9375),
+            (poly, np.where(inside, np.polynomial.polynomial.polyval2d(
+                *np.meshgrid(x, y, indexing="ij"), poly.coeffs), 0.0), 0.9375,
+             1e-14),
         ]:
             got = ker.sample_matrix(x, y)
-            want = ker.evaluate(*np.meshgrid(x, y, indexing="ij"))
             np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
             assert np.all(got[[0, 5]] == 0.0)
             assert np.all(got[:, 0] == 0.0)
             assert got[3, 2] == pytest.approx(centre, rel=1e-6)
-
-    def test_local_kernel_rejects_two_coordinates(self):
-        ker = RegularizedInverseSquare(alpha=1.0, epsilon=1e-2)
-        with pytest.raises(ValueError):
-            ker.evaluate(0.1, 0.2)
 
     # ±inf lies outside the support, so it reads as any point there does;
     # NaN lies nowhere and is named.  On 11 nodes the rank-3 samples stay
@@ -95,20 +129,56 @@ class TestEvaluate:
     _G = np.linspace(-1, 1, 11)
     _NONLOCAL = {"full-rank": np.cos(7.0 * np.add.outer(_G**3, _G)) + 0.5j,
                  "low-rank": np.outer(1 - _G**2, _G) + 0j}
+    _LOCAL = np.exp(1j * _G) + 0.5
+    # on the stored grid, off it, at and beyond +-d
+    _OFF = np.array([-np.inf, -3.0, -1.0, -0.95, -0.3, 0.0, 0.123, 0.5, 1.0, 1.5, np.inf])
 
     @staticmethod
     def _dense(out):
         out = out if isinstance(out, tuple) else (out,)
         return [f.toarray() if hasattr(f, "toarray") else np.asarray(f) for f in out]
 
+    @pytest.mark.parametrize("kind", [*_NONLOCAL, "local"])
+    def test_sampled_reads_match_scipy_interpolate(self, kind):
+        local = kind == "local"
+        ker = SampledKernel(self._G, self._LOCAL if local else self._NONLOCAL[kind],
+                            is_local=local)
+        for x in (self._G, self._OFF):
+            if local:
+                got, want = ker.sample_profile(x), _scipy_reads(ker, x)
+            else:
+                got, want = ker.sample_matrix(x, self._OFF[::-1]), _scipy_reads(
+                    ker, x, self._OFF[::-1])
+                pc, q = self._dense(ker.factors(x))
+                square = _scipy_reads(ker, x, x)
+                assert np.max(np.abs(pc @ q.T - square)) <= 1e-13 * np.max(np.abs(square))
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            assert np.all(got[np.abs(x) > 1.0] == 0.0)
+
+    @pytest.mark.parametrize("kind", [*_NONLOCAL, "local"])
+    @pytest.mark.parametrize("nodes", ["stored", "off"])
+    def test_sampled_reads_take_lists(self, kind, nodes):
+        # a list of nodes reads as the equal array does, on the stored
+        # grid (the samples) and off it (the spline)
+        local = kind == "local"
+        ker = SampledKernel(self._G, self._LOCAL if local else self._NONLOCAL[kind],
+                            is_local=local)
+        x = self._G if nodes == "stored" else self._OFF
+        if local:
+            assert np.array_equal(ker.sample_profile(list(x)), ker.sample_profile(x))
+            return
+        assert np.array_equal(ker.sample_matrix(list(x), list(x)), ker.sample_matrix(x, x))
+        assert np.array_equal(ker.sample_matrix(list(x), [0.1]), ker.sample_matrix(x, [0.1]))
+        for a, b in zip(self._dense(ker.factors(list(x))), self._dense(ker.factors(x)),
+                        strict=True):
+            assert np.array_equal(a, b)
+
     @pytest.mark.parametrize("kind", list(_NONLOCAL))
     @pytest.mark.parametrize("call, name", [
-        (lambda k, v: k.evaluate(v, 0.0), "x"),
-        (lambda k, v: k.evaluate(np.array([0.1, 0.2]), np.array([0.0, v])), "y"),
         (lambda k, v: k.sample_matrix(np.array([0.0, v]), np.array([0.1, 0.2])), "x_nodes"),
         (lambda k, v: k.sample_matrix(np.array([0.1, 0.2]), np.array([v, 0.0])), "y_nodes"),
         (lambda k, v: k.factors(np.array([-0.5, v])), "x_nodes"),
-    ], ids=["evaluate-x", "evaluate-y", "sample-x", "sample-y", "factors"])
+    ], ids=["sample-x", "sample-y", "factors"])
     def test_nan_coordinates_are_named_and_infinities_read_zero(self, kind, call, name):
         ker = SampledKernel(self._G, self._NONLOCAL[kind])
         assert (ker._low_rank is None) == (kind == "full-rank")
@@ -119,17 +189,13 @@ class TestEvaluate:
             got = self._dense(call(ker, inf))
             assert all(np.array_equal(a, b) for a, b in zip(got, outside, strict=True))
 
-    @pytest.mark.parametrize("call, name", [
-        (lambda k, v: k.evaluate(v), "x"),
-        (lambda k, v: k.sample_profile(np.array([0.3, v])), "nodes"),
-    ], ids=["evaluate", "sample-profile"])
-    def test_local_nan_coordinates_are_named_and_infinities_read_zero(self, call, name):
-        ker = SampledKernel(self._G, np.exp(1j * self._G) + 0.5, is_local=True)
-        with pytest.raises(ValueError, match=rf"coordinates {name} must not be NaN"):
-            call(ker, np.nan)
+    def test_local_nan_coordinates_are_named_and_infinities_read_zero(self):
+        ker = SampledKernel(self._G, self._LOCAL, is_local=True)
+        with pytest.raises(ValueError, match=r"coordinates nodes must not be NaN"):
+            ker.sample_profile(np.array([0.3, np.nan]))
         for inf in (np.inf, -np.inf):
-            got = np.atleast_1d(call(ker, inf))
-            assert got[-1] == 0.0 and np.all(got[:-1] != 0.0)
+            got = ker.sample_profile(np.array([0.3, inf]))
+            assert got[-1] == 0.0 and got[0] != 0.0
 
 
 class TestTransforms:
@@ -150,26 +216,44 @@ class TestTransforms:
         out = ker.transform(code).transform(code)
         np.testing.assert_allclose(out.coeffs, ker.coeffs, atol=1e-15)
 
+    @pytest.mark.parametrize("kind", ["polynomial", "sampled"])
     @pytest.mark.parametrize("code", SYMMETRY_CODES)
-    def test_polynomial_map_matches_pointwise_definition(self, rng, code):
-        # coefficient maps agree with evaluating the defining relation
-        ker = random_poly_kernel(rng, degree=3)
-        out = ker.transform(code)
-        xs = np.linspace(-0.9, 0.9, 7)
-        ys = np.linspace(-0.8, 0.8, 7)
+    def test_map_matches_definition_on_node_products(self, rng, kind, code):
+        # the transformed kernel read on x x y against the defining
+        # relation read from the original kernel on the nodes it names;
+        # the sampled kernel is read off its grid, through its spline
+        ker = random_poly_kernel(rng, degree=3) if kind == "polynomial" else (
+            random_poly_surface(rng, n=41, degree=3))
+        v = ker.sample_matrix
+        x = np.linspace(-0.9, 0.9, 7)
+        y = np.linspace(-0.8, 0.8, 6)
         defs = {
-            "I": lambda x, y: ker.evaluate(x, y),
-            "II": lambda x, y: np.conj(ker.evaluate(y, x)),
-            "III": lambda x, y: ker.evaluate(-x, -y),
-            "IV": lambda x, y: np.conj(ker.evaluate(-y, -x)),
-            "V": lambda x, y: np.conj(ker.evaluate(x, y)),
-            "VI": lambda x, y: ker.evaluate(y, x),
-            "VII": lambda x, y: np.conj(ker.evaluate(-x, -y)),
-            "VIII": lambda x, y: ker.evaluate(-y, -x),
+            "I": lambda x, y: v(x, y),
+            "II": lambda x, y: np.conj(v(y, x)).T,
+            "III": lambda x, y: v(-x, -y),
+            "IV": lambda x, y: np.conj(v(-y, -x)).T,
+            "V": lambda x, y: np.conj(v(x, y)),
+            "VI": lambda x, y: v(y, x).T,
+            "VII": lambda x, y: np.conj(v(-x, -y)),
+            "VIII": lambda x, y: v(-y, -x).T,
         }
-        for x in xs:
-            for y in ys:
-                assert out.evaluate(x, y) == pytest.approx(defs[code](x, y), abs=1e-12)
+        want = defs[code](x, y)
+        assert np.max(np.abs(ker.transform(code).sample_matrix(x, y) - want)) <= (
+            1e-13 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("code", SYMMETRY_CODES)
+    def test_local_map_matches_definition_on_nodes(self, rng, code):
+        # V(x) delta(x - y): transposing leaves a local kernel as it is,
+        # flipping reads it at -x
+        flip = code in ("III", "IV", "VII", "VIII")
+        conj = code in ("II", "IV", "V", "VII")
+        x = np.linspace(-0.9, 0.9, 7)
+        for ker in (random_local_kernel(rng, n=41),
+                    RegularizedInverseSquare(alpha=0.3, epsilon=0.05)):
+            want = ker.sample_profile(-x if flip else x)
+            want = np.conj(want) if conj else want
+            got = ker.transform(code).sample_profile(x)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_parity_flips_odd_coefficient(self):
         ker = PolynomialKernel(np.array([[0.0], [1.0]], dtype=complex))  # v_10 = 1
@@ -206,7 +290,7 @@ class TestTransforms:
         x = np.linspace(-1.0, 1.0, 11)
         pot = RegularizedInverseSquare(alpha=0.3, epsilon=0.05)
         mirror = RegularizedInverseSquare(alpha=0.3, epsilon=-0.05)
-        np.testing.assert_array_equal(mirror.profile_raw(x), pot.profile_raw(-x))
+        np.testing.assert_array_equal(mirror.sample_profile(x), pot.sample_profile(-x))
 
 
 class TestAdjoint:
@@ -255,10 +339,10 @@ class TestFourierTransform:
         # window +-1e4*eps; eps large enough that the truncated tails are
         # negligible against the oscillatory decay
         alpha, eps = 0.3, 5e-3
-        pot = RegularizedInverseSquare(alpha=alpha, epsilon=eps)
         window = 1e4 * eps
+        pot = RegularizedInverseSquare(alpha=alpha, epsilon=eps, d=window)
         x = np.linspace(-window, window, 400001)
-        num = np.trapezoid(pot.profile_raw(x) * np.exp(-1j * k * x), x) / np.sqrt(2 * np.pi)
+        num = np.trapezoid(pot.sample_profile(x) * np.exp(-1j * k * x), x) / np.sqrt(2 * np.pi)
         ana = fourier_transform_local(pot, k)
         scale = max(abs(ana), np.sqrt(2 * np.pi) * abs(alpha * k))
         assert abs(num - ana) / scale < 1e-3
@@ -272,7 +356,7 @@ class TestValidation:
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             SampledKernel(np.array([-1.0, 1.0]), np.zeros((2, 2)))
-        # the cubic splines behind evaluate and off-grid sampling need 4
+        # the cubic splines behind off-grid sampling need 4
         g = np.linspace(-1, 1, 3)
         with pytest.raises(ValueError, match="at least 4"):
             SampledKernel(g, np.zeros((3, 3)))
@@ -321,6 +405,27 @@ class TestValidation:
     def test_non_finite_values_are_rejected(self, build, bad):
         with pytest.raises(ValueError, match="finite"):
             build(bad)
+
+    # transform flips epsilon but never conjugates alpha, so a complex
+    # alpha passed VII in check_symmetries that its profile breaks
+    @pytest.mark.parametrize("bad", [0.1 + 0.05j, np.complex128(0.1), True, np.bool_(False),
+                                     "0.1", None],
+                             ids=["complex", "numpy-complex", "bool", "numpy-bool", "str", "none"])
+    @pytest.mark.parametrize("build, name", [
+        (lambda bad: RegularizedInverseSquare(alpha=bad, epsilon=0.2), "alpha"),
+        (lambda bad: RegularizedInverseSquare(alpha=0.1, epsilon=bad), "epsilon"),
+        (lambda bad: RegularizedInverseSquare(alpha=0.1, epsilon=0.2, d=bad), "d"),
+        (lambda bad: PolynomialKernel(np.ones((2, 2)), d=bad), "d"),
+    ], ids=["alpha", "epsilon", "d", "poly-d"])
+    def test_scalar_parameters_must_be_real_numbers(self, build, name, bad):
+        with pytest.raises(ValueError, match=f"^kernel {name} must be a real number, got "):
+            build(bad)
+
+    @pytest.mark.parametrize("value", [2, 0.5, np.int64(2), np.float32(0.5), np.float64(0.5)])
+    def test_scalar_parameters_accept_python_and_numpy_reals(self, value):
+        pot = RegularizedInverseSquare(alpha=value, epsilon=value, d=value)
+        assert (pot.alpha, pot.epsilon, pot.d) == (value, value, value)
+        assert PolynomialKernel(np.ones((2, 2)), d=value).d == value
 
     def test_kernels_are_immutable(self, rng):
         ker = random_poly_surface(rng, n=11)

@@ -184,11 +184,13 @@ def _stored_kernel(seed, kind, half, is_local=False):
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["smooth", "rough"]), st.integers(2, 60),
        st.booleans())
 def test_spline_fit_reproduces_the_samples(seed, roughness, half, is_local):
-    # evaluate reads the spline, never the stored samples; the nonlocal
-    # samples are not symmetric, so a fit with x and y swapped fails here
+    # the spline read on the grid, not the stored samples that the reads
+    # return there; the nonlocal samples are not symmetric, so a fit with
+    # x and y swapped fails here
     kernel = _stored_kernel(seed, roughness, half, is_local)
-    g = kernel.grid
-    got = kernel.evaluate(g) if is_local else kernel.evaluate(*np.meshgrid(g, g, indexing="ij"))
+    basis = kernel._basis(kernel.grid, "x")
+    got = basis @ kernel._spline_coeffs
+    got = got if is_local else got @ basis.T
     assert np.max(np.abs(got - kernel.values)) <= 1e-13 * np.max(np.abs(kernel.values))
 
 
@@ -346,13 +348,14 @@ def test_prefix_sum_green_matches_dense_operator(seed, grid, half, k, cols):
     assert np.max(np.abs(fast - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
-def test_polynomial_sampling_matches_pointwise_evaluation(rng):
+def test_polynomial_sampling_matches_polyval2d(rng):
     kernel = PolynomialKernel(rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4)))
     x = np.linspace(-1.0, 1.0, 41)
     y = np.linspace(-1.0, 1.0, 33)
     X, Y = np.meshgrid(x, y, indexing="ij")
     sampled = kernel.sample_matrix(x, y)
     assert sampled.shape == (41, 33)
-    assert np.allclose(sampled, kernel.evaluate(X, Y), rtol=1e-14, atol=1e-14)
+    want = np.polynomial.polynomial.polyval2d(X, Y, kernel.coeffs)
+    assert np.allclose(sampled, want, rtol=1e-14, atol=1e-14)
     pc, q = kernel.factors(x)
     assert pc.shape == q.shape == (41, 4)

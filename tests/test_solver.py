@@ -3,8 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from asymscat.born import born_reflections
 from asymscat.errors import AdjointDivergenceError, SingularSystemError
-from asymscat.kernels import SYMMETRY_CODES, PolynomialKernel, SampledKernel
+from asymscat.kernels import (
+    SYMMETRY_CODES,
+    PolynomialKernel,
+    RegularizedInverseSquare,
+    SampledKernel,
+)
 from asymscat.solver import (
     ScatteringAmplitudes,
     SolverConfig,
@@ -371,6 +377,23 @@ class TestErrors:
             k_sweep(zero_kernel(), [0.5, k], TRAP)
         with pytest.raises(ValueError, match="finite"):
             scatter_oracle_all(zero_kernel(), k, 101)
+
+    # True solved at k = 1 and was stored as k=True; complex and str
+    # momenta raised TypeErrors that named no parameter
+    @pytest.mark.parametrize("k", [True, np.bool_(True), 1 + 0j, np.complex128(1.0), "1", None],
+                             ids=["bool", "numpy-bool", "complex", "numpy-complex", "str", "none"])
+    def test_momentum_must_be_a_real_number(self, k):
+        for solve in (lambda: scatter(zero_kernel(), k, "left", TRAP),
+                      lambda: scatter_all(zero_kernel(), k, TRAP),
+                      lambda: scatter_oracle_all(zero_kernel(), k, 101),
+                      lambda: born_reflections(RegularizedInverseSquare(0.1, 1e-2), k)):
+            with pytest.raises(ValueError, match="^incident wavenumber k must be positive and "
+                                                 "finite, got "):
+                solve()
+
+    @pytest.mark.parametrize("k", [1, 1.0, np.int64(1), np.float32(1.0), np.float64(1.0)])
+    def test_momentum_accepts_python_and_numpy_reals(self, k):
+        assert scatter_all(zero_kernel(), k, TRAP).k == k
 
     # SolverConfig's bound; 1 raised IndexError, 2 returned amplitudes,
     # and 3.5 and NaN raised np.linspace's TypeError, which named no parameter

@@ -117,8 +117,8 @@ class TestInverseSquareClassification:
         d, eps = pot.d, abs(pot.epsilon)
         near = eps * np.linspace(-3.0, 3.0, 6001)
         x = np.concatenate([np.linspace(-d, d, 20001), near[np.abs(near) <= d]])
-        v = pot.evaluate(x)
-        return np.max(np.abs(v - pot.transform(code).evaluate(x))) / np.max(np.abs(v))
+        v = pot.sample_profile(x)
+        return np.max(np.abs(v - pot.transform(code).sample_profile(x))) / np.max(np.abs(v))
 
     @pytest.mark.parametrize("d", [1.0, 4.0])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
