@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketingError
+from .errors import BracketingError, _check_positive
 from .kernels import RegularizedInverseSquare, fourier_transform_local
-from .solver import _MAX_NODES, SolverConfig, _check_momentum, scatter
+from .solver import _MAX_NODES, SolverConfig, scatter
 from .units import HALF_WIDTH
 
 # Nodes of graded_mesh's sinh-mapped core.
@@ -50,7 +50,7 @@ def born_reflections(potential: RegularizedInverseSquare, k: float) -> tuple[com
 
     Any other potential raises ValueError.
     """
-    _check_momentum(k)
+    _check_positive("incident wavenumber k", k)
     if not isinstance(potential, RegularizedInverseSquare):
         raise ValueError(f"born_reflections needs a RegularizedInverseSquare, "
                          f"got {type(potential).__name__}")
@@ -71,8 +71,7 @@ def design_broadband_reflector(alpha: float, epsilon: float,
     Its spectrum satisfies V~(k) = 0 for k >= 0 by construction, so the
     Born right-reflection vanishes at every momentum; epsilon > 0.
     """
-    if epsilon <= 0:
-        raise ValueError("regularizer epsilon must be positive")
+    _check_positive("epsilon", epsilon)
     return RegularizedInverseSquare(alpha=alpha, epsilon=epsilon, d=d)
 
 
@@ -98,12 +97,12 @@ def graded_mesh(epsilon: float, d: float = HALF_WIDTH,
     at 10^6 nodes, about 1 GB per solve: k_max <= ~2.6e4 at the
     reflector's d = 4, or d <= ~1.5e4 at k_max = 5.  Raises ValueError,
     before allocating, for a larger mesh and unless epsilon, d and k_max
-    are positive and finite.
+    are each a positive and finite Python or numpy int or float: a bool,
+    complex, str or None, or an int beyond the double range, is refused.
     """
-    if not (0 < epsilon < np.inf and 0 < d < np.inf):
-        raise ValueError(f"epsilon and d must be positive and finite, got {epsilon!r} and {d!r}")
-    if not 0 < k_max < np.inf:
-        raise ValueError(f"k_max must be positive and finite, got {k_max!r}")
+    _check_positive("epsilon", epsilon)
+    _check_positive("d", d)
+    _check_positive("k_max", k_max)
     core = min(d, 1.0)
     tail_spacing = min(0.03 * core, 2.0 * np.pi / k_max / 40.0)
     n_tail = np.ceil((d - core) / tail_spacing)  # may be inf for huge d or k_max
@@ -153,9 +152,11 @@ def tune_alpha(epsilon: float, k_ref: float, window: float = 4.0 * HALF_WIDTH) -
     the exact dynamics are included; bisection on [0, 1/pi] to 1e-4 in
     |R^l|^2 absorbs that.  Raises BracketingError (with the scan trace)
     if the interval does not bracket 1 or 80 steps do not suffice.
+    Raises ValueError unless k_ref is a positive and finite Python or
+    numpy int or float (a bool, complex, str or None is refused);
+    graded_mesh checks epsilon and window the same way.
     """
-    if not 0 < k_ref < np.inf:
-        raise ValueError(f"reference wavenumber must be positive and finite, got {k_ref!r}")
+    _check_positive("k_ref", k_ref)
     config = reflector_config(epsilon, window, k_max=max(5.0, k_ref))
     trace = []
 

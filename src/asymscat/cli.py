@@ -25,6 +25,7 @@ from .errors import (
     SingularSystemError,
     VerificationError,
 )
+from .errors import _check_count, _check_positive
 from .kernel_io import kernel_to_dict, load_kernel, save_kernel, sha256_path
 from .kernels import SYMMETRY_CODES
 from .solver import (
@@ -140,11 +141,6 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _check_count(flag: str, n: int) -> None:
-    if n < 1:
-        raise ValueError(f"{flag} must be at least 1, got {n}")
-
-
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         lo, hi, n = spec.split(":")
@@ -158,7 +154,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _cmd_sweep(args) -> int:
-    _check_count("--n", args.n)
+    _check_count("--n", args.n, 1)
     kernel = load_kernel(args.kernel)
     config = _solver_config(args)
     grid = np.linspace(args.kmin, args.kmax, args.n)
@@ -204,7 +200,7 @@ def _design_result_doc(result: DesignResult) -> dict:
 
 
 def _cmd_design(args) -> int:
-    _check_count("--verify-points", args.verify_points)
+    _check_count("--verify-points", args.verify_points, 1)
     spec = DeviceSpec(code=_DEVICE_FLAGS[args.device], k0=args.k0,
                       constraint=args.constraint)
     result = design_device(spec, seed=args.seed)
@@ -249,9 +245,8 @@ def _cmd_born_design(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not 0 < args.tol < np.inf:
-        raise ValueError(f"--tol must be positive and finite, got {args.tol!r}")
-    _check_count("--n", args.n)
+    _check_positive("--tol", args.tol)
+    _check_count("--n", args.n, 1)
     kernel = load_kernel(args.kernel)
     config = _solver_config(args)
     report = check_symmetries(kernel, tol=args.sym_tol)

@@ -28,7 +28,8 @@ import numpy as np
 from scipy.linalg import null_space
 
 from .errors import DesignError, ForbiddenDeviceError, VerificationError
-from .kernels import PolynomialKernel, _is_real_number, transform_flags
+from .errors import _check_count, _check_positive
+from .kernels import PolynomialKernel, transform_flags
 from .solver import ScatteringAmplitudes, SolverConfig, SweepTable, k_sweep, scatter_all
 from .symmetry import DEVICE_CODES, FORBIDDING_SYMMETRIES
 from .units import HALF_WIDTH
@@ -92,10 +93,10 @@ class DeviceSpec:
                              f"got {self.constraint!r}")
         # the design equations hold k0**2 / 2, whose rounding error alone
         # must stay within the accepted residual: k0 up to about 3.0e3
-        k0 = self.k0
-        if not (_is_real_number(k0) and 0 < k0 and k0 * k0 / 2 * _EPS <= _DESIGN_RESIDUAL):
+        _check_positive("design momentum k0", self.k0)
+        if self.k0 * self.k0 / 2 * _EPS > _DESIGN_RESIDUAL:
             raise ValueError(f"design momentum k0 must be positive and finite, at most "
-                             f"{np.sqrt(2 * _DESIGN_RESIDUAL / _EPS):.4g}, got {k0!r}")
+                             f"{np.sqrt(2 * _DESIGN_RESIDUAL / _EPS):.4g}, got {self.k0!r}")
         symmetry = CONSTRAINTS[self.constraint][0]
         if symmetry in FORBIDDING_SYMMETRIES[self.code]:
             raise ForbiddenDeviceError(self.code, symmetry)
@@ -299,12 +300,6 @@ class _DesignProblem:
         return xs[best], trace[best].residual, trace
 
 
-def _check_integer(name: str, value, least: int) -> None:
-    # numpy's errors would name no parameter, and a bool is no count
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
-
-
 def design_device(spec: DeviceSpec, seed: int = 0, restarts: int = 16) -> DesignResult:
     """Find a polynomial kernel realizing ``spec.targets`` at k0.
 
@@ -316,8 +311,8 @@ def design_device(spec: DeviceSpec, seed: int = 0, restarts: int = 16) -> Design
     exceeds the 1e-9 residual a design must reach (ValueError).  A seed
     or restarts that is not an integer of at least 0 raises ValueError.
     """
-    _check_integer("seed", seed, 0)
-    _check_integer("restarts", restarts, 0)
+    _check_count("seed", seed, 0)
+    _check_count("restarts", restarts, 0)
     problem = _DesignProblem(spec)
     u, design_residual, trace = problem.solve(seed, restarts)
     if design_residual > _DESIGN_RESIDUAL:
@@ -350,7 +345,7 @@ def verify_design(result: DesignResult, n_points: int = 41) -> SweepTable:
     refines.  Returns the sweep table; an n_points that is not an
     integer of at least 1 raises ValueError.
     """
-    _check_integer("n_points", n_points, 1)
+    _check_count("n_points", n_points, 1)
     k0 = result.spec.k0
     ks = np.linspace(0.8 * k0, 1.2 * k0, n_points)
     ks = np.sort(np.append(ks[np.abs(ks - k0) >= 1e-12], k0))

@@ -1,9 +1,48 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and the checks of numeric
+arguments.
 
 Numerical failures are deliberately loud: a singular scattering system or
 a diverging adjoint amplitude is physics (an exceptional configuration),
-not something to paper over with NaNs.
+not something to paper over with NaNs.  So are bad arguments.  A real
+argument is a finite Python or numpy int or float: a bool, complex, str,
+None or an int beyond the double range is not; a count is such an int.
+Each ``_check_*`` raises ValueError with a message that starts with the
+parameter's name, and none converts the value it accepts.
 """
+import math
+
+import numpy as np
+
+
+def _is_finite_real(value) -> bool:
+    # a bool is an int; math.isfinite overflows on an int beyond the double range
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _check_real(name: str, value) -> None:
+    if not _is_finite_real(value):
+        raise ValueError(f"{name} must be a real number, got {value!r}; "
+                         f"expected a finite int or float")
+
+
+def _check_positive(name: str, value) -> None:
+    if not (_is_finite_real(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _check_count(name: str, value, least: int) -> None:
+    if not (_is_finite_real(value) and isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def _check_finite(name: str, array) -> None:
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{name} must be finite")
 
 
 class AsymscatError(Exception):

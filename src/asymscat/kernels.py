@@ -30,6 +30,7 @@ from scipy import sparse
 from scipy.linalg.blas import izamax, zgeru
 from scipy.linalg.lapack import zgbsv
 
+from .errors import _check_finite, _check_positive, _check_real
 from .units import HALF_WIDTH
 
 # A sampled nonlocal kernel is solved through a compression V ~ L R^T of
@@ -63,23 +64,6 @@ def compose(a: str, b: str) -> str:
     """The code of transforms ``a`` and ``b`` applied in turn (they commute)."""
     flags = tuple(x != y for x, y in zip(transform_flags(a), transform_flags(b)))
     return next(code for code, f in _TRANSFORM_FLAGS.items() if f == flags)
-
-
-def _check_finite(value, name: str) -> None:
-    if not np.all(np.isfinite(value)):
-        raise ValueError(f"kernel {name} must be finite")
-
-
-def _is_real_number(value) -> bool:
-    """A Python or numpy int or float; bool and complex are not."""
-    return (not isinstance(value, bool)
-            and isinstance(value, (int, float, np.integer, np.floating)))
-
-
-def _check_real(value, name: str) -> None:
-    if not _is_real_number(value):
-        raise ValueError(f"kernel {name} must be a real number, got {value!r}")
-    _check_finite(value, name)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -166,8 +150,8 @@ class SampledKernel:
         n = grid.size
         if n < 4:
             raise ValueError("sampled kernel needs at least 4 grid points (cubic splines)")
-        _check_finite(grid, "grid")
-        _check_finite(values, "values")
+        _check_finite("kernel grid", grid)
+        _check_finite("kernel values", values)
         if not np.all(np.diff(grid) > 0):
             raise ValueError("grid must be strictly increasing")
         d = grid[-1]
@@ -362,10 +346,9 @@ class PolynomialKernel:
             raise ValueError(f"coeffs must hold at least one coefficient, got shape {c.shape}")
         if max(c.shape) > MAX_DEGREE + 1:
             raise ValueError(f"polynomial degrees are capped at {MAX_DEGREE} in each variable")
-        _check_finite(c, "coeffs")
-        _check_real(self.d, "d")
-        if self.d <= 0:
-            raise ValueError("support half-width d must be positive")
+        _check_finite("kernel coeffs", c)
+        _check_real("kernel d", self.d)
+        _check_positive("kernel d", self.d)
         object.__setattr__(self, "coeffs", _readonly(c))
 
     @property
@@ -434,15 +417,17 @@ class RegularizedInverseSquare:
         # transform flips epsilon but never conjugates alpha: a complex
         # alpha would satisfy symmetries it breaks
         for name in ("alpha", "epsilon", "d"):
-            _check_real(getattr(self, name), name)
+            _check_real(f"kernel {name}", getattr(self, name))
         if self.epsilon == 0:
-            raise ValueError("regularizer epsilon must be non-zero")
-        if self.d <= 0:
-            raise ValueError("support half-width d must be positive")
+            raise ValueError(f"kernel epsilon must be non-zero, got {self.epsilon!r}")
+        _check_positive("kernel d", self.d)
 
     def sample_profile(self, nodes: np.ndarray) -> np.ndarray:
         x = np.asarray(nodes, dtype=float)
-        return np.where(np.abs(x) > self.d, 0.0, self.alpha / (x - 1j * self.epsilon) ** 2)
+        # divide only inside the support: at x = +-inf the quotient is NaN, with a warning
+        inside = ~(np.abs(x) > self.d)
+        return np.divide(self.alpha, (x - 1j * self.epsilon) ** 2,
+                         out=np.zeros(x.shape, dtype=complex), where=inside)
 
     def transform(self, which: str) -> "RegularizedInverseSquare":
         # Flipping x and conjugating each send epsilon -> -epsilon; .T is the identity.

@@ -107,7 +107,7 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import zgbtrf, zgbtrs, zgecon, zgtcon, zgttrf, zgttrs
 
 from .errors import AdjointDivergenceError, SingularSystemError
-from .kernels import _is_real_number
+from .errors import _check_count, _check_finite, _check_positive
 from .kernels import adjoint as kernel_adjoint
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -124,9 +124,7 @@ def _check_n_grid(n_grid, richardson: bool = False) -> None:
     """Reject an n_grid that is not an integer in [3, _MAX_NODES]; with
     ``richardson`` the oracle's fine grid of 2 n_grid - 1 nodes is what
     the cap counts."""
-    # np.linspace would raise a TypeError naming no parameter
-    if not isinstance(n_grid, (int, np.integer)) or n_grid < 3:
-        raise ValueError(f"n_grid must be an integer of at least 3, got {n_grid!r}")
+    _check_count("n_grid", n_grid, 3)
     nodes = 2 * n_grid - 1 if richardson else n_grid
     if nodes > _MAX_NODES:
         raise ValueError(f"n_grid={n_grid!r} needs {nodes} nodes, above the "
@@ -163,8 +161,7 @@ class SolverConfig:
                                  f"{_MAX_NODES} allowed")
             if nodes.size < 3 or not np.all(np.diff(nodes) > 0):
                 raise ValueError("explicit nodes must be strictly increasing, size >= 3")
-            if not np.all(np.isfinite(nodes)):
-                raise ValueError("explicit nodes must be finite")
+            _check_finite("explicit nodes", nodes)
             if self.quadrature != "trapezoid":
                 raise ValueError("explicit nodes support trapezoid weights only")
             object.__setattr__(self, "nodes", nodes)
@@ -172,8 +169,7 @@ class SolverConfig:
                 weights = np.asarray(self.weights, dtype=float)
                 if weights.shape != nodes.shape:
                     raise ValueError("weights must match nodes in shape")
-                if not np.all(np.isfinite(weights)):
-                    raise ValueError("weights must be finite")
+                _check_finite("weights", weights)
                 object.__setattr__(self, "weights", weights)
 
 
@@ -209,9 +205,17 @@ class ScatterResult(NamedTuple):
 
 
 def grid_and_weights(config: SolverConfig, d: float) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes and weights covering [-d, d]."""
+    """Quadrature nodes and weights covering [-d, d].
+
+    Explicit nodes may reach beyond +-d, where every kernel is 0, but
+    ValueError is raised when they stop short of either end by more than
+    rounding: the part of the kernel they miss would silently drop out.
+    """
     if config.nodes is not None:
         x = config.nodes
+        if min(-x[0], x[-1]) < d - 1e-12 * d:
+            raise ValueError(f"explicit nodes span [{float(x[0])!r}, {float(x[-1])!r}], short "
+                             f"of the kernel support [-d, d] with d={float(d)!r}")
         if config.weights is not None:
             return x, config.weights
         w = np.empty_like(x)
@@ -420,11 +424,6 @@ def _local_factor(x: np.ndarray, w: np.ndarray, k: float, e: np.ndarray,
     return solve, 1.0 / (anorm * _inverse_norm1(solve, n))
 
 
-def _check_momentum(k: float) -> None:
-    if not (_is_real_number(k) and np.isfinite(k) and k > 0):
-        raise ValueError(f"incident wavenumber k must be positive and finite, got {k!r}")
-
-
 class _Solution(NamedTuple):
     # psi holds the left-incidence column, then the right one
     amps: ScatteringAmplitudes
@@ -459,7 +458,7 @@ def _solve(kernel, k: float, config: SolverConfig) -> _Solution:
     sides, on the banded path for local kernels and on the separable
     path through ``kernel.factors`` otherwise (see the module docstring).
     """
-    _check_momentum(k)
+    _check_positive("incident wavenumber k", k)
     x, w = grid_and_weights(config, kernel.d)
     e = np.exp(1j * k * x)
     kink = _simpson_kink_delta(k, x[1] - x[0]) if config.quadrature == "simpson" else None
@@ -581,7 +580,7 @@ def scatter_oracle_all(kernel, k: float,
     docstring).  An n_grid that is not an integer of at least 3, or whose
     fine grid of 2 n_grid - 1 nodes exceeds 10^6, raises ValueError.
     """
-    _check_momentum(k)
+    _check_positive("incident wavenumber k", k)
     _check_n_grid(n_grid, richardson=True)
     coarse = np.array(_oracle_once(kernel, k, n_grid))
     fine = np.array(_oracle_once(kernel, k, 2 * n_grid - 1))
@@ -617,8 +616,7 @@ def hatted_from_unhatted(amps: ScatteringAmplitudes, tol: float = 1e-8) -> Scatt
     T^l T^r and R^l R^r grow like the square of the amplitudes while D
     grows only like them, so the scale is the amplitudes themselves.
     Raises ValueError unless ``tol`` is positive and finite."""
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    _check_positive("tol", tol)
     Tl, Tr, Rl, Rr = amps.quadruple
     D = Tl * Tr - Rl * Rr
     if abs(D) < tol * max(1.0, *map(abs, amps.quadruple)):
@@ -682,14 +680,19 @@ def k_sweep(kernel, k_grid, config: SolverConfig | None = None) -> SweepTable:
 
     Per-row solver failures are recorded in the row and the sweep
     continues; rows, sorted by ascending k, carry no hatted amplitudes.
+
+    Raises ValueError unless ``k_grid`` is one-dimensional and each
+    momentum in it, as given, is a positive and finite Python or numpy
+    int or float: a bool, complex, str or None entry, or an int beyond
+    the double range, is refused rather than converted.
     """
     config = config or SolverConfig()
-    ks = np.asarray(k_grid, dtype=float)
-    if ks.ndim != 1:  # np.sort would fail naming no parameter
-        raise ValueError(f"k_grid must be one-dimensional, got shape {ks.shape}")
-    ks = np.sort(ks)
-    if not np.all(np.isfinite(ks) & (ks > 0)):
-        raise ValueError("all sweep momenta must be positive and finite")
+    given = np.asarray(k_grid, dtype=object)
+    if given.ndim != 1:  # np.sort would fail naming no parameter
+        raise ValueError(f"k_grid must be one-dimensional, got shape {given.shape}")
+    for i, k in enumerate(given):
+        _check_positive(f"k_grid[{i}]", k)
+    ks = np.sort(np.asarray(k_grid, dtype=float))
     rows = []
     for k in ks:
         try:

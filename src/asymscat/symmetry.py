@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import _check_positive
 from .kernels import SYMMETRY_CODES, PolynomialKernel, RegularizedInverseSquare, SampledKernel
 from .kernels import compose, transform_flags
 from .solver import ScatteringAmplitudes
@@ -68,10 +69,10 @@ def check_symmetries(kernel, tol: float = 1e-9) -> SymmetryReport:
     (e.g. VIII holds iff v_ij = (-1)^{i+j} v_ji), inverse-square kernels
     exactly from (alpha, epsilon, d), sampled kernels through their
     samples.  Local kernels satisfy VI identically.
-    Raises ValueError unless ``tol`` is positive and finite.
+    Raises ValueError unless ``tol`` is a positive and finite Python or
+    numpy int or float: a bool, complex, str or None is refused.
     """
-    if not 0 < tol < np.inf:
-        raise ValueError(f"symmetry tolerance must be positive and finite, got {tol!r}")
+    _check_positive("tol", tol)
     if isinstance(kernel, PolynomialKernel):
         square = PolynomialKernel(kernel._square_coeffs(), d=kernel.d)
         residuals = _residuals(square.coeffs, lambda code: square.transform(code).coeffs)

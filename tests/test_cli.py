@@ -263,7 +263,8 @@ class TestDesignCommand:
         res = run_cli(["design", "--device", "tra", "--verify-points", points,
                        "--out", str(tmp_path / "x.json")], tmp_path)
         assert res.returncode == 1
-        assert b"--verify-points must be at least 1" in res.stderr
+        assert res.stderr == (f"input error: --verify-points must be an integer of at least 1, "
+                              f"got {points}\n").encode()
         assert not list(tmp_path.iterdir())
 
 
@@ -362,7 +363,8 @@ class TestVerifyCommand:
         res = run_cli([command, "--kernel", str(zero_kernel_file), "--kmin", "0.5",
                        "--kmax", "1.5", "--n", n, "--out", "o.txt"], tmp_path)
         assert res.returncode == 1
-        assert b"--n must be at least 1" in res.stderr
+        assert res.stderr == (f"input error: --n must be an integer of at least 1, "
+                              f"got {n}\n").encode()
         assert [p.name for p in tmp_path.iterdir()] == [zero_kernel_file.name]
 
 

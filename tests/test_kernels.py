@@ -1,11 +1,13 @@
 import base64
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from asymscat.born import graded_mesh
 from asymscat.errors import KernelFormatError
 from asymscat.kernel_io import kernel_from_dict, kernel_to_dict, load_kernel, save_kernel
 from asymscat.kernels import (
@@ -84,6 +86,19 @@ class TestReads:
                 assert vi == 0.0
             else:
                 assert vi == pytest.approx(0.3 / complex(xi, -0.05) ** 2, rel=1e-15)
+
+    def test_inverse_square_profile_reads_zero_at_infinity_without_a_warning(self):
+        # the quotient was formed on every node before the support mask
+        # dropped it: alpha / (inf - i inf) is NaN, with a RuntimeWarning
+        pot = RegularizedInverseSquare(alpha=0.3, epsilon=0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pot.sample_profile([-np.inf, 0.3, np.inf])
+        assert got[0] == got[2] == 0.0 and got[1] != 0.0
+        # on the reflector's mesh the masked quotient is the unmasked one to the bit
+        x, _ = graded_mesh(1e-4, d=4.0)
+        pot = RegularizedInverseSquare(alpha=0.0976, epsilon=1e-4, d=4.0)
+        assert np.array_equal(pot.sample_profile(x), 0.0976 / (x - 1e-4j) ** 2)
 
     def test_sampled_interpolation_matches_surface(self, rng):
         # cubic-spline evaluation between nodes reproduces the smooth
