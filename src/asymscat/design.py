@@ -19,13 +19,21 @@ closed form: the wave block of each side is (v M - Beta) N and the
 kernel block is the warm start's linear map (see
 ``_DesignProblem.jacobian``).  The kernel constraint modes are the
 table ``CONSTRAINTS``.
+
+Each restart runs ``least_squares``, this module's trust-region loop: an
+exact subproblem on the SVD of the Jacobian per step, in the operations
+of scipy's ``least_squares(method="trf")`` without bounds, so a design
+depends on numpy and LAPACK only and its bits do not change with the
+installed scipy.optimize, which is never loaded.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import null_space
+from numpy.linalg import norm
+from scipy.linalg import null_space, svd
 
 from .errors import DesignError, ForbiddenDeviceError, VerificationError
 from .errors import _check_count, _check_positive
@@ -60,6 +68,10 @@ CONSTRAINTS = {
 # local minimum creeps on for thousands; this stops those without
 # cutting any restart that converges.
 _MAX_NFEV = 1000
+# A restart stops when a step lowers the cost by less than this fraction
+# of it (ftol), moves u by less than this relative to |u| (xtol), or the
+# largest gradient entry is below it (gtol).
+_TOL = 1e-15
 
 # A design is accepted when the max |residual| of its equations is at
 # most this.
@@ -67,11 +79,117 @@ _DESIGN_RESIDUAL = 1e-9
 _EPS = np.finfo(float).eps
 
 
-def least_squares(*args, **kwargs):
-    # scipy.optimize loads on first call; a plain def, because perfbench/tracing.py rebinds it
-    from scipy.optimize import least_squares
+class Fit(NamedTuple):
+    """The end of one trust-region run: its point, residuals there, and
+    the residual and Jacobian evaluations it took."""
 
-    return least_squares(*args, **kwargs)
+    x: np.ndarray
+    fun: np.ndarray
+    nfev: int
+    njev: int
+
+
+def _trust_region_step(m, uf, s, V, Delta, alpha):
+    """The step of least model cost within radius Delta, and its
+    Levenberg-Marquardt parameter, from the SVD J = U diag(s) V^T with
+    uf = U^T f of an m-row J (Moré, Lecture Notes in Math. 630, 1977).
+
+    The Gauss-Newton step is taken when J has full column rank and the
+    step fits; otherwise Newton's method on the secular equation
+    |p(alpha)| = Delta, safeguarded in [lower, upper], starts from the
+    previous alpha and stops at 1% of Delta or after 10 steps."""
+    n = V.shape[0]
+    suf = s * uf
+
+    def phi_and_derivative(alpha):
+        denom = s**2 + alpha
+        p_norm = norm(suf / denom)
+        return p_norm - Delta, -np.sum(suf**2 / denom**3) / p_norm
+
+    full_rank = m >= n and s[-1] > _EPS * m * s[0]
+    lower, upper = 0.0, norm(suf) / Delta
+    if full_rank:
+        p = -V.dot(uf / s)
+        if norm(p) <= Delta:
+            return p, 0.0
+        phi, phi_prime = phi_and_derivative(0.0)
+        lower = -phi / phi_prime
+    elif alpha == 0:
+        alpha = max(0.001 * upper, (lower * upper)**0.5)
+    for _ in range(10):
+        if alpha < lower or alpha > upper:
+            alpha = max(0.001 * upper, (lower * upper)**0.5)
+        phi, phi_prime = phi_and_derivative(alpha)
+        if phi < 0:
+            upper = alpha
+        ratio = phi / phi_prime
+        lower = max(lower, alpha - ratio)
+        alpha -= (phi + Delta) * ratio / Delta
+        if np.abs(phi) < 0.01 * Delta:
+            break
+    p = -V.dot(suf / (s**2 + alpha))
+    p *= Delta / norm(p)  # onto the boundary, where the secular solve aims
+    return p, alpha
+
+
+def least_squares(fun, x0: np.ndarray, jac) -> Fit:
+    """Minimize |fun(x)|²/2 from x0 by a trust-region method that solves
+    each subproblem exactly on the SVD of jac(x).
+
+    The radius starts at |x0| (1 if x0 = 0), falls to a quarter of the
+    step when the cost drops by less than a quarter of the model's
+    prediction, and doubles when it drops by more than three quarters on
+    a step within 5% of the boundary.  A step with a non-finite residual
+    quarters the radius and is retried.  The run stops on the ``_TOL``
+    tests or after ``_MAX_NFEV`` residual evaluations.  This is the
+    unbounded, linear-loss, exact-subproblem branch of scipy's
+    ``least_squares(method="trf")`` with unit ``x_scale``, in the same
+    operations and order, so it returns the same bits."""
+    x, f, J = x0, fun(x0), jac(x0)
+    nfev = njev = 1
+    cost = 0.5 * np.dot(f, f)
+    g = J.T.dot(f)
+    Delta = norm(x0) or 1.0
+    alpha = 0.0
+    done = False
+    while not done and nfev < _MAX_NFEV and norm(g, ord=np.inf) >= _TOL:
+        U, s, Vt = svd(J, full_matrices=False)
+        uf = U.T.dot(f)
+        reduction = -1
+        while reduction <= 0 and nfev < _MAX_NFEV:
+            step, alpha = _trust_region_step(J.shape[0], uf, s, Vt.T, Delta, alpha)
+            Js = J.dot(step)
+            predicted = -(0.5 * np.dot(Js, Js) + np.dot(step, g))
+            x_new = x + step
+            f_new = fun(x_new)
+            nfev += 1
+            step_norm = norm(step)
+            if not np.all(np.isfinite(f_new)):
+                Delta = 0.25 * step_norm
+                continue
+            cost_new = 0.5 * np.dot(f_new, f_new)
+            reduction = cost - cost_new
+            if predicted > 0:
+                ratio = reduction / predicted
+            else:
+                ratio = 1 if predicted == reduction == 0 else 0
+            Delta_new = Delta
+            if ratio < 0.25:
+                Delta_new = 0.25 * step_norm
+            elif ratio > 0.75 and step_norm > 0.95 * Delta:
+                Delta_new *= 2.0
+            done = ((reduction < _TOL * cost and ratio > 0.25)
+                    or step_norm < _TOL * (_TOL + norm(x)))
+            if done:
+                break
+            alpha *= Delta / Delta_new
+            Delta = Delta_new
+        if reduction > 0:
+            x, f, cost = x_new, f_new, cost_new
+            J = jac(x)
+            njev += 1
+            g = J.T.dot(f)
+    return Fit(x, f, nfev, njev)
 
 
 @dataclass(frozen=True)
@@ -282,10 +400,7 @@ class _DesignProblem:
             if attempt > 0:
                 u_v = u_v + rng.normal(scale=0.2, size=u_v.size)
             u0 = np.concatenate([u_c, u_v])
-            # trf rather than lm: bit-reproducible across repeated calls
-            # (the MINPACK driver carries call-to-call state)
-            sol = least_squares(self.residuals, u0, jac=self.jacobian, method="trf", xtol=1e-15,
-                                ftol=1e-15, gtol=1e-15, max_nfev=_MAX_NFEV)
+            sol = least_squares(self.residuals, u0, self.jacobian)
             knorm = float(np.linalg.norm(self.unpack(sol.x[self.n_c_real :])))
             xs.append(sol.x)
             trace.append(Restart(float(np.max(np.abs(sol.fun))), int(sol.nfev),

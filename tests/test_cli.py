@@ -535,18 +535,19 @@ class TestProcess:
         else:
             assert not (tmp_path / "r.json").exists()
 
-    def test_scipy_optimize_and_interpolate_load_only_where_called(self, tmp_path):
+    def test_scipy_optimize_and_interpolate_never_load(self, tmp_path):
         # scipy.optimize (with scipy.special) costs about a third of a start,
-        # and scipy.interpolate loads both; only design's least squares needs
-        # any of them.  Sampled kernels build their B-splines with numpy and
-        # LAPACK, and the finite-difference oracle needs scipy.linalg alone.
+        # and scipy.interpolate loads both; no path needs any of them.
+        # Sampled kernels build their B-splines with numpy and LAPACK, design
+        # runs its own trust-region loop on scipy.linalg's SVD, and the
+        # finite-difference oracle needs scipy.linalg alone.
         script = """if True:
             import contextlib, io, json, sys
             import numpy as np
             import asymscat
             from asymscat import cli
             LAZY = ("scipy.optimize", "scipy.interpolate", "scipy.special",
-                    "scipy.sparse.linalg")
+                    "scipy.sparse.linalg", "scipy.linalg")
             loaded = lambda: [m for m in LAZY if m in sys.modules]
             seen = {"import": loaded()}
             asymscat.save_kernel(asymscat.PolynomialKernel([[0.1, 0.2j], [0.3, -0.1]]), "p.json")
@@ -579,21 +580,24 @@ class TestProcess:
             seen["sampled"] = loaded()
             asymscat.design_device(asymscat.DeviceSpec("R/A"), restarts=0)
             seen["design"] = loaded()
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(cli.main(["design", "--device", "trt", "--constraint", "pt",
+                                       "--out", "t.json"]))
+            seen["design-cli"] = loaded()
             print(json.dumps({"codes": codes, "seen": seen, "forms": forms}))
         """
         res = subprocess.run([sys.executable, "-c", script], capture_output=True,
                              cwd=tmp_path, env=cli_env())
         assert res.returncode == 0, res.stderr
         doc = json.loads(res.stdout)
-        assert doc["codes"] == [0, 0, 0]
+        assert doc["codes"] == [0, 0, 0, 0]
         # a compressed and a full-rank sampled kernel on their stored grid
-        # (adjoint and Simpson sweep included), and off it with a sampled
-        # local kernel, need none of the deferred modules
+        # (adjoint and Simpson sweep included), off it with a sampled local
+        # kernel, and design by the library and by the CLI load none of them;
+        # positive control: the detector sees scipy.linalg, which every solve uses
         assert doc["forms"] == [True, True]
-        for stage in ("import", "cli", "oracle", "stored", "sampled"):
-            assert doc["seen"][stage] == [], stage
-        # positive control: the deferred import does load where it is used
-        assert "scipy.optimize" in doc["seen"]["design"]
+        for stage in ("import", "cli", "oracle", "stored", "sampled", "design", "design-cli"):
+            assert doc["seen"][stage] == ["scipy.linalg"], stage
 
 
 class TestManifest:

@@ -421,27 +421,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             build(bad)
 
-    # transform flips epsilon but never conjugates alpha, so a complex
-    # alpha passed VII in check_symmetries that its profile breaks
-    @pytest.mark.parametrize("bad", [0.1 + 0.05j, np.complex128(0.1), True, np.bool_(False),
-                                     "0.1", None],
-                             ids=["complex", "numpy-complex", "bool", "numpy-bool", "str", "none"])
-    @pytest.mark.parametrize("build, name", [
-        (lambda bad: RegularizedInverseSquare(alpha=bad, epsilon=0.2), "alpha"),
-        (lambda bad: RegularizedInverseSquare(alpha=0.1, epsilon=bad), "epsilon"),
-        (lambda bad: RegularizedInverseSquare(alpha=0.1, epsilon=0.2, d=bad), "d"),
-        (lambda bad: PolynomialKernel(np.ones((2, 2)), d=bad), "d"),
-    ], ids=["alpha", "epsilon", "d", "poly-d"])
-    def test_scalar_parameters_must_be_real_numbers(self, build, name, bad):
-        with pytest.raises(ValueError, match=f"^kernel {name} must be a real number, got "):
-            build(bad)
-
-    @pytest.mark.parametrize("value", [2, 0.5, np.int64(2), np.float32(0.5), np.float64(0.5)])
-    def test_scalar_parameters_accept_python_and_numpy_reals(self, value):
-        pot = RegularizedInverseSquare(alpha=value, epsilon=value, d=value)
-        assert (pot.alpha, pot.epsilon, pot.d) == (value, value, value)
-        assert PolynomialKernel(np.ones((2, 2)), d=value).d == value
-
     def test_kernels_are_immutable(self, rng):
         ker = random_poly_surface(rng, n=11)
         with pytest.raises(ValueError):
