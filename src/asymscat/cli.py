@@ -153,11 +153,17 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _cmd_sweep(args) -> int:
+def _k_grid(args) -> np.ndarray:
     _check_count("--n", args.n, 1)
+    _check_positive("--kmin", args.kmin)
+    _check_positive("--kmax", args.kmax)
+    return np.linspace(args.kmin, args.kmax, args.n)
+
+
+def _cmd_sweep(args) -> int:
+    grid = _k_grid(args)
     kernel = load_kernel(args.kernel)
     config = _solver_config(args)
-    grid = np.linspace(args.kmin, args.kmax, args.n)
     table = k_sweep(kernel, grid, config)
     _commit(args, {"sweep": (args.out, table.to_csv_text())})
     return 0
@@ -213,6 +219,7 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_born_design(args) -> int:
+    _check_positive("--window", args.window)
     grid = _parse_grid(args.sweep) if args.sweep else None
     if args.tune:
         alpha = tune_alpha(args.epsilon, args.kref, window=args.window)
@@ -246,12 +253,12 @@ def _cmd_born_design(args) -> int:
 
 def _cmd_verify(args) -> int:
     _check_positive("--tol", args.tol)
-    _check_count("--n", args.n, 1)
+    _check_positive("--sym-tol", args.sym_tol)
+    grid = _k_grid(args)
     kernel = load_kernel(args.kernel)
     config = _solver_config(args)
     report = check_symmetries(kernel, tol=args.sym_tol)
     relations = predicted_amplitude_relations(report)
-    grid = np.linspace(args.kmin, args.kmax, args.n)
     failures = []
     residuals = []
     for k in grid:

@@ -7,7 +7,8 @@ not something to paper over with NaNs.  So are bad arguments.  A real
 argument is a finite Python or numpy int or float: a bool, complex, str,
 None or an int beyond the double range is not; a count is such an int.
 Each ``_check_*`` raises ValueError with a message that starts with the
-parameter's name, and none converts the value it accepts.
+parameter's name, and none converts the value it accepts; for an array
+of such numbers, ``_real_array`` does both.
 """
 import math
 
@@ -43,6 +44,24 @@ def _check_count(name: str, value, least: int) -> None:
 def _check_finite(name: str, array) -> None:
     if not np.all(np.isfinite(array)):
         raise ValueError(f"{name} must be finite")
+
+
+def _real_array(name: str, value, finite: bool = True, scalar: bool = False) -> np.ndarray:
+    """``value`` as a new read-only float64 array of one dimension (or
+    none, with ``scalar``) that holds no NaN, nor +-inf when ``finite``."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "iuf":  # refuses bool, complex, str and object
+        raise ValueError(f"{name} must hold real numbers, got dtype {a.dtype}")
+    if a.ndim not in ((0, 1) if scalar else (1,)):
+        raise ValueError(f"{name} must be {'a scalar or ' if scalar else ''}one-dimensional, "
+                         f"got shape {a.shape}")
+    a = np.array(a, dtype=float)
+    if finite:
+        _check_finite(name, a)
+    elif np.any(np.isnan(a)):
+        raise ValueError(f"{name} must not be NaN")
+    a.flags.writeable = False
+    return a
 
 
 class AsymscatError(Exception):

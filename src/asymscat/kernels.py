@@ -10,7 +10,7 @@ Kernels are read on nodes, never pointwise: a local kernel through
 ``sample_profile(nodes)``, a nonlocal one through ``factors(nodes)``
 (separable factors V = PC Q^T, what the solvers use) and
 ``sample_matrix(x_nodes, y_nodes)`` (V on a node product).  Each read is
-exactly 0 outside [-d, d].
+exactly 0 outside [-d, d], at +-inf too, and refuses a NaN node.
 
 The eight involutive transforms I..VIII act on kernels as the identity,
 conjugate transpose, parity, and their compositions:
@@ -30,7 +30,7 @@ from scipy import sparse
 from scipy.linalg.blas import izamax, zgeru
 from scipy.linalg.lapack import zgbsv
 
-from .errors import _check_finite, _check_positive, _check_real
+from .errors import _check_finite, _check_positive, _check_real, _real_array
 from .units import HALF_WIDTH
 
 # A sampled nonlocal kernel is solved through a compression V ~ L R^T of
@@ -145,12 +145,11 @@ class SampledKernel:
     is_local: bool = False
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
+        grid = _real_array("kernel grid", self.grid)
         values = np.asarray(self.values, dtype=complex)
         n = grid.size
         if n < 4:
             raise ValueError("sampled kernel needs at least 4 grid points (cubic splines)")
-        _check_finite("kernel grid", grid)
         _check_finite("kernel values", values)
         if not np.all(np.diff(grid) > 0):
             raise ValueError("grid must be strictly increasing")
@@ -167,7 +166,7 @@ class SampledKernel:
                 raise ValueError("local kernel stores a 1D diagonal profile")
         elif values.shape != (n, n):
             raise ValueError(f"values must be shaped ({n}, {n}), got {values.shape}")
-        object.__setattr__(self, "grid", _readonly(grid))
+        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", _readonly(values))
 
     @property
@@ -229,19 +228,16 @@ class SampledKernel:
         """(fit(L), fit(R)): the fit is linear, so C ~ fit(L) @ fit(R).T."""
         return tuple(self._fit(f) for f in self._low_rank)
 
-    def _basis(self, x: np.ndarray, name: str):
-        """Sparse cubic B-spline design matrix of the nodes ``x``, named
-        ``name`` in the error for NaN nodes; rows of nodes outside +-d
-        (+-inf included) are zero, so the spline reads exactly 0 there.
+    def _basis(self, x: np.ndarray):
+        """Sparse cubic B-spline design matrix of the nodes ``x``; rows of
+        nodes outside +-d (+-inf included) are zero, so the spline reads
+        exactly 0 there.
 
         Each row lists its columns in descending order and leaves out
         exact zeros: the layout of scipy's sparse product of a 0/1 row mask
         and BSpline.design_matrix.  Sparse products sum a row in its
         stored order, so the solves' results depend on it to the last bit.
         """
-        x = np.asarray(x, dtype=float)
-        if np.any(np.isnan(x)):
-            raise ValueError(f"sampled kernel coordinates {name} must not be NaN")
         t = self._knots
         ell, b = _cubic_bsplines(t, np.clip(x, t[0], t[-1]))
         b[np.abs(x) > self.d] = 0.0
@@ -254,19 +250,20 @@ class SampledKernel:
     def sample_profile(self, nodes: np.ndarray) -> np.ndarray:
         if not self.is_local:
             raise ValueError("sample_profile is only defined for local kernels")
-        x = np.asarray(nodes, dtype=float)
+        x = _real_array("kernel coordinates nodes", nodes, finite=False)
         if self._on_grid(x):
             return np.asarray(self.values)
-        return self._basis(x, "nodes") @ self._spline_coeffs
+        return self._basis(x) @ self._spline_coeffs
 
     def sample_matrix(self, x_nodes: np.ndarray, y_nodes: np.ndarray) -> np.ndarray:
         """V(x_i, y_j) on a node product; exactly 0 outside the support."""
         if self.is_local:
             raise ValueError("sample_matrix is only defined for nonlocal kernels")
-        x, y = np.asarray(x_nodes, dtype=float), np.asarray(y_nodes, dtype=float)
+        x = _real_array("kernel coordinates x_nodes", x_nodes, finite=False)
+        y = _real_array("kernel coordinates y_nodes", y_nodes, finite=False)
         if self._on_grid(x) and self._on_grid(y):
             return np.asarray(self.values)
-        return (self._basis(x, "x_nodes") @ self._spline_coeffs) @ self._basis(y, "y_nodes").T
+        return (self._basis(x) @ self._spline_coeffs) @ self._basis(y).T
 
     def factors(self, x_nodes: np.ndarray):
         """Separable factors on the nodes: V(x_i, x_j) ~= (PC @ Q.T)[i, j].
@@ -285,15 +282,15 @@ class SampledKernel:
         """
         if self.is_local:
             raise ValueError("factors is only defined for nonlocal kernels")
-        x = np.asarray(x_nodes, dtype=float)
+        x = _real_array("kernel coordinates x_nodes", x_nodes, finite=False)
         if self._low_rank is not None:
             if self._on_grid(x):
                 return self._low_rank
-            b = self._basis(x, "x_nodes")
+            b = self._basis(x)
             return tuple(b @ f for f in self._low_rank_coeffs)
         if x.size <= self.n:
             return self.sample_matrix(x, x), sparse.eye_array(x.size, format="csr")
-        b = self._basis(x, "x_nodes")
+        b = self._basis(x)
         return b @ self._spline_coeffs, b
 
     def transform(self, which: str) -> "SampledKernel":
@@ -367,16 +364,17 @@ class PolynomialKernel:
         rank r = jmax + 1 <= 6 on any grid.  Rows of nodes outside +-d
         are zero in both, as the kernel is 0 there.
         """
-        x = np.asarray(x_nodes, dtype=float)
+        x = _real_array("kernel coordinates x_nodes", x_nodes, finite=False)
         inside = (np.abs(x) <= self.d)[:, None]
+        x = np.clip(x, -self.d, self.d)  # no inf * 0 and no overflow outside the support
         pc = np.polynomial.polynomial.polyvander(x, self.imax) @ self.coeffs
         q = np.polynomial.polynomial.polyvander(x, self.jmax)
         return np.where(inside, pc, 0.0), np.where(inside, q, 0.0)
 
     def sample_matrix(self, x_nodes: np.ndarray, y_nodes: np.ndarray) -> np.ndarray:
-        pc, _ = self.factors(x_nodes)
-        _, q = self.factors(y_nodes)
-        return pc @ q.T
+        x = _real_array("kernel coordinates x_nodes", x_nodes, finite=False)
+        y = _real_array("kernel coordinates y_nodes", y_nodes, finite=False)
+        return self.factors(x)[0] @ self.factors(y)[1].T
 
     def _square_coeffs(self) -> np.ndarray:
         s = max(self.coeffs.shape)
@@ -423,11 +421,10 @@ class RegularizedInverseSquare:
         _check_positive("kernel d", self.d)
 
     def sample_profile(self, nodes: np.ndarray) -> np.ndarray:
-        x = np.asarray(nodes, dtype=float)
+        x = _real_array("kernel coordinates nodes", nodes, finite=False)
         # divide only inside the support: at x = +-inf the quotient is NaN, with a warning
-        inside = ~(np.abs(x) > self.d)
         return np.divide(self.alpha, (x - 1j * self.epsilon) ** 2,
-                         out=np.zeros(x.shape, dtype=complex), where=inside)
+                         out=np.zeros(x.shape, dtype=complex), where=np.abs(x) <= self.d)
 
     def transform(self, which: str) -> "RegularizedInverseSquare":
         # Flipping x and conjugating each send epsilon -> -epsilon; .T is the identity.
@@ -443,8 +440,9 @@ def adjoint(kernel):
 def fourier_transform_local(potential: RegularizedInverseSquare, k):
     """Analytic Fourier transform of the regularized inverse-square
     profile: sqrt(2 pi) alpha k exp(epsilon k) for k < 0, and 0 for
-    k >= 0; the mirror image (epsilon < 0) has V~_{-eps}(k) = V~_eps(-k)."""
-    k = np.sign(potential.epsilon) * np.asarray(k, dtype=float)
+    k >= 0; the mirror image (epsilon < 0) has V~_{-eps}(k) = V~_eps(-k).
+    A NaN, infinite, complex or two-dimensional k raises ValueError."""
+    k = np.sign(potential.epsilon) * _real_array("k", k, scalar=True)
     neg = np.sqrt(2.0 * np.pi) * potential.alpha * k * np.exp(abs(potential.epsilon) * k)
     out = np.where(k < 0, neg, 0.0)
     return complex(out) if out.ndim == 0 else out

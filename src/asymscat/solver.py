@@ -107,7 +107,7 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import zgbtrf, zgbtrs, zgecon, zgtcon, zgttrf, zgttrs
 
 from .errors import AdjointDivergenceError, SingularSystemError
-from .errors import _check_count, _check_finite, _check_positive
+from .errors import _check_count, _check_positive, _real_array
 from .kernels import adjoint as kernel_adjoint
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -135,10 +135,10 @@ def _check_n_grid(n_grid, richardson: bool = False) -> None:
 class SolverConfig:
     """Discretization knobs for the Nystrom solver.
 
-    ``nodes`` may carry an explicit non-uniform grid, optionally with
-    matching quadrature ``weights`` (e.g. from a smooth change of
-    variables); without weights, chord trapezoid weights are used.
-    Otherwise a uniform n_grid-point grid over [-d, d] is used.
+    ``nodes`` may carry an explicit non-uniform grid and ``weights`` its
+    quadrature weights (e.g. from a smooth change of variables), both
+    kept as read-only copies; without weights, chord trapezoid weights
+    are used.  Otherwise a uniform n_grid-point grid over [-d, d] is used.
     """
 
     n_grid: int = 401
@@ -155,21 +155,19 @@ class SolverConfig:
         if self.weights is not None and self.nodes is None:
             raise ValueError("weights require explicit nodes")
         if self.nodes is not None:
-            nodes = np.asarray(self.nodes, dtype=float)
+            nodes = _real_array("explicit nodes", self.nodes)
             if nodes.size > _MAX_NODES:
                 raise ValueError(f"explicit nodes: {nodes.size} given, above the "
                                  f"{_MAX_NODES} allowed")
             if nodes.size < 3 or not np.all(np.diff(nodes) > 0):
                 raise ValueError("explicit nodes must be strictly increasing, size >= 3")
-            _check_finite("explicit nodes", nodes)
             if self.quadrature != "trapezoid":
                 raise ValueError("explicit nodes support trapezoid weights only")
             object.__setattr__(self, "nodes", nodes)
             if self.weights is not None:
-                weights = np.asarray(self.weights, dtype=float)
+                weights = _real_array("weights", self.weights)
                 if weights.shape != nodes.shape:
                     raise ValueError("weights must match nodes in shape")
-                _check_finite("weights", weights)
                 object.__setattr__(self, "weights", weights)
 
 
@@ -294,18 +292,6 @@ def _check_rcond(rcond: float, k: float) -> None:
     # "not >=" also rejects a NaN estimate
     if not rcond >= 1e-14:
         raise SingularSystemError(k, float(rcond))
-
-
-def _solve_system(A: np.ndarray, rhs: np.ndarray, k: float, anorm: float):
-    """LU-solve A x = rhs; raise SingularSystemError when the reciprocal
-    condition estimate, taken with ``anorm`` as the norm of A, falls
-    below the threshold."""
-    if not A.size:  # the capacitance matrix of a rank-0 kernel
-        return rhs
-    lu, piv = lu_factor(A)
-    rcond, info = zgecon(lu, anorm)
-    _check_rcond(rcond if info == 0 else 0.0, k)
-    return lu_solve((lu, piv), rhs)
 
 
 # Bandwidths of the 3n x 3n local system ordered (psi_i, A_i, B_i).  In
@@ -446,8 +432,12 @@ def _capacitance_solve(x_op: np.ndarray, q, w: np.ndarray, phi: np.ndarray, k: f
     """
     qw = q.T * w[None, :]
     capacitance = np.eye(q.shape[1], dtype=complex) - qw @ x_op
-    u = _solve_system(capacitance, qw @ phi, k,
-                      anorm=max(np.linalg.norm(capacitance, 1), 1.0) / rcond_scale)
+    u = qw @ phi
+    if capacitance.size:  # a rank-0 kernel has nothing to factor
+        lu, piv = lu_factor(capacitance)
+        rcond, info = zgecon(lu, max(np.linalg.norm(capacitance, 1), 1.0) / rcond_scale)
+        _check_rcond(rcond if info == 0 else 0.0, k)
+        u = lu_solve((lu, piv), u)
     return phi + x_op @ u, u
 
 

@@ -162,15 +162,9 @@ class AmplitudeRelation:
     description: str
     _residual: Callable
     condition: str | None = None
-    _applies: Callable | None = None
-
-    def applies(self, amps: ScatteringAmplitudes) -> bool:
-        if self._applies is None:
-            return True
-        return self._applies(amps)
 
     def residual(self, amps: ScatteringAmplitudes) -> float:
-        if not self.applies(amps):
+        if self.condition is not None and not _CONDITIONS[self.condition](amps):
             return 0.0
         return float(self._residual(amps))
 
@@ -220,6 +214,10 @@ def _refl_asym(a: ScatteringAmplitudes) -> bool:
     return abs(abs(a.Rl) - 1.0) < 1e-2 and abs(a.Rr) < 1e-2
 
 
+_CONDITIONS = {"perfect transmission asymmetry": _trans_asym,
+               "perfect reflection asymmetry": _refl_asym}
+
+
 # Listed after the equalities; these do not follow from the amplitude action.
 _MODULUS_AND_PHASE = {
     "II": [
@@ -228,21 +226,21 @@ _MODULUS_AND_PHASE = {
     ],
     "IV": [
         AmplitudeRelation("IV", "R^r conj(R^l) = 1", lambda a: abs(a.Rr * np.conj(a.Rl) - 1.0),
-                          "perfect transmission asymmetry", _trans_asym),
+                          "perfect transmission asymmetry"),
         AmplitudeRelation("IV", "T^r conj(T^l) = 1", lambda a: abs(a.Tr * np.conj(a.Tl) - 1.0),
-                          "perfect reflection asymmetry", _refl_asym),
+                          "perfect reflection asymmetry"),
     ],
     "V": [
         AmplitudeRelation("V", "|R^l| = |R^r|", lambda a: abs(abs(a.Rl) - abs(a.Rr))),
         AmplitudeRelation("V", "|R^l| = |R^r| = 1",
                           lambda a: max(abs(abs(a.Rl) - 1.0), abs(abs(a.Rr) - 1.0)),
-                          "perfect transmission asymmetry", _trans_asym),
+                          "perfect transmission asymmetry"),
     ],
     "VII": [
         AmplitudeRelation("VII", "|T^l| = |T^r|", lambda a: abs(abs(a.Tl) - abs(a.Tr))),
         AmplitudeRelation("VII", "|T^l| = |T^r| = 1",
                           lambda a: max(abs(abs(a.Tl) - 1.0), abs(abs(a.Tr) - 1.0)),
-                          "perfect reflection asymmetry", _refl_asym),
+                          "perfect reflection asymmetry"),
     ],
 }
 

@@ -9,7 +9,7 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import zgecon
 
 from asymscat.kernels import PolynomialKernel, RegularizedInverseSquare, SampledKernel
-from asymscat.solver import SolverConfig, _simpson_kink_delta, _solve_system, grid_and_weights
+from asymscat.solver import SolverConfig, _check_rcond, _simpson_kink_delta, grid_and_weights
 
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -181,7 +181,10 @@ def dense_oracle(kernel, k, n_grid):
         ph = np.exp(-1j * k * kernel.d)
         rhs = np.zeros((n, 2), dtype=complex)
         rhs[0, 0] = rhs[n - 1, 1] = -2j * k * ph / (x[1] - x[0])
-        psi = _solve_system(A, rhs, k, anorm=np.linalg.norm(A, 1))
+        lu, piv = lu_factor(A)
+        rcond, info = zgecon(lu, np.linalg.norm(A, 1))
+        _check_rcond(rcond if info == 0 else 0.0, k)
+        psi = lu_solve((lu, piv), rhs)
         return np.array([psi[-1, 0], psi[0, 1], psi[0, 0] - ph, psi[-1, 1] - ph]) * ph
 
     return tuple((4.0 * once(2 * n_grid - 1) - once(n_grid)) / 3.0)

@@ -8,7 +8,8 @@ import pytest
 
 from asymscat.born import born_reflections, design_broadband_reflector, graded_mesh, tune_alpha
 from asymscat.design import DeviceSpec, design_device, verify_design
-from asymscat.kernels import PolynomialKernel, RegularizedInverseSquare
+from asymscat.kernels import (PolynomialKernel, RegularizedInverseSquare, SampledKernel,
+                              fourier_transform_local)
 from asymscat.solver import (
     ScatteringAmplitudes,
     SolverConfig,
@@ -126,3 +127,127 @@ def test_parameter_accepts_python_and_numpy_numbers(row, value):
     result = call(value)
     if row in KEPT:
         assert KEPT[row](result) == value
+
+
+# Array parameters: every coordinate array goes through one check, which
+# refuses any dtype but int and float, any other number of dimensions and
+# NaN, and +-inf where the parameter must be finite.  (name in the
+# message, must be finite, may be a scalar, call with the value, a valid
+# value): each valid value is integral and exact in float32, so every
+# accepted form of it is the same number.
+_G = np.linspace(-1.0, 1.0, 9)
+_SAMPLED = SampledKernel(_G, np.cos(3.0 * np.add.outer(_G ** 3, _G)) + 0.5j)
+_LOW_RANK = SampledKernel(_G, np.outer(1.0 - _G ** 2, _G) + 0j)
+_SAMPLED_LOCAL = SampledKernel(_G, np.exp(1j * _G) + 0.5, is_local=True)
+_POLY = PolynomialKernel(np.array([[0.3, 0.1j], [0.2, 0.05], [0.1j, 0.4]]))
+_OFF = np.array([0.3, -0.7])
+_NODES = [-2, -1, 0, 1, 2]
+ARRAYS = {
+    "config-nodes": ("explicit nodes", True, False,
+                     lambda v: scatter_all(KERNEL, 1.0, SolverConfig(nodes=v)).quadruple, _NODES),
+    "config-weights": ("weights", True, False, lambda v: scatter_all(
+        KERNEL, 1.0, SolverConfig(nodes=np.array(_NODES, float), weights=v)).quadruple,
+        [1, 1, 2, 1, 1]),
+    "sampled-grid": ("kernel grid", True, False,
+                     lambda v: SampledKernel(v, np.outer(_NODES, _NODES) + 1j).sample_matrix(
+                         _OFF, _OFF), _NODES),
+    "sampled-profile-nodes": ("kernel coordinates nodes", False, False,
+                              _SAMPLED_LOCAL.sample_profile, _NODES),
+    "sampled-x_nodes": ("kernel coordinates x_nodes", False, False,
+                        lambda v: _SAMPLED.sample_matrix(v, _OFF), _NODES),
+    "sampled-y_nodes": ("kernel coordinates y_nodes", False, False,
+                        lambda v: _SAMPLED.sample_matrix(_OFF, v), _NODES),
+    "sampled-factors": ("kernel coordinates x_nodes", False, False, _SAMPLED.factors, _NODES),
+    "low-rank-factors": ("kernel coordinates x_nodes", False, False, _LOW_RANK.factors, _NODES),
+    "poly-x_nodes": ("kernel coordinates x_nodes", False, False,
+                     lambda v: _POLY.sample_matrix(v, _OFF), _NODES),
+    "poly-y_nodes": ("kernel coordinates y_nodes", False, False,
+                     lambda v: _POLY.sample_matrix(_OFF, v), _NODES),
+    "poly-factors": ("kernel coordinates x_nodes", False, False, _POLY.factors, _NODES),
+    "inverse-square-nodes": ("kernel coordinates nodes", False, False, KERNEL.sample_profile,
+                             _NODES),
+    "fourier-k": ("k", True, True, lambda v: fourier_transform_local(KERNEL, v), _NODES),
+}
+
+DTYPE = "must hold real numbers, got dtype "
+
+
+def _refused_arrays(finite, scalar, valid):
+    """(value, message after the name) for each value an array parameter
+    must refuse, built from its ``valid`` value."""
+    a = np.array(valid, dtype=float)
+    shape = f"must be {'a scalar or ' if scalar else ''}one-dimensional, got shape "
+    cases = {"complex": (a.astype(complex), DTYPE), "complex-imag": (a + 0.5j, DTYPE),
+             "bool": (a > 0, DTYPE), "str": (a.astype(str), DTYPE),
+             "none": ([*a[1:], None], DTYPE), "huge-int": ([*valid[1:], 10**400], DTYPE),
+             "2-D": (a[None, :], shape),
+             "nan": ([*a[1:], np.nan], "must be finite" if finite else "must not be NaN")}
+    if not scalar:
+        cases["scalar"] = (a[0], shape)
+    if finite:
+        cases |= {"inf": ([*a[1:], np.inf], "must be finite"),
+                  "minus-inf": ([-np.inf, *a[1:]], "must be finite")}
+    return cases
+
+
+def _arrays(result):
+    """A result as a list of dense arrays: a tuple (of factors or of
+    amplitudes) entry by entry, a sparse factor densified."""
+    if isinstance(result, tuple):
+        return [x for r in result for x in _arrays(r)]
+    return [result.toarray() if hasattr(result, "toarray") else np.asarray(result)]
+
+
+def _same_bits(a, b):
+    a, b = _arrays(a), _arrays(b)
+    return len(a) == len(b) and all(
+        x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in zip(a, b))
+
+
+REFUSED_ARRAYS = [pytest.param(row, value, suffix, id=f"{row}-{vid}")
+                  for row, (_, finite, scalar, _, valid) in ARRAYS.items()
+                  for vid, (value, suffix) in _refused_arrays(finite, scalar, valid).items()]
+ACCEPTED_ARRAYS = [pytest.param(row, form, id=f"{row}-{form}")
+                   for row in ARRAYS for form in ("list", "tuple", "int", "float32")]
+
+
+@pytest.mark.parametrize("row, value, suffix", REFUSED_ARRAYS)
+def test_array_parameter_refuses_what_is_not_a_real_array(row, value, suffix):
+    name, _, _, call, _ = ARRAYS[row]
+    with pytest.raises(ValueError, match="^" + re.escape(f"{name} {suffix}")):
+        call(value)
+
+
+@pytest.mark.parametrize("row, form", ACCEPTED_ARRAYS)
+def test_array_parameter_reads_every_form_of_a_value_alike(row, form):
+    _, _, _, call, valid = ARRAYS[row]
+    a = np.array(valid, dtype=float)
+    value = {"list": a.tolist(), "tuple": tuple(a.tolist()), "int": np.array(valid),
+             "float32": a.astype(np.float32)}[form]
+    assert _same_bits(call(value), call(a))
+
+
+@pytest.mark.parametrize("row", [row for row, (_, finite, _, _, _) in ARRAYS.items()
+                                 if not finite])
+def test_kernel_reads_infinities_as_zero(row):
+    # +-inf lies outside the support, so it reads as any point there does
+    _, _, _, call, valid = ARRAYS[row]
+    outside = call([3.0, *valid[1:]])
+    for inf in (np.inf, -np.inf):
+        assert _same_bits(call([inf, *valid[1:]]), outside)
+
+
+def test_solver_config_keeps_read_only_copies():
+    # the config used to hold the caller's array: a NaN written into it
+    # afterwards made the next solve fail inside scipy
+    nodes, weights = np.linspace(-1.0, 1.0, 21), np.full(21, 0.1)
+    weights[[0, -1]] = 0.05
+    config = SolverConfig(nodes=nodes, weights=weights)
+    before = scatter_all(KERNEL, 1.0, config).quadruple
+    nodes[3], weights[3] = np.nan, 5.0
+    assert scatter_all(KERNEL, 1.0, config).quadruple == before
+    for stored in (config.nodes, config.weights):
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError):
+            stored[0] = 0.0

@@ -309,6 +309,17 @@ class TestBornDesignCommand:
         assert b"bad grid spec" in res.stderr
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("tune", [[], ["--tune"]], ids=["alpha", "tune"])
+    @pytest.mark.parametrize("window", ["nan", "inf", "0", "-1"])
+    def test_window_is_named(self, tmp_path, tune, window):
+        # it was reported as "kernel d" or "d", after tuning
+        res = run_cli(["born-design", "--epsilon", "1e-3", *tune, "--window", window,
+                       "--out", "r.json"], tmp_path)
+        assert res.returncode == 1
+        assert res.stderr == (f"input error: --window must be positive and finite, "
+                              f"got {float(window)!r}\n").encode()
+        assert not list(tmp_path.iterdir())
+
 
 class TestVerifyCommand:
     def test_hermitian_kernel_passes(self, tmp_path, hermitian_kernel_file):
@@ -349,11 +360,13 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
     def test_tolerance_must_be_positive_and_finite(self, tmp_path, hermitian_kernel_file,
                                                    flag, tol):
-        # a NaN tolerance made every `residual > tol` check pass
+        # a NaN tolerance made every `residual > tol` check pass; --sym-tol
+        # was named "tol" in the error
         res = run_cli(["verify", "--kernel", str(hermitian_kernel_file), flag, tol,
                        "--kmin", "1.0", "--kmax", "1.0", "--n", "1"], tmp_path)
         assert res.returncode == 1
-        assert b"positive and finite" in res.stderr
+        assert res.stderr == (f"input error: {flag} must be positive and finite, "
+                              f"got {float(tol)!r}\n").encode()
 
     @pytest.mark.parametrize("command", ["sweep", "verify"])
     @pytest.mark.parametrize("n", ["0", "-2"])
@@ -366,6 +379,20 @@ class TestVerifyCommand:
         assert res.stderr == (f"input error: --n must be an integer of at least 1, "
                               f"got {n}\n").encode()
         assert [p.name for p in tmp_path.iterdir()] == [zero_kernel_file.name]
+
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    @pytest.mark.parametrize("flag", ["--kmin", "--kmax"])
+    @pytest.mark.parametrize("k", ["nan", "inf", "0", "-1"])
+    def test_momentum_flags_are_named(self, tmp_path, command, flag, k):
+        # they were reported as k_grid[0] or incident wavenumber k, after
+        # the kernel was loaded; the kernel file here does not exist
+        kmin, kmax = (k, "1.5") if flag == "--kmin" else ("0.5", k)
+        res = run_cli([command, "--kernel", "missing.json", "--kmin", kmin, "--kmax", kmax,
+                       "--n", "3", "--out", "o.txt"], tmp_path)
+        assert res.returncode == 1
+        assert res.stderr == (f"input error: {flag} must be positive and finite, "
+                              f"got {float(k)!r}\n").encode()
+        assert not list(tmp_path.iterdir())
 
 
 class TestExitCodes:

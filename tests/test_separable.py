@@ -188,7 +188,7 @@ def test_spline_fit_reproduces_the_samples(seed, roughness, half, is_local):
     # return there; the nonlocal samples are not symmetric, so a fit with
     # x and y swapped fails here
     kernel = _stored_kernel(seed, roughness, half, is_local)
-    basis = kernel._basis(kernel.grid, "x")
+    basis = kernel._basis(kernel.grid)
     got = basis @ kernel._spline_coeffs
     got = got if is_local else got @ basis.T
     assert np.max(np.abs(got - kernel.values)) <= 1e-13 * np.max(np.abs(kernel.values))
@@ -224,7 +224,7 @@ def test_spline_fit_and_basis_match_scipy_interpolate(n):
     x = np.concatenate([t, g, [-d, d], rng.uniform(-d, d, 50),
                         [-1.5 * d, -d - 1e-12, d + 1e-12, 3.0 * d]])
     inside = np.abs(x) <= d
-    got = kernel._basis(x, "x").toarray()
+    got = kernel._basis(x).toarray()
     assert np.array_equal(got[inside], BSpline.design_matrix(x[inside], t, 3).toarray())
     assert np.all(got[~inside] == 0.0) and np.count_nonzero(~inside) == 4
 
